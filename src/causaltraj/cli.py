@@ -105,6 +105,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError(f"--limit must be >= 1, got {args.limit}")
     model, _, _ = model_mod.load_model(args.model)
     ts = data_mod.read_trajectories(args.data)
     P = model.config.context_frames

@@ -8,7 +8,9 @@ one file share the roster and length.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -77,9 +79,28 @@ class TrajectorySet:
         }
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """Write through a temp file next to ``path`` that replaces it on success.
+
+    If the write fails part-way, the temp file is removed and whatever was at
+    ``path`` before is left as it was.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_trajectories(path, ts: TrajectorySet) -> None:
     S, Tlen, N, _ = ts.positions.shape
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<III", S, N, Tlen))
         f.write(ts.categories.astype("<u1").tobytes())
@@ -122,7 +143,7 @@ def read_trajectories(path) -> TrajectorySet:
 
 def write_sidecar(path, mapping: dict) -> None:
     """Plain ``key=value`` lines next to a binary artifact."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, "w") as f:
         for key in sorted(mapping):
             f.write(f"{key}={mapping[key]}\n")
 

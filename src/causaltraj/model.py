@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import mdn
 from . import tensor as T
+from .data import atomic_write
 from .encoders import PointNetEncoder, SSMEncoder
 from .errors import ConfigError, ShapeError, TrajectoryFormatError
 from .nn import Dense, EmbeddingTable, MLP, Module
@@ -28,6 +30,7 @@ from .tensor import Tensor
 NUM_CATEGORIES = 3  # ball, team_a, team_b
 
 CHECKPOINT_MAGIC = b"CTCKPT1"
+MAX_NDIM = 64  # numpy's limit on array dimensions
 
 
 @dataclass
@@ -289,9 +292,15 @@ class TrajectoryModel(Module):
             raise ConfigError(f"unknown rollout mode {mode!r}")
         if horizon is None:
             horizon = cfg.future_frames
+        if horizon < 1 or num_scenarios < 1:
+            raise ConfigError(
+                f"rollout needs horizon >= 1 and num_scenarios >= 1, "
+                f"got {horizon} and {num_scenarios}"
+            )
         ctx = np.asarray(contexts, dtype=np.float32)
-        if ctx.ndim != 4 or ctx.shape[-1] != 2 or ctx.shape[1] != cfg.num_agents:
-            raise ShapeError(f"contexts must be [C, N, P, 2], got {ctx.shape}")
+        if (ctx.ndim != 4 or ctx.shape[-1] != 2 or ctx.shape[1] != cfg.num_agents
+                or ctx.shape[0] < 1):
+            raise ShapeError(f"contexts must be [C >= 1, N, P, 2], got {ctx.shape}")
         C, N, P, _ = ctx.shape
         if P < 2:
             raise ShapeError("rollout needs at least 2 context frames")
@@ -418,7 +427,7 @@ def save_checkpoint(
     }
     for name, arr in (extra_arrays or {}).items():
         arrays[name] = arr
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
@@ -449,22 +458,42 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         return chunk
 
     (blob_len,) = struct.unpack("<I", take(4, "header length"))
+    header_off = off
     try:
         meta = json.loads(take(blob_len, "header").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise TrajectoryFormatError(f"bad checkpoint header: {e}", offset=off) from e
-    if meta.get("format") != 1:
-        raise TrajectoryFormatError(f"unsupported checkpoint format {meta.get('format')!r}")
+        raise TrajectoryFormatError(f"bad checkpoint header: {e}", offset=header_off) from e
+    if not isinstance(meta, dict) or meta.get("format") != 1:
+        fmt = meta.get("format") if isinstance(meta, dict) else None
+        raise TrajectoryFormatError(f"unsupported checkpoint format {fmt!r}", offset=header_off)
+    if not isinstance(meta.get("model"), dict) or not isinstance(meta.get("extra", {}), dict):
+        raise TrajectoryFormatError("checkpoint header lacks model/extra objects",
+                                    offset=header_off)
     (count,) = struct.unpack("<I", take(4, "array count"))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        name_off = off
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise TrajectoryFormatError(f"array name is not UTF-8: {e}", offset=name_off) from e
+        if name in arrays:
+            raise TrajectoryFormatError(f"duplicate array name {name!r}", offset=name_off)
+        ndim_off = off
         (ndim,) = struct.unpack("<B", take(1, "ndim"))
+        if ndim > MAX_NDIM:
+            raise TrajectoryFormatError(
+                f"array {name!r} has {ndim} dims, more than {MAX_NDIM}", offset=ndim_off
+            )
+        shape_off = off
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
-        n_elems = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(take(4 * n_elems, f"data for {name}"), dtype="<f4")
-        arrays[name] = data.reshape(shape).astype(np.float32)
+        data = np.frombuffer(take(4 * math.prod(shape), f"data for {name}"), dtype="<f4")
+        try:
+            arrays[name] = data.reshape(shape).astype(np.float32)
+        except ValueError as e:   # a zero dim lets the other dims pass numpy's size limit
+            raise TrajectoryFormatError(f"array {name!r}: bad shape {shape}: {e}",
+                                        offset=shape_off) from e
     if off != len(raw):
         raise TrajectoryFormatError("trailing bytes after last array", offset=off)
     return meta, arrays

@@ -12,6 +12,14 @@ Two block types:
   per-frame pairwise mesh. Row (q, k) of the mesh stacks the position and
   velocity differences between agents q and k with both agents' hidden
   vectors, so edge geometry conditions the message weights directly.
+
+The mesh is never materialised. Projecting a concatenation is the sum of
+the projections of its parts, so the mesh block is ordinary attention over
+the agents' own projections plus a small pairwise geometry term in the
+scores and in the values (see ``PairMeshBlock``). This needs
+O(N^2 d + N d^2) work per frame instead of the mesh's O(N^2 d^2), and keeps
+the [B, T, N, N, 2d+4] array and its [B, T, H, N, N, d/H] projections off
+the tape.
 """
 
 from __future__ import annotations
@@ -75,7 +83,32 @@ class AgentAttentionBlock(Module):
 
 
 class PairMeshBlock(Module):
-    """Attention with keys and values drawn from the pairwise mesh rows."""
+    """Attention whose keys and values are projected from pairwise mesh rows.
+
+    Mesh row (q, k) is ``[geo_qk, z_q, z_k]`` (width 2d+4), and ``k_proj`` /
+    ``v_proj`` map it to d. Their weight rows therefore split into three
+    blocks: ``0:4`` act on the geometry, ``4:4+d`` on the query agent and
+    ``4+d:4+2d`` on the key agent. Projecting a concatenation is the sum of
+    the blocks' projections, so per head h, with q = q_proj(z),
+
+        k_qk = geo_qk Wk_g + z_q Wk_q + z_k Wk_k + b_k
+        v_qk = geo_qk Wv_g + z_q Wv_q + z_k Wv_k + b_v
+
+    and the block is evaluated without building the mesh:
+
+    * score_qk = q_q . (z_k Wk_k) + sum_c geo_qk[c] u_q[c], with
+      u_q[c] = q_q . Wk_g[c] (head h's columns). The ``z_q Wk_q + b_k``
+      term adds q_q . (z_q Wk_q + b_k) to every score in row q, and softmax
+      is invariant to a per-row shift, so it cancels exactly.
+    * out_q = sum_k a_qk (z_k Wv_k) + (z_q Wv_q + b_v)
+      + (sum_k a_qk geo_qk) Wv_g, because the weights a_qk sum to 1.
+
+    This is the relative-attention split of Shaw et al. (arXiv:1803.02155).
+    It costs O(N^2 d + N d^2) per frame against O(N^2 d^2) for the mesh.
+    The ``z_q`` rows of ``k_proj.weight`` and ``k_proj.bias`` cannot affect
+    the output and get no gradient. They are kept so that checkpoints, the
+    parameter count and the initialisation RNG stream stay as they were.
+    """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int, ff_dim: int):
         if dim % heads != 0:
@@ -92,32 +125,38 @@ class PairMeshBlock(Module):
 
     def __call__(self, h: Tensor, geo: Tensor) -> Tensor:
         B, Tlen, N, d = h.shape
+        H, G = self.heads, geo.shape[-1]
+        wk, wv = self.k_proj.weight, self.v_proj.weight
         z = self.norm1(h)
-        zq = T.broadcast_to(T.reshape(z, (B, Tlen, N, 1, d)), (B, Tlen, N, N, d))
-        zk = T.broadcast_to(T.reshape(z, (B, Tlen, 1, N, d)), (B, Tlen, N, N, d))
-        mesh = T.concat([geo, zq, zk], axis=-1)       # [B, T, N, N, 2d+4]
+        q = self.q_proj(z)                                        # [B, T, N, d]
 
-        hd = d // self.heads
-        q = _split_heads(self.q_proj(z), self.heads)  # [B, T, H, N, hd]
-        k = self._mesh_heads(self.k_proj(mesh))       # [B, T, H, N, N, hd]
-        v = self._mesh_heads(self.v_proj(mesh))
-        qb = T.broadcast_to(
-            T.reshape(q, (B, Tlen, self.heads, N, 1, hd)), k.shape
-        )
-        scores = (qb * k).sum(axis=-1) * (1.0 / math.sqrt(hd))   # [B, T, H, N, N]
-        attn = T.softmax_lastdim(scores)
-        ab = T.broadcast_to(
-            T.reshape(attn, (B, Tlen, self.heads, N, N, 1)), v.shape
-        )
-        out = _merge_heads((ab * v).sum(axis=-2))
+        # geometry key term: u[.., h, c] = q_h . Wk_g[c, head h]
+        u = T.linear(q, T.transpose(_per_head_rows(T.narrow(wk, 0, 0, G), H), (1, 0)))
+        u = T.reshape(u, (B, Tlen, N, H, G))
+        geo_t = T.transpose(geo, (0, 1, 2, 4, 3))                 # [B, T, N, G, N]
+        geo_scores = T.transpose(T.matmul(u, geo_t), (0, 1, 3, 2, 4))
+        keys = _split_heads(T.linear(z, T.narrow(wk, 0, G + d, d)), H)
+        scores = T.matmul(_split_heads(q, H), T.transpose(keys, (0, 1, 2, 4, 3)))
+        attn = T.softmax_lastdim((scores + geo_scores) * (1.0 / math.sqrt(d // H)))
+
+        values = _split_heads(T.linear(z, T.narrow(wv, 0, G + d, d)), H)
+        out = _merge_heads(T.matmul(attn, values))
+        out = out + T.linear(z, T.narrow(wv, 0, G, d), self.v_proj.bias)
+        # per head, the attention-weighted mean geometry through Wv_g
+        mean_geo = T.matmul(T.transpose(attn, (0, 1, 3, 2, 4)), geo)   # [B, T, N, H, G]
+        mean_geo = T.reshape(mean_geo, (B, Tlen, N, H * G))
+        out = out + T.linear(mean_geo, _per_head_rows(T.narrow(wv, 0, 0, G), H))
         h = h + self.out_proj(out)
         return h + self.ff(self.norm2(h))
 
-    def _mesh_heads(self, x: Tensor) -> Tensor:
-        B, Tlen, N, N2, d = x.shape
-        hd = d // self.heads
-        x = T.reshape(x, (B, Tlen, N, N2, self.heads, hd))
-        return T.transpose(x, (0, 1, 4, 2, 3, 5))
+
+def _per_head_rows(w: Tensor, heads: int) -> Tensor:
+    """Block-diagonal [heads*G, d] from [G, d]: row h*G + c is w[c] on head h's columns."""
+    G, d = w.shape
+    mask = np.repeat(np.eye(heads, dtype=w.dtype), d // heads, axis=1)   # [H, d]
+    mask = np.broadcast_to(mask[:, None, :], (heads, G, d))
+    rows = T.broadcast_to(T.reshape(w, (1, G, d)), (heads, G, d)) * mask
+    return T.reshape(rows, (heads * G, d))
 
 
 class RelationEncoder(Module):

@@ -501,9 +501,12 @@ def matmul(a, b) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _reduce_to(ga, a.shape), _reduce_to(gb, b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _reduce_to(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _reduce_to(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return ga, gb
 
     return Tensor._result(out, (a, b), backward)
 
@@ -515,27 +518,30 @@ def linear(x, weight, bias=None) -> Tensor:
         raise ShapeError(f"linear: weight must be 2-d, got {weight.shape}")
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear: input dim {x.shape} incompatible with weight {weight.shape}")
-    out = np.matmul(x.data, weight.data)
+    # one 2-D GEMM over all leading rows, not one small GEMM per batch entry
+    d_in, d_out = weight.shape
+    out_shape = x.shape[:-1] + (d_out,)
+    xf = x.data.reshape(-1, d_in)
+    out = np.matmul(xf, weight.data)
     parents: tuple[Tensor, ...]
     if bias is not None:
         bias = as_tensor(bias)
-        if bias.shape != (weight.shape[1],):
-            raise ShapeError(f"linear: bias shape {bias.shape} != ({weight.shape[1]},)")
+        if bias.shape != (d_out,):
+            raise ShapeError(f"linear: bias shape {bias.shape} != ({d_out},)")
         out = out + bias.data
         parents = (x, weight, bias)
     else:
         parents = (x, weight)
 
     def backward(g):
-        gf = g.reshape(-1, weight.shape[1])
-        xf = x.data.reshape(-1, weight.shape[0])
-        gx = np.matmul(g, weight.data.T)
+        gf = g.reshape(-1, d_out)
+        gx = np.matmul(gf, weight.data.T).reshape(x.shape) if x.requires_grad else None
         gw = np.matmul(xf.T, gf)
         if bias is not None:
             return gx, gw, gf.sum(axis=0)
         return gx, gw
 
-    return Tensor._result(out, parents, backward)
+    return Tensor._result(out.reshape(out_shape), parents, backward)
 
 
 def embedding_lookup(table, indices) -> Tensor:

@@ -153,3 +153,17 @@ def test_bad_config_exits_two(paths, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--scenarios", "0"), ("--scenarios", "-1"), ("--limit", "0"), ("--horizon", "0"),
+])
+def test_sample_rejects_counts_below_one(paths, workdir, capsys, flag, value):
+    out = str(workdir / "rejected.ctrj")
+    code, _, err = run_cli(
+        capsys, "sample", "--model", paths["ckpt"], "--data", paths["data"],
+        "--out", out, flag, value,
+    )
+    assert code == 2
+    assert err.startswith("error:") and flag.lstrip("-") in err
+    assert not (workdir / "rejected.ctrj").exists()

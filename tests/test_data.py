@@ -64,6 +64,23 @@ class TestContainer:
         with pytest.raises(TrajectoryFormatError):
             read_trajectories(p)
 
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        class Unwritable:
+            shape = (3, 6, 4, 2)
+
+            def __array__(self, dtype=None, copy=None):
+                raise RuntimeError("disk went away")
+
+        p = tmp_path / "t.ctrj"
+        write_trajectories(p, small_set(np.random.default_rng(4)))
+        before = p.read_bytes()
+        broken = small_set(np.random.default_rng(5))
+        broken.positions = Unwritable()          # fails after the header is out
+        with pytest.raises(RuntimeError):
+            write_trajectories(p, broken)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["t.ctrj"]
+
     def test_bad_category_byte_in_file(self, tmp_path):
         ts = small_set(np.random.default_rng(3))
         p = tmp_path / "t.ctrj"

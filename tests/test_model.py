@@ -1,10 +1,14 @@
 """Full model: shapes, loss framing, rollout semantics, checkpoints."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
 from causaltraj.errors import ConfigError, ShapeError, TrajectoryFormatError
 from causaltraj.model import (
+    CHECKPOINT_MAGIC,
     ModelConfig,
     TrajectoryModel,
     constant_velocity_rollout,
@@ -197,6 +201,11 @@ class TestRollout:
             pointnet_model.rollout(ctx, cats, mode="map")
         with pytest.raises(ShapeError):
             pointnet_model.rollout(ctx[:, :, :1], cats)
+        with pytest.raises(ShapeError):
+            pointnet_model.rollout(ctx[:0], cats)
+        for bad in (dict(num_scenarios=0), dict(num_scenarios=-1), dict(horizon=0)):
+            with pytest.raises(ConfigError):
+                pointnet_model.rollout(ctx, cats, **bad)
 
 
 class TestConstantVelocity:
@@ -283,3 +292,111 @@ class TestCheckpoint:
         state[first] = np.zeros((1, 1), dtype=np.float32)
         with pytest.raises(ConfigError):
             model2.load_state_arrays(state)
+
+    def test_failed_write_keeps_old_file(self, tmp_path, pointnet_model):
+        class Unwritable:
+            def __array__(self, dtype=None, copy=None):
+                raise RuntimeError("disk went away")
+
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, pointnet_model, extra={"epoch": 1})
+        before = p.read_bytes()
+        with pytest.raises(RuntimeError):
+            # "~" sorts after "param/", so the parameters are written first
+            save_checkpoint(p, pointnet_model, extra={"epoch": 2},
+                            extra_arrays={"~late": Unwritable()})
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def two_array_checkpoint(tmp_path, model):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, model, extra_arrays={"aa": np.zeros(2, np.float32),
+                                            "ab": np.ones(3, np.float32)})
+    raw = bytearray(p.read_bytes())
+    return p, raw, raw.find(b"ab\x01")          # name "ab", then ndim 1
+
+
+class TestCheckpointCorruption:
+    def test_name_not_utf8(self, tmp_path, pointnet_model):
+        p, raw, at = two_array_checkpoint(tmp_path, pointnet_model)
+        raw[at] = 0xFF
+        p.write_bytes(bytes(raw))
+        with pytest.raises(TrajectoryFormatError) as e:
+            load_checkpoint(p)
+        assert e.value.offset == at
+
+    def test_too_many_dims(self, tmp_path, pointnet_model):
+        p, raw, at = two_array_checkpoint(tmp_path, pointnet_model)
+        raw[at + 2] = 65
+        p.write_bytes(bytes(raw))
+        with pytest.raises(TrajectoryFormatError) as e:
+            load_checkpoint(p)
+        assert e.value.offset == at + 2
+
+    def test_duplicate_name(self, tmp_path, pointnet_model):
+        p, raw, at = two_array_checkpoint(tmp_path, pointnet_model)
+        raw[at + 1] = ord("a")                      # "ab" -> "aa"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(TrajectoryFormatError, match="duplicate") as e:
+            load_checkpoint(p)
+        assert e.value.offset == at
+
+    def test_header_must_be_an_object(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        for blob in (b"[1]", b'{"format": 1}', b'{"format": 1, "model": {}, "extra": 3}'):
+            p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob
+                          + struct.pack("<I", 0))
+            with pytest.raises(TrajectoryFormatError):
+                load_checkpoint(p)
+
+    def test_byte_mutation_fuzz(self, tmp_path, pointnet_model):
+        # only TrajectoryFormatError may escape, whatever the damage; the
+        # mutations mostly land on the structural bytes (lengths, names,
+        # ndims, dims), since the float payloads accept any bit pattern
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, pointnet_model, extra={"epoch": 3})
+        raw = p.read_bytes()
+        load_checkpoint(p)
+        spots = structural_offsets(raw)
+        rng = np.random.default_rng(2024)
+        rejected = 0
+        for _ in range(1000):
+            buf = bytearray(raw)
+            for _ in range(rng.integers(1, 4)):
+                at = int(spots[rng.integers(len(spots))] if rng.random() < 0.9
+                         else rng.integers(len(buf)))
+                at = min(at, len(buf) - 1)
+                kind = rng.integers(4)
+                if kind == 0:
+                    buf[at] = int(rng.integers(256))
+                elif kind == 1:
+                    buf[at] ^= 1 << int(rng.integers(8))
+                elif kind == 2:
+                    del buf[at: at + int(rng.integers(1, 9))]
+                else:
+                    buf[at:at] = rng.integers(256, size=int(rng.integers(1, 9))).astype(
+                        np.uint8).tobytes()
+            p.write_bytes(bytes(buf))
+            try:
+                load_checkpoint(p)
+            except TrajectoryFormatError:
+                rejected += 1
+        assert rejected > 700
+
+
+def structural_offsets(raw: bytes) -> np.ndarray:
+    """Offsets of every checkpoint byte outside the float32 payloads."""
+    off = len(CHECKPOINT_MAGIC)
+    (blob_len,) = struct.unpack_from("<I", raw, off)
+    spots = list(range(off, off + 4 + blob_len + 4))
+    (count,) = struct.unpack_from("<I", raw, off + 4 + blob_len)
+    off += 4 + blob_len + 4
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", raw, off)
+        ndim = raw[off + 2 + name_len]
+        head = 3 + name_len + 4 * ndim
+        shape = struct.unpack_from(f"<{ndim}I", raw, off + 3 + name_len)
+        spots.extend(range(off, off + head))
+        off += head + 4 * math.prod(shape)
+    return np.array(spots)

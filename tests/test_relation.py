@@ -121,3 +121,97 @@ def test_head_divisibility_checked():
         AgentAttentionBlock(rng, 9, heads=2, ff_dim=8)
     with pytest.raises(ShapeError):
         PairMeshBlock(rng, 9, heads=2, ff_dim=8)
+
+
+def mesh_forward(block, h, geo):
+    """The mesh-building forward the factored ``PairMeshBlock`` replaced.
+
+    It concatenates the full [B, T, N, N, 2d+4] mesh and projects it with
+    ``k_proj``/``v_proj``; kept here only as the reference for the rewrite.
+    """
+    B, Tlen, N, d = h.shape
+    H = block.heads
+    hd = d // H
+    z = block.norm1(h)
+    zq = T.broadcast_to(T.reshape(z, (B, Tlen, N, 1, d)), (B, Tlen, N, N, d))
+    zk = T.broadcast_to(T.reshape(z, (B, Tlen, 1, N, d)), (B, Tlen, N, N, d))
+    mesh = T.concat([geo, zq, zk], axis=-1)
+
+    def mesh_heads(x):
+        x = T.reshape(x, (B, Tlen, N, N, H, hd))
+        return T.transpose(x, (0, 1, 4, 2, 3, 5))
+
+    q = T.transpose(T.reshape(block.q_proj(z), (B, Tlen, N, H, hd)), (0, 1, 3, 2, 4))
+    k = mesh_heads(block.k_proj(mesh))
+    v = mesh_heads(block.v_proj(mesh))
+    qb = T.broadcast_to(T.reshape(q, (B, Tlen, H, N, 1, hd)), k.shape)
+    scores = (qb * k).sum(axis=-1) * (1.0 / np.sqrt(hd))
+    attn = T.softmax_lastdim(scores)
+    ab = T.broadcast_to(T.reshape(attn, (B, Tlen, H, N, N, 1)), v.shape)
+    out = T.reshape(T.transpose((ab * v).sum(axis=-2), (0, 1, 3, 2, 4)), (B, Tlen, N, d))
+    h = h + block.out_proj(out)
+    return h + block.ff(block.norm2(h))
+
+
+def perturb_biases_and_gains(block, rng):
+    for name, p in block.named_parameters():
+        if name.endswith("bias") or name.endswith("gain"):
+            p.data = (p.data + rng.normal(scale=0.3, size=p.shape)).astype(p.dtype)
+
+
+def test_factored_mesh_matches_mesh_path():
+    # paper sizes: N=11 agents, d=128, H=8 heads; non-zero biases so the
+    # cancelled key term and the value bias are exercised
+    rng = np.random.default_rng(7)
+    block = PairMeshBlock(np.random.default_rng(8), 128, heads=8, ff_dim=256)
+    perturb_biases_and_gains(block, rng)
+    h, pos, vel = make_inputs(rng, B=2, Tlen=3, N=11, dim=128)
+    geo = pair_geometry(pos * 5.0, vel)
+    seed = rng.normal(size=h.shape).astype(np.float32)
+
+    results = []
+    for forward in (block.__call__, lambda x, g: mesh_forward(block, x, g)):
+        block.zero_grad()
+        ht = Tensor(h, requires_grad=True)
+        out = forward(ht, geo)
+        (out * Tensor(seed)).sum().backward()
+        grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad
+                 for n, p in block.named_parameters()}
+        results.append((out.data, ht.grad, grads))
+    (out_new, gh_new, g_new), (out_old, gh_old, g_old) = results
+
+    np.testing.assert_allclose(out_new, out_old, rtol=0, atol=2e-5)
+    np.testing.assert_allclose(gh_new, gh_old, rtol=0, atol=1e-4 * np.abs(gh_old).max())
+    for name in g_old:
+        scale = max(np.abs(g_old[name]).max(), 1e-2)
+        np.testing.assert_allclose(g_new[name], g_old[name], rtol=0, atol=1e-4 * scale,
+                                   err_msg=name)
+
+
+def test_factored_mesh_cancelled_key_rows_get_no_gradient():
+    # the query-agent rows of k_proj and its bias shift every score in a
+    # softmax row equally, so they cannot move the output
+    d = 8
+    block = PairMeshBlock(np.random.default_rng(0), d, heads=2, ff_dim=12)
+    rng = np.random.default_rng(1)
+    h, pos, vel = make_inputs(rng, dim=d)
+    block(Tensor(h, requires_grad=True), pair_geometry(pos, vel)).sum().backward()
+    assert block.k_proj.bias.grad is None
+    gw = block.k_proj.weight.grad
+    assert np.all(gw[4: 4 + d] == 0.0)
+    assert np.any(gw[:4] != 0.0) and np.any(gw[4 + d:] != 0.0)
+    assert np.any(block.v_proj.bias.grad != 0.0)
+
+
+def test_factored_mesh_grad_check():
+    rng = np.random.default_rng(9)
+    block = PairMeshBlock(np.random.default_rng(10), 8, heads=2, ff_dim=12)
+    perturb_biases_and_gains(block, rng)
+    h, pos, vel = make_inputs(rng, B=1, Tlen=2, N=4)
+    geo = pair_geometry(pos, vel)
+    ht = Tensor(h, requires_grad=True)
+    weights = Tensor(rng.normal(size=h.shape))
+    err = grad_check(lambda: (block(ht, geo) * weights).sum(),
+                     block.parameters() + [ht],
+                     max_coords_per_param=24, rng=np.random.default_rng(0))
+    assert err < 1e-6
