@@ -157,38 +157,41 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _context_frames_for_eval(args) -> int:
-    if args.context is not None:
-        return args.context
-    meta_path = args.pred + ".meta"
-    if os.path.exists(meta_path):
-        meta = data_mod.read_sidecar(meta_path)
-        if "context_frames" in meta:
-            return int(meta["context_frames"])
-    raise ConfigError("pass --context: no sidecar metadata next to the predictions")
+def _prediction_groups(pred_path: str, pred_count: int, truth_count: int):
+    """Read a prediction set's sidecar and group its rows by context.
+
+    Returns (context_frames or None, scenarios per context, contexts). Without
+    a ``scenarios_per_context`` entry the rows must group evenly over the
+    truths; either way the groups must cover at most ``truth_count`` contexts.
+    """
+    meta_path = pred_path + ".meta"
+    meta = data_mod.read_sidecar(meta_path) if os.path.exists(meta_path) else {}
+    try:
+        P = int(meta["context_frames"]) if "context_frames" in meta else None
+        k = int(meta["scenarios_per_context"]) if "scenarios_per_context" in meta else None
+    except ValueError as e:
+        raise DataError(f"{meta_path}: {e}") from e
+    if k is None:
+        if pred_count % truth_count != 0:
+            raise DataError(
+                f"{pred_count} predictions do not group evenly over {truth_count} truths"
+            )
+        k = pred_count // truth_count
+    if k < 1 or pred_count % k != 0:
+        raise DataError(f"{pred_count} predictions do not split into groups of {k}")
+    contexts = pred_count // k
+    if contexts > truth_count:
+        raise DataError(f"predictions cover {contexts} contexts but truth has {truth_count}")
+    return P, k, contexts
 
 
 def cmd_eval(args) -> int:
     pred = data_mod.read_trajectories(args.pred)
     gt = data_mod.read_trajectories(args.gt)
-    P = _context_frames_for_eval(args)
-    meta_path = args.pred + ".meta"
-    k = None
-    if os.path.exists(meta_path):
-        meta = data_mod.read_sidecar(meta_path)
-        if "scenarios_per_context" in meta:
-            k = int(meta["scenarios_per_context"])
-    if k is None:
-        if pred.count % gt.count != 0:
-            raise DataError(
-                f"{pred.count} predictions do not group evenly over {gt.count} truths"
-            )
-        k = pred.count // gt.count
-    if k < 1 or pred.count % k != 0:
-        raise DataError(f"{pred.count} predictions do not split into groups of {k}")
-    contexts = pred.count // k
-    if contexts > gt.count:
-        raise DataError(f"predictions cover {contexts} contexts but truth has {gt.count}")
+    meta_P, k, contexts = _prediction_groups(args.pred, pred.count, gt.count)
+    P = args.context if args.context is not None else meta_P
+    if P is None:
+        raise ConfigError("pass --context: no sidecar metadata next to the predictions")
     horizon = min(pred.frames - P, gt.frames - P)
     if horizon < 1:
         raise DataError("no overlapping future frames to score")
@@ -213,11 +216,10 @@ def cmd_render(args) -> int:
     samples = None
     if args.pred is not None:
         pr = data_mod.read_trajectories(args.pred)
-        meta = {}
-        if os.path.exists(args.pred + ".meta"):
-            meta = data_mod.read_sidecar(args.pred + ".meta")
-        k = int(meta.get("scenarios_per_context", pr.count // ts.count))
-        pc = int(meta.get("context_frames", P))
+        meta_P, k, contexts = _prediction_groups(args.pred, pr.count, ts.count)
+        if args.index >= contexts:
+            raise DataError(f"index {args.index} beyond the {contexts} predicted contexts")
+        pc = P if meta_P is None else meta_P
         rows = pr.positions[args.index * k: (args.index + 1) * k]
         samples = [r[pc:] for r in rows]
     render_mod.save_scene(args.out, context, ts.categories, future, samples)

@@ -144,13 +144,32 @@ def mixture_weights(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def components_from_uniforms(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF categorical pick: component index per leading index of u [...]."""
+    cum = np.cumsum(mixture_weights(logits), axis=-1)
+    m = (np.asarray(u)[..., None] > cum).sum(axis=-1)
+    return np.minimum(m, cum.shape[-1] - 1)
+
+
+def displacements_from_normals(
+    means: np.ndarray, chol_params: np.ndarray, components: np.ndarray, eps: np.ndarray
+) -> np.ndarray:
+    """Joint displacement [..., N, 2] float32: mu_m + L_m eps for component m.
+
+    eps [..., N, 2] holds standard normals; ``components`` [...] picks m.
+    """
+    m = np.asarray(components)
+    means = np.asarray(means, dtype=np.float64)
+    mu = np.take_along_axis(means, m[..., None, None, None], axis=-3)[..., 0, :, :]
+    L = chol_matrices(chol_params)
+    Lm = np.take_along_axis(L, m[..., None, None, None, None], axis=-4)[..., 0, :, :, :]
+    return (mu + np.einsum("...ij,...j->...i", Lm, eps)).astype(np.float32)
+
+
 def sample_components(rng: np.random.Generator, logits: np.ndarray) -> np.ndarray:
     """Categorical draw per leading index; one component shared by all agents."""
-    pi = mixture_weights(logits)
-    cum = np.cumsum(pi, axis=-1)
-    u = rng.random(pi.shape[:-1] + (1,))
-    m = (u > cum).sum(axis=-1)
-    return np.minimum(m, pi.shape[-1] - 1)
+    logits = np.asarray(logits)
+    return components_from_uniforms(logits, rng.random(logits.shape[:-1]))
 
 
 def sample_displacements(
@@ -163,19 +182,14 @@ def sample_displacements(
     """Draw one joint displacement per leading index.
 
     Returns (displacements [..., N, 2] float32, components [...]). When
-    ``components`` is given the categorical draw is skipped.
+    ``components`` is given the categorical draw is skipped; otherwise the
+    uniforms are drawn before the normals.
     """
-    logits = np.asarray(logits)
-    means = np.asarray(means, dtype=np.float64)
-    L = chol_matrices(chol_params)
     if components is None:
         components = sample_components(rng, logits)
     m = np.asarray(components)
-    mu = np.take_along_axis(means, m[..., None, None, None], axis=-3)[..., 0, :, :]
-    Lm = np.take_along_axis(L, m[..., None, None, None, None], axis=-4)[..., 0, :, :, :]
-    eps = rng.standard_normal(mu.shape)
-    dx = mu + np.einsum("...ij,...j->...i", Lm, eps)
-    return dx.astype(np.float32), m
+    eps = rng.standard_normal(m.shape + np.shape(means)[-2:])
+    return displacements_from_normals(means, chol_params, m, eps), m
 
 
 def mode_displacements(logits: np.ndarray, means: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Full forecaster: temporal encoder, relation stack, scene head, rollout.
 
 The model consumes joint scenes ``positions [B, N, T, 2]`` with a fixed agent
-roster and emits, for every frame t, the parameters of a joint mixture
-density over the next displacement of all agents. Training runs teacher
-forced over the future frames; inference extends the scene autoregressively,
-sampling one mixture component per scene per step (shared by all agents, so
-joint modes stay coherent).
+roster. From frame t it predicts the parameters of a joint mixture density
+over the displacement of all agents into frame t+1. Training runs teacher
+forced and computes only the F = T - P scored frames P-1 .. T-2; inference
+extends the scene autoregressively, sampling one mixture component per scene
+per step (shared by all agents, so joint modes stay coherent).
 """
 
 from __future__ import annotations
@@ -31,6 +31,16 @@ NUM_CATEGORIES = 3  # ball, team_a, team_b
 
 CHECKPOINT_MAGIC = b"CTCKPT1"
 MAX_NDIM = 64  # numpy's limit on array dimensions
+
+
+def config_from_dict(cls, d: dict):
+    """Build the config dataclass ``cls`` from ``d``, rejecting unknown keys."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} must be stored as an object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys {unknown}")
+    return cls(**d)
 
 
 @dataclass
@@ -81,11 +91,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys {unknown}")
-        return cls(**d)
+        return config_from_dict(cls, d)
 
     @classmethod
     def small(cls, **overrides) -> "ModelConfig":
@@ -227,44 +233,43 @@ class TrajectoryModel(Module):
     # -- teacher-forced paths ---------------------------------------------------
 
     def forward(self, positions, categories):
-        """Mixture parameters for every input frame."""
+        """Teacher-forced mixture parameters and targets for the future frames.
+
+        positions [B, N, T, 2] with T > P. Frame P-1+f predicts the joint
+        displacement into frame P+f, so F = T-P frames are scored. Only the
+        temporal encoder sees the causal prefix, frames 0..T-2; relation,
+        scene MLP and head run on the F scored frames alone. Returns
+        (logits [B,F,M], means [B,F,M,N,2], chol_params [B,F,M,N,3],
+        targets [B,F,N,2]).
+        """
         pos = self._check_positions(positions)
         B, N, Tlen, _ = pos.shape
-        cat = self._categories(categories, B)
-        vel = self._velocities(pos)
-        feats = np.concatenate([pos, vel], axis=-1)                      # [B, N, T, 4]
-        lat = self.temporal(Tensor(feats.reshape(B * N, Tlen, 4)))
-        lat = T.transpose(T.reshape(lat, (B, N, Tlen, self.latent_dim)), (0, 2, 1, 3))
-        pos_tn = np.ascontiguousarray(pos.transpose(0, 2, 1, 3))
-        vel_tn = np.ascontiguousarray(vel.transpose(0, 2, 1, 3))
-        return self._head_params(lat, pos_tn, vel_tn, cat)
-
-    def _sliced_params(self, positions, categories):
-        pos = self._check_positions(positions)
         P = self.config.context_frames
-        Tlen = pos.shape[2]
         F = Tlen - P
         if F < 1:
             raise ShapeError(f"need at least one future frame beyond P={P}, got T={Tlen}")
-        logits, means, chols = self.forward(pos, categories)
-        lg = T.narrow(logits, 1, P - 1, F)
-        mn = T.narrow(means, 1, P - 1, F)
-        ch = T.narrow(chols, 1, P - 1, F)
-        targets = np.ascontiguousarray(
-            (pos[:, :, P:] - pos[:, :, P - 1: Tlen - 1]).transpose(0, 2, 1, 3)
-        )
-        return lg, mn, ch, Tensor(targets)
+        cat = self._categories(categories, B)
+        seen = pos[:, :, :-1]                                            # frames 0..T-2
+        vel = self._velocities(seen)
+        feats = np.concatenate([seen, vel], axis=-1)                     # [B, N, T-1, 4]
+        lat = self.temporal(Tensor(feats.reshape(B * N, Tlen - 1, 4)))
+        lat = T.narrow(T.reshape(lat, (B, N, Tlen - 1, self.latent_dim)), 2, P - 1, F)
+        lat = T.transpose(lat, (0, 2, 1, 3))                             # [B, F, N, d]
+        pos_tn = np.ascontiguousarray(seen[:, :, P - 1:].transpose(0, 2, 1, 3))
+        vel_tn = np.ascontiguousarray(vel[:, :, P - 1:].transpose(0, 2, 1, 3))
+        targets = pos[:, :, P:] - seen[:, :, P - 1:]
+        targets = np.ascontiguousarray(targets.transpose(0, 2, 1, 3))
+        return (*self._head_params(lat, pos_tn, vel_tn, cat), Tensor(targets))
 
     def loss(self, positions, categories, entropy_weight: float = mdn.ENTROPY_WEIGHT):
         """Teacher-forced objective over the future frames; (Tensor, stats)."""
-        lg, mn, ch, targets = self._sliced_params(positions, categories)
-        return mdn.sequence_loss(lg, mn, ch, targets, entropy_weight=entropy_weight)
+        return mdn.sequence_loss(*self.forward(positions, categories),
+                                 entropy_weight=entropy_weight)
 
     def per_step_nll(self, positions, categories) -> np.ndarray:
         """Per-future-frame NLL terms, shape [B, F]; no graph is kept."""
         with T.no_grad():
-            lg, mn, ch, targets = self._sliced_params(positions, categories)
-            return mdn.step_nll(lg, mn, ch, targets).data
+            return mdn.step_nll(*self.forward(positions, categories)).data
 
     # -- autoregressive rollout -----------------------------------------------------
 
@@ -330,7 +335,6 @@ class TrajectoryModel(Module):
         out_disp = np.empty((B, horizon, N, 2), dtype=np.float32)
         out_comp = np.empty((B, horizon), dtype=np.int64)
 
-        M = cfg.num_components
         for u in range(horizon):
             if u > 0:
                 f_t = np.concatenate([cur, vel_cur], axis=-1).astype(np.float32)
@@ -357,16 +361,11 @@ class TrajectoryModel(Module):
                 dx = mdn.mode_displacements(lg, mn)
                 comp = np.argmax(lg, axis=-1)
             else:
+                # per scenario: one uniform for the component, then the normals
                 us = np.array([rngs[b].random() for b in range(B)])
-                pi = mdn.mixture_weights(lg)
-                comp = np.minimum((us[:, None] > np.cumsum(pi, axis=-1)).sum(-1), M - 1)
                 eps = np.stack([rngs[b].standard_normal((N, 2)) for b in range(B)])
-                L = mdn.chol_matrices(ch)
-                Lm = np.take_along_axis(L, comp[:, None, None, None, None], axis=1)[:, 0]
-                mu = np.take_along_axis(
-                    mn.astype(np.float64), comp[:, None, None, None], axis=1
-                )[:, 0]
-                dx = (mu + np.einsum("bnij,bnj->bni", Lm, eps)).astype(np.float32)
+                comp = mdn.components_from_uniforms(lg, us)
+                dx = mdn.displacements_from_normals(mn, ch, comp, eps)
             new_cur = cur + dx
             out_pos[:, u] = new_cur
             out_disp[:, u] = dx

@@ -64,7 +64,8 @@ class AgentAttentionBlock(Module):
         self.norm1 = LayerNorm(dim)
         self.norm2 = LayerNorm(dim)
         self.q_proj = Dense(rng, dim, dim)
-        self.k_proj = Dense(rng, dim, dim)
+        # a key bias adds q . b_k to every score of a softmax row: it cancels
+        self.k_proj = Dense(rng, dim, dim, bias=False)
         self.v_proj = Dense(rng, dim, dim)
         self.out_proj = Dense(rng, dim, dim)
         self.ff = MLP(rng, [dim, ff_dim, dim], activate_last=False)
@@ -91,23 +92,23 @@ class PairMeshBlock(Module):
     ``4+d:4+2d`` on the key agent. Projecting a concatenation is the sum of
     the blocks' projections, so per head h, with q = q_proj(z),
 
-        k_qk = geo_qk Wk_g + z_q Wk_q + z_k Wk_k + b_k
+        k_qk = geo_qk Wk_g + z_q Wk_q + z_k Wk_k
         v_qk = geo_qk Wv_g + z_q Wv_q + z_k Wv_k + b_v
 
     and the block is evaluated without building the mesh:
 
     * score_qk = q_q . (z_k Wk_k) + sum_c geo_qk[c] u_q[c], with
-      u_q[c] = q_q . Wk_g[c] (head h's columns). The ``z_q Wk_q + b_k``
-      term adds q_q . (z_q Wk_q + b_k) to every score in row q, and softmax
-      is invariant to a per-row shift, so it cancels exactly.
+      u_q[c] = q_q . Wk_g[c] (head h's columns). The ``z_q Wk_q`` term adds
+      q_q . (z_q Wk_q) to every score in row q, and softmax is invariant to
+      a per-row shift, so it cancels exactly. A key bias would cancel the
+      same way, so ``k_proj`` has none.
     * out_q = sum_k a_qk (z_k Wv_k) + (z_q Wv_q + b_v)
       + (sum_k a_qk geo_qk) Wv_g, because the weights a_qk sum to 1.
 
     This is the relative-attention split of Shaw et al. (arXiv:1803.02155).
     It costs O(N^2 d + N d^2) per frame against O(N^2 d^2) for the mesh.
-    The ``z_q`` rows of ``k_proj.weight`` and ``k_proj.bias`` cannot affect
-    the output and get no gradient. They are kept so that checkpoints, the
-    parameter count and the initialisation RNG stream stay as they were.
+    The ``z_q`` rows of ``k_proj.weight`` cannot affect the output and get
+    no gradient; dropping them would change the initialisation RNG stream.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int, ff_dim: int):
@@ -118,7 +119,7 @@ class PairMeshBlock(Module):
         self.norm1 = LayerNorm(dim)
         self.norm2 = LayerNorm(dim)
         self.q_proj = Dense(rng, dim, dim)
-        self.k_proj = Dense(rng, mesh_dim, dim)
+        self.k_proj = Dense(rng, mesh_dim, dim, bias=False)
         self.v_proj = Dense(rng, mesh_dim, dim)
         self.out_proj = Dense(rng, dim, dim)
         self.ff = MLP(rng, [dim, ff_dim, dim], activate_last=False)

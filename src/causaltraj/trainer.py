@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -192,21 +192,7 @@ def save_training_checkpoint(
     extra = {
         "next_epoch": int(next_epoch),
         "adam_t": int(optimizer.t),
-        "train": {
-            "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size,
-            "lr_max": cfg.lr_max,
-            "weight_decay": cfg.weight_decay,
-            "beta1": cfg.beta1,
-            "beta2": cfg.beta2,
-            "eps": cfg.eps,
-            "clip_norm": cfg.clip_norm,
-            "warmup_frac": cfg.warmup_frac,
-            "start_div": cfg.start_div,
-            "final_div": cfg.final_div,
-            "entropy_weight": cfg.entropy_weight,
-            "seed": cfg.seed,
-        },
+        "train": asdict(cfg),
     }
     model_mod.save_checkpoint(path, model, extra=extra, extra_arrays=optimizer.state_arrays())
 
@@ -216,7 +202,7 @@ def load_training_checkpoint(path) -> tuple[TrajectoryModel, AdamW, TrainConfig,
     model, extra, arrays = model_mod.load_model(path)
     if "train" not in extra:
         raise ConfigError("checkpoint has no training state to resume from")
-    cfg = TrainConfig(**extra["train"])
+    cfg = model_mod.config_from_dict(TrainConfig, extra["train"])
     optimizer = AdamW(model.named_parameters(), cfg)
     optimizer.load_state_arrays(arrays, extra.get("adam_t", 0))
     return model, optimizer, cfg, int(extra.get("next_epoch", 0))

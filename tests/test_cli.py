@@ -129,6 +129,49 @@ def test_render(paths, capsys):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
+def subset(src, dst, rows):
+    ts = data.read_trajectories(src)
+    data.write_trajectories(dst, data.TrajectorySet(ts.positions[:rows], ts.categories,
+                                                    ts.frame_rate))
+    return dst
+
+
+def test_eval_and_render_reject_non_integer_sidecar(paths, workdir, capsys):
+    pred = subset(paths["pred"], str(workdir / "badmeta.ctrj"), 24)
+    data.write_sidecar(pred + ".meta", {"context_frames": 4, "scenarios_per_context": "abc"})
+    for argv in (("eval", "--pred", pred, "--gt", paths["data"]),
+                 ("render", "--data", paths["data"], "--out", str(workdir / "bad.svg"),
+                  "--pred", pred)):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1, argv[0]
+        assert err.startswith("error:") and "abc" in err
+    assert not (workdir / "bad.svg").exists()
+
+
+def test_render_rejects_ungroupable_predictions(paths, workdir, capsys):
+    # 2 predictions over 3 truths and no sidecar: eval and render both refuse
+    truth = subset(paths["data"], str(workdir / "three.ctrj"), 3)
+    pred = subset(paths["pred"], str(workdir / "two.ctrj"), 2)
+    for argv in (("eval", "--pred", pred, "--gt", truth, "--context", "4"),
+                 ("render", "--data", truth, "--out", str(workdir / "two.svg"),
+                  "--context", "4", "--pred", pred)):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1, argv[0]
+        assert "do not group evenly" in err
+    assert not (workdir / "two.svg").exists()
+
+
+def test_render_rejects_index_beyond_predicted_contexts(paths, workdir, capsys):
+    # the sidecar says 3 scenarios each, so the 24 rows cover contexts 0..7
+    code, _, err = run_cli(
+        capsys, "render", "--data", paths["data"], "--out", str(workdir / "far.svg"),
+        "--index", "8", "--context", "4", "--pred", paths["pred"],
+    )
+    assert code == 1
+    assert "8 predicted contexts" in err
+    assert not (workdir / "far.svg").exists()
+
+
 def test_info_on_both_artifacts(paths, capsys):
     code, out, _ = run_cli(capsys, "info", paths["data"])
     assert code == 0

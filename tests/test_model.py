@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from causaltraj import tensor as T
 from causaltraj.errors import ConfigError, ShapeError, TrajectoryFormatError
 from causaltraj.model import (
     CHECKPOINT_MAGIC,
@@ -16,6 +17,7 @@ from causaltraj.model import (
     load_model,
     save_checkpoint,
 )
+from causaltraj.tensor import Tensor
 
 
 def tiny_config(**overrides):
@@ -62,11 +64,16 @@ def ssm_model():
 
 class TestForward:
     def test_shapes(self, pointnet_model):
+        # T = 10 frames, P = 4: the F = 6 scored frames only
         pos, cats = scenes(np.random.default_rng(0))
-        logits, means, chols = pointnet_model.forward(pos, cats)
-        assert logits.shape == (2, 10, 2)
-        assert means.shape == (2, 10, 2, 3, 2)
-        assert chols.shape == (2, 10, 2, 3, 3)
+        logits, means, chols, targets = pointnet_model.forward(pos, cats)
+        assert logits.shape == (2, 6, 2)
+        assert means.shape == (2, 6, 2, 3, 2)
+        assert chols.shape == (2, 6, 2, 3, 3)
+        assert targets.shape == (2, 6, 3, 2)
+        np.testing.assert_array_equal(
+            targets.data[:, 0], (pos[:, :, 4] - pos[:, :, 3])
+        )
 
     def test_rejects_bad_roster(self, pointnet_model):
         pos, cats = scenes(np.random.default_rng(0), N=4)
@@ -81,8 +88,8 @@ class TestForward:
     def test_per_batch_categories(self, pointnet_model):
         pos, _ = scenes(np.random.default_rng(1))
         cats = np.array([[0, 1, 2], [2, 1, 0]], dtype=np.int64)
-        logits, _, _ = pointnet_model.forward(pos, cats)
-        assert logits.shape == (2, 10, 2)
+        logits, _, _, _ = pointnet_model.forward(pos, cats)
+        assert logits.shape == (2, 6, 2)
 
     def test_loss_finite_and_scalar(self, pointnet_model):
         pos, cats = scenes(np.random.default_rng(2))
@@ -95,6 +102,61 @@ class TestForward:
         pos, cats = scenes(np.random.default_rng(3))
         loss, _ = ssm_model.loss(pos, cats)
         assert np.isfinite(loss.data)
+
+
+def all_frames_params(model, positions, categories):
+    """The teacher-forced path ``forward`` replaced: all T frames, then narrowed.
+
+    Runs the temporal encoder, relation stack, scene MLP and head on every
+    frame and keeps the F = T-P frames from P-1 on; kept here only as the
+    reference for the fold.
+    """
+    pos = np.asarray(positions, dtype=np.float32)
+    B, N, Tlen, _ = pos.shape
+    P = model.config.context_frames
+    F = Tlen - P
+    cat = model._categories(categories, B)
+    vel = model._velocities(pos)
+    feats = np.concatenate([pos, vel], axis=-1)
+    lat = model.temporal(Tensor(feats.reshape(B * N, Tlen, 4)))
+    lat = T.transpose(T.reshape(lat, (B, N, Tlen, model.latent_dim)), (0, 2, 1, 3))
+    pos_tn = np.ascontiguousarray(pos.transpose(0, 2, 1, 3))
+    vel_tn = np.ascontiguousarray(vel.transpose(0, 2, 1, 3))
+    params = model._head_params(lat, pos_tn, vel_tn, cat)
+    targets = (pos[:, :, P:] - pos[:, :, P - 1: Tlen - 1]).transpose(0, 2, 1, 3)
+    return (*(T.narrow(x, 1, P - 1, F) for x in params),
+            Tensor(np.ascontiguousarray(targets)))
+
+
+@pytest.mark.parametrize("config", [
+    ModelConfig(),                                  # full preset, N = 11
+    ModelConfig.small(temporal="ssm"),
+], ids=["full-pointnet", "small-ssm"])
+def test_forward_matches_all_frames_reference(config):
+    model = TrajectoryModel(config)
+    rng = np.random.default_rng(21)
+    pos, _ = scenes(rng, N=config.num_agents, Tlen=config.context_frames + 5)
+    cats = rng.integers(0, 3, size=config.num_agents)
+    seeds = None
+    results = []
+    for path in (model.forward, lambda p, c: all_frames_params(model, p, c)):
+        model.zero_grad()
+        out = path(pos, cats)
+        if seeds is None:
+            seeds = [Tensor(rng.normal(size=x.shape).astype(np.float32)) for x in out[:3]]
+        sum((x * w).sum() for x, w in zip(out, seeds)).backward()
+        grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                 for n, p in model.named_parameters()}
+        results.append(([x.data for x in out], grads))
+    (out_new, g_new), (out_old, g_old) = results
+
+    np.testing.assert_array_equal(out_new[3], out_old[3])
+    for new, old in zip(out_new[:3], out_old[:3]):
+        np.testing.assert_allclose(new, old, rtol=0, atol=1e-6 * np.abs(old).max())
+    for name in g_old:
+        scale = np.abs(g_old[name]).max()
+        np.testing.assert_allclose(g_new[name], g_old[name], rtol=0, atol=1e-6 * scale,
+                                   err_msg=name)
 
 
 class TestStepNLLFraming:

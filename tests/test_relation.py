@@ -189,14 +189,16 @@ def test_factored_mesh_matches_mesh_path():
 
 
 def test_factored_mesh_cancelled_key_rows_get_no_gradient():
-    # the query-agent rows of k_proj and its bias shift every score in a
-    # softmax row equally, so they cannot move the output
+    # the query-agent rows of k_proj shift every score in a softmax row
+    # equally, so they cannot move the output; a key bias would do the same,
+    # so neither block type has one
     d = 8
     block = PairMeshBlock(np.random.default_rng(0), d, heads=2, ff_dim=12)
+    std = AgentAttentionBlock(np.random.default_rng(0), d, heads=2, ff_dim=12)
+    assert block.k_proj.bias is None and std.k_proj.bias is None
     rng = np.random.default_rng(1)
     h, pos, vel = make_inputs(rng, dim=d)
     block(Tensor(h, requires_grad=True), pair_geometry(pos, vel)).sum().backward()
-    assert block.k_proj.bias.grad is None
     gw = block.k_proj.weight.grad
     assert np.all(gw[4: 4 + d] == 0.0)
     assert np.any(gw[:4] != 0.0) and np.any(gw[4 + d:] != 0.0)

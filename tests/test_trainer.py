@@ -1,5 +1,6 @@
 """Optimizer arithmetic, schedule shape, training loop, resume."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -195,6 +196,17 @@ class TestTrainLoop:
         assert opt2.t == opt.t
         for name in opt.m:
             np.testing.assert_array_equal(opt2.m[name], opt.m[name])
+
+    def test_bad_train_dict_rejected(self, run, tmp_path):
+        _, model, cfg, _, opt, _ = run
+        p = tmp_path / "future.ckpt"
+        for train, match in (({**dataclasses.asdict(cfg), "label_smoothing": 0.1},
+                              "label_smoothing"),
+                             ([1, 2], "object")):
+            save_checkpoint(p, model, extra={"next_epoch": 1, "adam_t": opt.t, "train": train},
+                            extra_arrays=opt.state_arrays())
+            with pytest.raises(ConfigError, match=match):
+                load_training_checkpoint(p)
 
     def test_plain_checkpoint_cannot_resume(self, tmp_path):
         model = tiny_model()
