@@ -13,7 +13,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import struct
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,39 @@ def config_from_dict(cls, d: dict):
     return cls(**d)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def check_config_fields(cfg) -> None:
+    """Check every field of the config dataclass ``cfg`` against its annotation.
+
+    Ints (not bools) are dims or counts and must be >= 1, except ``seed``
+    (>= 0); floats must be finite numbers; bools must be bools; ``temporal``
+    must name an encoder; a tuple field must be a non-empty list or tuple of
+    ints >= 1. Raises ``ConfigError``.
+    """
+    types = typing.get_type_hints(type(cfg))
+    for f in dataclasses.fields(cfg):
+        v, kind = getattr(cfg, f.name), types[f.name]
+        where = f"{type(cfg).__name__}.{f.name}"
+        if kind is int:
+            low = 0 if f.name == "seed" else 1
+            if not _is_int(v) or v < low:
+                raise ConfigError(f"{where} must be an integer >= {low}, got {v!r}")
+        elif kind is float:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ConfigError(f"{where} must be a finite number, got {v!r}")
+        elif kind is bool and not isinstance(v, bool):
+            raise ConfigError(f"{where} must be true or false, got {v!r}")
+        elif f.name == "temporal" and v not in ("pointnet", "ssm"):
+            raise ConfigError(f"unknown temporal encoder {v!r}")
+        elif kind is tuple and not (
+            isinstance(v, (list, tuple)) and v and all(_is_int(x) and x >= 1 for x in v)
+        ):
+            raise ConfigError(f"{where} must be a non-empty list of integers >= 1, got {v!r}")
+
+
 @dataclass
 class ModelConfig:
     num_agents: int = 11
@@ -70,14 +105,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.temporal not in ("pointnet", "ssm"):
-            raise ConfigError(f"unknown temporal encoder {self.temporal!r}")
-        if self.num_components < 1:
-            raise ConfigError("num_components must be >= 1")
+        check_config_fields(self)
         if self.context_frames < 2:
             raise ConfigError("context_frames must be >= 2")
-        if self.future_frames < 1:
-            raise ConfigError("future_frames must be >= 1")
         if self.relation_dim % self.attn_heads != 0:
             raise ConfigError(
                 f"relation_dim {self.relation_dim} not divisible by heads {self.attn_heads}"

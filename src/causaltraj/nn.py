@@ -70,7 +70,7 @@ class Module:
 
 
 class Dense(Module):
-    """Affine layer with optional activation applied after the bias."""
+    """Affine layer with an optional GELU applied after the bias."""
 
     def __init__(
         self,
@@ -84,35 +84,23 @@ class Dense(Module):
         self.bias = (
             Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True) if bias else None
         )
-        if activation not in (None, "gelu", "silu", "relu"):
+        if activation not in (None, "gelu"):
             raise ConfigError(f"unknown activation {activation!r}")
         self.activation = activation
 
     def __call__(self, x) -> Tensor:
         out = T.linear(x, self.weight, self.bias)
-        if self.activation == "gelu":
-            out = T.gelu(out)
-        elif self.activation == "silu":
-            out = T.silu(out)
-        elif self.activation == "relu":
-            out = T.maximum(out, 0.0)
-        return out
+        return T.gelu(out) if self.activation == "gelu" else out
 
 
 class MLP(Module):
-    """Stack of Dense layers; hidden layers share one activation.
+    """Stack of Dense layers with GELU on the hidden layers.
 
-    ``activate_last`` keeps the activation on the final layer too, which the
+    ``activate_last`` keeps the GELU on the final layer too, which the
     per-point feature stages rely on.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        dims: list[int],
-        activation: str = "gelu",
-        activate_last: bool = True,
-    ):
+    def __init__(self, rng: np.random.Generator, dims: list[int], activate_last: bool = True):
         if len(dims) < 2:
             raise ConfigError(f"MLP needs at least [in, out] dims, got {dims}")
         self.layers = [
@@ -120,7 +108,7 @@ class MLP(Module):
                 rng,
                 dims[i],
                 dims[i + 1],
-                activation=activation if (activate_last or i < len(dims) - 2) else None,
+                activation="gelu" if (activate_last or i < len(dims) - 2) else None,
             )
             for i in range(len(dims) - 1)
         ]

@@ -13,13 +13,10 @@ Two block types:
   velocity differences between agents q and k with both agents' hidden
   vectors, so edge geometry conditions the message weights directly.
 
-The mesh is never materialised. Projecting a concatenation is the sum of
-the projections of its parts, so the mesh block is ordinary attention over
-the agents' own projections plus a small pairwise geometry term in the
-scores and in the values (see ``PairMeshBlock``). This needs
-O(N^2 d + N d^2) work per frame instead of the mesh's O(N^2 d^2), and keeps
-the [B, T, N, N, 2d+4] array and its [B, T, H, N, N, d/H] projections off
-the tape.
+The mesh is never materialised: both block types run one attention core,
+and the mesh block adds a small pairwise geometry term to its scores and
+values (see ``PairMeshBlock``), O(N^2 d + N d^2) work per frame instead of
+the mesh's O(N^2 d^2).
 """
 
 from __future__ import annotations
@@ -41,17 +38,25 @@ def pair_geometry(pos: np.ndarray, vel: np.ndarray) -> Tensor:
     return Tensor(np.concatenate([pd, vd], axis=-1).astype(np.float32))
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    B, Tlen, N, d = x.shape
-    hd = d // heads
-    x = T.reshape(x, (B, Tlen, N, heads, hd))
-    return T.transpose(x, (0, 1, 3, 2, 4))          # [B, T, H, N, hd]
+def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int, extra_scores=None):
+    """Multi-head attention over agents; returns (weights, merged output).
+
+    ``extra_scores`` [B, T, H, N, N] joins the raw scores before scaling."""
+    B, Tlen, N, d = q.shape
+    q, k, v = (T.transpose(T.reshape(x, (B, Tlen, N, heads, d // heads)), (0, 1, 3, 2, 4))
+               for x in (q, k, v))                                  # [B, T, H, N, hd]
+    scores = T.matmul(q, T.transpose(k, (0, 1, 2, 4, 3)))
+    if extra_scores is not None:
+        scores = scores + extra_scores
+    attn = T.softmax_lastdim(scores * (1.0 / math.sqrt(d // heads)))
+    out = T.transpose(T.matmul(attn, v), (0, 1, 3, 2, 4))
+    return attn, T.reshape(out, (B, Tlen, N, d))
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    B, Tlen, H, N, hd = x.shape
-    x = T.transpose(x, (0, 1, 3, 2, 4))
-    return T.reshape(x, (B, Tlen, N, H * hd))
+def _residual_tail(block: Module, h: Tensor, out: Tensor) -> Tensor:
+    """Output projection and feedforward, each added back to the stream."""
+    h = h + block.out_proj(out)
+    return h + block.ff(block.norm2(h))
 
 
 class AgentAttentionBlock(Module):
@@ -72,43 +77,36 @@ class AgentAttentionBlock(Module):
 
     def __call__(self, h: Tensor, geo: Tensor) -> Tensor:
         z = self.norm1(h)
-        q = _split_heads(self.q_proj(z), self.heads)
-        k = _split_heads(self.k_proj(z), self.heads)
-        v = _split_heads(self.v_proj(z), self.heads)
-        scale = 1.0 / math.sqrt(q.shape[-1])
-        scores = T.matmul(q, T.transpose(k, (0, 1, 2, 4, 3))) * scale
-        attn = T.softmax_lastdim(scores)
-        out = _merge_heads(T.matmul(attn, v))
-        h = h + self.out_proj(out)
-        return h + self.ff(self.norm2(h))
+        _, out = _attend(self.q_proj(z), self.k_proj(z), self.v_proj(z), self.heads)
+        return _residual_tail(self, h, out)
 
 
 class PairMeshBlock(Module):
     """Attention whose keys and values are projected from pairwise mesh rows.
 
-    Mesh row (q, k) is ``[geo_qk, z_q, z_k]`` (width 2d+4), and ``k_proj`` /
-    ``v_proj`` map it to d. Their weight rows therefore split into three
-    blocks: ``0:4`` act on the geometry, ``4:4+d`` on the query agent and
-    ``4+d:4+2d`` on the key agent. Projecting a concatenation is the sum of
-    the blocks' projections, so per head h, with q = q_proj(z),
+    Mesh row (q, k) is ``[geo_qk, z_q, z_k]`` (width 2d+4). ``v_proj`` maps
+    it to d through three row blocks: ``0:4`` (Wv_g) act on the geometry,
+    ``4:4+d`` (Wv_q) on the query agent, ``4+d:4+2d`` (Wv_k) on the key
+    agent. ``k_proj.weight`` is ``[Wk_g; Wk_k]`` (d+4 rows): it has no
+    query-agent block, because that block cannot affect the output (below).
+    Projecting a concatenation is the sum of the blocks' projections, so per
+    head h, with q = q_proj(z),
 
-        k_qk = geo_qk Wk_g + z_q Wk_q + z_k Wk_k
+        k_qk = geo_qk Wk_g + z_k Wk_k
         v_qk = geo_qk Wv_g + z_q Wv_q + z_k Wv_k + b_v
 
     and the block is evaluated without building the mesh:
 
     * score_qk = q_q . (z_k Wk_k) + sum_c geo_qk[c] u_q[c], with
-      u_q[c] = q_q . Wk_g[c] (head h's columns). The ``z_q Wk_q`` term adds
-      q_q . (z_q Wk_q) to every score in row q, and softmax is invariant to
-      a per-row shift, so it cancels exactly. A key bias would cancel the
-      same way, so ``k_proj`` has none.
+      u_q[c] = q_q . Wk_g[c] (head h's columns). A ``z_q Wk_q`` key block
+      would add q_q . (z_q Wk_q) to every score in row q, and softmax is
+      invariant to a per-row shift, so it would cancel exactly; a key bias
+      would cancel the same way, so ``k_proj`` has neither.
     * out_q = sum_k a_qk (z_k Wv_k) + (z_q Wv_q + b_v)
       + (sum_k a_qk geo_qk) Wv_g, because the weights a_qk sum to 1.
 
     This is the relative-attention split of Shaw et al. (arXiv:1803.02155).
     It costs O(N^2 d + N d^2) per frame against O(N^2 d^2) for the mesh.
-    The ``z_q`` rows of ``k_proj.weight`` cannot affect the output and get
-    no gradient; dropping them would change the initialisation RNG stream.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int, ff_dim: int):
@@ -120,6 +118,8 @@ class PairMeshBlock(Module):
         self.norm2 = LayerNorm(dim)
         self.q_proj = Dense(rng, dim, dim)
         self.k_proj = Dense(rng, mesh_dim, dim, bias=False)
+        # drawn at mesh width so the init RNG stream is unchanged; the z_q rows cancel
+        self.k_proj.weight.data = np.delete(self.k_proj.weight.data, np.s_[4:4 + dim], axis=0)
         self.v_proj = Dense(rng, mesh_dim, dim)
         self.out_proj = Dense(rng, dim, dim)
         self.ff = MLP(rng, [dim, ff_dim, dim], activate_last=False)
@@ -136,19 +136,14 @@ class PairMeshBlock(Module):
         u = T.reshape(u, (B, Tlen, N, H, G))
         geo_t = T.transpose(geo, (0, 1, 2, 4, 3))                 # [B, T, N, G, N]
         geo_scores = T.transpose(T.matmul(u, geo_t), (0, 1, 3, 2, 4))
-        keys = _split_heads(T.linear(z, T.narrow(wk, 0, G + d, d)), H)
-        scores = T.matmul(_split_heads(q, H), T.transpose(keys, (0, 1, 2, 4, 3)))
-        attn = T.softmax_lastdim((scores + geo_scores) * (1.0 / math.sqrt(d // H)))
-
-        values = _split_heads(T.linear(z, T.narrow(wv, 0, G + d, d)), H)
-        out = _merge_heads(T.matmul(attn, values))
+        attn, out = _attend(q, T.linear(z, T.narrow(wk, 0, G, d)),
+                            T.linear(z, T.narrow(wv, 0, G + d, d)), H, geo_scores)
         out = out + T.linear(z, T.narrow(wv, 0, G, d), self.v_proj.bias)
         # per head, the attention-weighted mean geometry through Wv_g
         mean_geo = T.matmul(T.transpose(attn, (0, 1, 3, 2, 4)), geo)   # [B, T, N, H, G]
         mean_geo = T.reshape(mean_geo, (B, Tlen, N, H * G))
         out = out + T.linear(mean_geo, _per_head_rows(T.narrow(wv, 0, 0, G), H))
-        h = h + self.out_proj(out)
-        return h + self.ff(self.norm2(h))
+        return _residual_tail(self, h, out)
 
 
 def _per_head_rows(w: Tensor, heads: int) -> Tensor:

@@ -39,10 +39,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """A dense array participating in reverse-mode gradient computation."""
 
@@ -100,15 +96,6 @@ class Tensor:
 
     def _item_err(self):
         raise ShapeError(f"item() requires a single element, got shape {self.shape}")
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def is_leaf(self) -> bool:
-        return self._parents is None
 
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
@@ -786,8 +773,9 @@ def ssm_scan(decay, xdt, b_in, c_out) -> Tensor:
 def ssm_scan_chunked(decay, xdt, b_in, c_out, chunk: int = 32) -> np.ndarray:
     """Chunked evaluation of the same recurrence as :func:`ssm_scan`.
 
-    Pure-ndarray forward used at inference/verification time; within each
-    chunk the contribution is computed with cumulative log-decay products.
+    Pure-ndarray forward; the chunked cross-check of the sequential scan that
+    acceptance criterion 7 (c07) runs. Within each chunk the contribution is
+    computed with cumulative log-decay products.
     """
     ad = np.asarray(decay, dtype=np.float64)
     xd = np.asarray(xdt, dtype=np.float64)

@@ -42,8 +42,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        model_mod.check_config_fields(self)
         if not 0.0 < self.warmup_frac < 1.0:
             raise ConfigError("warmup_frac must be in (0, 1)")
 

@@ -1,11 +1,13 @@
 """End-to-end command-line flow in a temp directory."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from causaltraj import cli, data
+from causaltraj.model import CHECKPOINT_MAGIC
 
 
 def run_cli(capsys, *argv):
@@ -210,3 +212,24 @@ def test_sample_rejects_counts_below_one(paths, workdir, capsys, flag, value):
     assert code == 2
     assert err.startswith("error:") and flag.lstrip("-") in err
     assert not (workdir / "rejected.ctrj").exists()
+
+
+def test_sample_rejects_bad_config_in_checkpoint(paths, workdir, capsys):
+    with open(paths["ckpt"], "rb") as f:
+        raw = f.read()
+    off = len(CHECKPOINT_MAGIC)
+    (size,) = struct.unpack("<I", raw[off: off + 4])
+    meta = json.loads(raw[off + 4: off + 4 + size])
+    meta["model"]["attn_heads"] = 0
+    header = json.dumps(meta).encode()
+    bad = workdir / "zero_heads.ckpt"
+    bad.write_bytes(raw[:off] + struct.pack("<I", len(header)) + header
+                    + raw[off + 4 + size:])
+    code, _, err = run_cli(
+        capsys, "sample", "--model", str(bad), "--data", paths["data"],
+        "--out", str(workdir / "zero_heads.ctrj"),
+    )
+    assert code == 2
+    assert err.startswith("error:") and "attn_heads" in err
+    assert "Traceback" not in err
+    assert not (workdir / "zero_heads.ctrj").exists()

@@ -12,12 +12,14 @@ from causaltraj.model import (
     CHECKPOINT_MAGIC,
     ModelConfig,
     TrajectoryModel,
+    config_from_dict,
     constant_velocity_rollout,
     load_checkpoint,
     load_model,
     save_checkpoint,
 )
 from causaltraj.tensor import Tensor
+from causaltraj.trainer import TrainConfig
 
 
 def tiny_config(**overrides):
@@ -157,6 +159,23 @@ def test_forward_matches_all_frames_reference(config):
         scale = np.abs(g_old[name]).max()
         np.testing.assert_allclose(g_new[name], g_old[name], rtol=0, atol=1e-6 * scale,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("use_mesh", [True, False])
+@pytest.mark.parametrize("temporal", ["pointnet", "ssm"])
+def test_every_parameter_row_gets_a_gradient(temporal, use_mesh):
+    # a row whose gradient is exactly zero cannot affect the output; a key
+    # bias shifts every score of a softmax row equally, so no block has one
+    model = TrajectoryModel(ModelConfig.small(temporal=temporal, use_mesh=use_mesh))
+    assert all(block.k_proj.bias is None for block in model.relation.blocks)
+    pos, _ = scenes(np.random.default_rng(22), B=4, N=5,
+                    Tlen=model.config.context_frames + 4)
+    loss, _ = model.loss(pos, np.array([0, 1, 1, 2, 2]))     # all three categories
+    loss.backward()
+    for name, p in model.named_parameters():
+        assert p.grad is not None, name
+        rows = np.abs(p.grad).reshape(p.shape[0], -1).max(axis=1)
+        assert np.all(rows > 0.0), (name, np.flatnonzero(rows == 0.0))
 
 
 class TestStepNLLFraming:
@@ -301,6 +320,29 @@ class TestConfig:
         d["dropout"] = 0.1
         with pytest.raises(ConfigError):
             ModelConfig.from_dict(d)
+
+    @pytest.mark.parametrize("cls, d", [
+        (TrainConfig, {"epochs": "3"}),
+        (TrainConfig, {"batch_size": True}),
+        (TrainConfig, {"seed": -1}),
+        (TrainConfig, {"lr_max": "0.1"}),
+        (TrainConfig, {"weight_decay": float("nan")}),
+        (ModelConfig, {"num_components": "x"}),
+        (ModelConfig, {"relation_dim": 32.0}),
+        (ModelConfig, {"attn_heads": 0}),
+        (ModelConfig, {"mesh_blocks": -1}),
+        (ModelConfig, {"seed": -1}),
+        (ModelConfig, {"use_mesh": "no"}),
+        (ModelConfig, {"use_mesh": 1}),
+        (ModelConfig, {"temporal": ["ssm"]}),
+        (ModelConfig, {"scene_hidden": 5}),
+        (ModelConfig, {"scene_hidden": []}),
+        (ModelConfig, {"scene_hidden": [128, 0]}),
+        (ModelConfig, {"scene_hidden": [128, "64"]}),
+    ], ids=lambda x: x.__name__ if isinstance(x, type) else repr(x))
+    def test_rejects_bad_field_values(self, cls, d):
+        with pytest.raises(ConfigError, match=next(iter(d))):
+            config_from_dict(cls, d)
 
     def test_single_component_config_runs(self):
         model = TrajectoryModel(tiny_config(num_components=1))

