@@ -24,7 +24,7 @@ from . import mdn
 from . import tensor as T
 from .data import atomic_write
 from .encoders import PointNetEncoder, SSMEncoder
-from .errors import ConfigError, ShapeError, TrajectoryFormatError
+from .errors import ConfigError, DataError, ShapeError, TrajectoryFormatError
 from .nn import Dense, EmbeddingTable, MLP, Module
 from .relation import RelationEncoder
 from .tensor import Tensor
@@ -303,6 +303,29 @@ class TrajectoryModel(Module):
 
     # -- autoregressive rollout -----------------------------------------------------
 
+    def _step_params(self, lat_t: np.ndarray, cur: np.ndarray, vel_cur: np.ndarray,
+                     cat: np.ndarray):
+        """Mixture parameters of one frame from its latent lat_t [X*N, d].
+
+        cur, vel_cur [X, N, 2]; cat [X, N]. Returns arrays (logits [X, M],
+        means [X, M, N, 2], chol_params [X, M, N, 3]).
+        """
+        X, N, _ = cur.shape
+        with T.no_grad():
+            params = self._head_params(
+                Tensor(lat_t.reshape(X, 1, N, self.latent_dim)),
+                cur[:, None], vel_cur[:, None], cat,
+            )
+        return tuple(p.data[:, 0] for p in params)
+
+    def _last_latent(self, seq: np.ndarray) -> np.ndarray:
+        """Latent [X*N, d] of the last frame of seq [X, N, t, 2], from the whole prefix."""
+        X, N, t, _ = seq.shape
+        feats = np.concatenate([seq, self._velocities(seq)], axis=-1)
+        with T.no_grad():
+            lat = self.temporal(Tensor(feats.reshape(X * N, t, 4)))
+        return lat.data[:, -1]
+
     def rollout(
         self,
         contexts,
@@ -315,12 +338,18 @@ class TrajectoryModel(Module):
     ) -> list[ScenarioSample]:
         """Sample futures for each context scene.
 
-        contexts [C, N, P, 2]; returns C * num_scenarios samples ordered by
-        context then scenario. Each scenario consumes its own RNG substream,
-        so results are independent of batching and of the other scenarios.
-        One component index is drawn per scene per step and shared by all
-        agents. ``mode="mean"`` instead takes the highest-weight component's
-        mean displacement, deterministically.
+        contexts [C, N, P, 2]; categories [N] or [C, N]; returns
+        C * num_scenarios samples ordered by context then scenario. Each
+        scenario consumes its own RNG substream, so results are independent of
+        batching and of the other scenarios. One component index is drawn per
+        scene per step and shared by all agents. ``mode="mean"`` instead takes
+        the highest-weight component's mean displacement, deterministically.
+
+        The scenarios of a context share its prefix and its first step, so the
+        encoder runs over the prefix and the head over step 0 once per context;
+        the encoder state and step 0's mixture parameters are then repeated
+        per scenario. Raises ``DataError`` at the first step that yields a
+        non-finite position, naming the context, scenario and step.
         """
         cfg = self.config
         if mode not in ("sample", "mean"):
@@ -341,68 +370,69 @@ class TrajectoryModel(Module):
             raise ShapeError("rollout needs at least 2 context frames")
         k = int(num_scenarios)
         B = C * k
-        pos = np.repeat(ctx, k, axis=0)                                   # [B, N, P, 2]
-        cat = self._categories(categories if np.asarray(categories).ndim == 1
-                               else np.repeat(np.asarray(categories), k, axis=0), B)
+        ctx_cat = self._categories(categories, C)
+        cat = np.repeat(ctx_cat, k, axis=0)                               # [B, N]
 
         rngs = [
             np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b // k, b % k)))
             for b in range(B)
         ]
 
-        state = self.temporal.init_state(B * N) if incremental else None
-        vel = self._velocities(pos)
+        # prefix and step 0 once per context [C, ...], then per scenario [B, ...]
+        vel = self._velocities(ctx)
         if incremental:
-            lat_t = None
+            state = self.temporal.init_state(C * N)
             for t in range(P):
-                f_t = np.concatenate([pos[:, :, t], vel[:, :, t]], axis=-1)
-                lat_t = self.temporal.step(f_t.reshape(B * N, 4).astype(np.float32), state)
+                f_t = np.concatenate([ctx[:, :, t], vel[:, :, t]], axis=-1)
+                lat_t = self.temporal.step(f_t.reshape(C * N, 4).astype(np.float32), state)
+            state = _repeat_per_context(state, C, k)
+        else:
+            lat_t = self._last_latent(ctx)
+            hist = [np.repeat(ctx[:, :, t], k, axis=0) for t in range(P)]
+        lg, mn, ch = (np.repeat(a, k, axis=0) for a in
+                      self._step_params(lat_t, ctx[:, :, P - 1], vel[:, :, P - 1], ctx_cat))
 
-        cur = pos[:, :, P - 1].copy()                                     # [B, N, 2]
-        vel_cur = vel[:, :, P - 1].copy()
-        hist = [pos[:, :, t] for t in range(P)]
+        cur = np.repeat(ctx[:, :, P - 1], k, axis=0)                      # [B, N, 2]
+        vel_cur = np.repeat(vel[:, :, P - 1], k, axis=0)
         out_pos = np.empty((B, horizon, N, 2), dtype=np.float32)
         out_disp = np.empty((B, horizon, N, 2), dtype=np.float32)
         out_comp = np.empty((B, horizon), dtype=np.int64)
+        us = np.empty(B)
+        eps = np.empty((B, N, 2))
 
         for u in range(horizon):
             if u > 0:
-                f_t = np.concatenate([cur, vel_cur], axis=-1).astype(np.float32)
                 if incremental:
+                    f_t = np.concatenate([cur, vel_cur], axis=-1).astype(np.float32)
                     lat_t = self.temporal.step(f_t.reshape(B * N, 4), state)
-            if not incremental:
-                seq = np.stack(hist, axis=2)                              # [B, N, t, 2]
-                v_all = self._velocities(seq)
-                feats = np.concatenate([seq, v_all], axis=-1)
-                with T.no_grad():
-                    lat_full = self.temporal(
-                        Tensor(feats.reshape(B * N, seq.shape[2], 4))
-                    )
-                lat_t = lat_full.data[:, -1]
-            with T.no_grad():
-                logits, means, chols = self._head_params(
-                    Tensor(lat_t.reshape(B, 1, N, self.latent_dim)),
-                    cur[:, None], vel_cur[:, None], cat,
-                )
-            lg = logits.data[:, 0]
-            mn = means.data[:, 0]
-            ch = chols.data[:, 0]
+                else:
+                    lat_t = self._last_latent(np.stack(hist, axis=2))
+                lg, mn, ch = self._step_params(lat_t, cur, vel_cur, cat)
             if mode == "mean":
                 dx = mdn.mode_displacements(lg, mn)
                 comp = np.argmax(lg, axis=-1)
             else:
                 # per scenario: one uniform for the component, then the normals
-                us = np.array([rngs[b].random() for b in range(B)])
-                eps = np.stack([rngs[b].standard_normal((N, 2)) for b in range(B)])
+                for b, g in enumerate(rngs):
+                    us[b] = g.random()
+                    g.standard_normal(out=eps[b])
                 comp = mdn.components_from_uniforms(lg, us)
                 dx = mdn.displacements_from_normals(mn, ch, comp, eps)
             new_cur = cur + dx
+            finite = np.isfinite(new_cur).all(axis=(1, 2))
+            if not finite.all():
+                ci, si = divmod(int(np.argmin(finite)), k)
+                raise DataError(
+                    f"rollout produced non-finite positions at context {ci}, "
+                    f"scenario {si}, step {u}"
+                )
             out_pos[:, u] = new_cur
             out_disp[:, u] = dx
             out_comp[:, u] = comp
             vel_cur = new_cur - cur
             cur = new_cur
-            hist.append(new_cur)
+            if not incremental:
+                hist.append(new_cur)
 
         samples = []
         for b in range(B):
@@ -419,6 +449,21 @@ class TrajectoryModel(Module):
                 )
             )
         return samples
+
+
+def _repeat_per_context(state, contexts: int, k: int):
+    """Repeat each context's rows k times in an encoder state.
+
+    ``state`` nests dicts and lists around arrays [contexts * N, ...] whose rows
+    are ordered by context, then agent; the result is ordered by context,
+    scenario, agent, as the rollout's B = contexts * k scenes are.
+    """
+    if isinstance(state, dict):
+        return {key: _repeat_per_context(v, contexts, k) for key, v in state.items()}
+    if isinstance(state, list):
+        return [_repeat_per_context(v, contexts, k) for v in state]
+    rows = state.reshape(contexts, -1, *state.shape[1:])
+    return np.repeat(rows, k, axis=0).reshape(-1, *state.shape[1:])
 
 
 def constant_velocity_rollout(contexts, horizon: int) -> np.ndarray:

@@ -43,9 +43,10 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int, extra_scores=None):
 
     ``extra_scores`` [B, T, H, N, N] joins the raw scores before scaling."""
     B, Tlen, N, d = q.shape
-    q, k, v = (T.transpose(T.reshape(x, (B, Tlen, N, heads, d // heads)), (0, 1, 3, 2, 4))
-               for x in (q, k, v))                                  # [B, T, H, N, hd]
-    scores = T.matmul(q, T.transpose(k, (0, 1, 2, 4, 3)))
+    split = (B, Tlen, N, heads, d // heads)
+    q, v = (T.transpose(T.reshape(x, split), (0, 1, 3, 2, 4)) for x in (q, v))  # [B,T,H,N,hd]
+    k_t = T.transpose(T.reshape(k, split), (0, 1, 3, 4, 2))                   # [B,T,H,hd,N]
+    scores = T.matmul(q, k_t)
     if extra_scores is not None:
         scores = scores + extra_scores
     attn = T.softmax_lastdim(scores * (1.0 / math.sqrt(d // heads)))

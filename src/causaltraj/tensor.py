@@ -341,7 +341,9 @@ def gelu(a) -> Tensor:
     """Exact (erf-based) GELU."""
     a = as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + _sp.erf(x * _INV_SQRT2))
+    cdf = _sp.erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
     out = x * cdf
 
     def backward(g):
@@ -515,7 +517,7 @@ def linear(x, weight, bias=None) -> Tensor:
         bias = as_tensor(bias)
         if bias.shape != (d_out,):
             raise ShapeError(f"linear: bias shape {bias.shape} != ({d_out},)")
-        out = out + bias.data
+        out += bias.data
         parents = (x, weight, bias)
     else:
         parents = (x, weight)
@@ -550,12 +552,58 @@ def embedding_lookup(table, indices) -> Tensor:
 # -- normalizations and stable reductions ---------------------------------------------------
 
 
+# numpy's sum over a contiguous axis: 8 lanes and a fixed tree up to this length,
+# recursive halving beyond it
+_PAIRWISE_BLOCK = 128
+
+
+def _lastdim_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)`` as one elementwise max per slice of the last axis."""
+    acc = x[..., 0:1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(acc, x[..., j:j + 1], out=acc)
+    return acc
+
+
+def _lastdim_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1, keepdims=True)``, bit for bit, as elementwise adds over slices.
+
+    Follows numpy's own order for a row of n: in sequence for n < 8; for
+    8 <= n <= 128, eight running lanes, the tree ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
+    then the remainder in sequence. numpy starts from +0.0, so ``+ 0.0`` (which
+    also makes the accumulator a fresh array) turns a row of -0.0 into +0.0 too.
+    """
+    n = x.shape[-1]
+    if n == 0 or n > _PAIRWISE_BLOCK:
+        return x.sum(axis=-1, keepdims=True)
+    if n < 8:
+        acc = x[..., 0:1] + 0.0
+        for j in range(1, n):
+            acc += x[..., j:j + 1]
+        return acc
+    lanes = x[..., 0:8] + 0.0
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        lanes += x[..., i:i + 8]
+    r = [lanes[..., j:j + 1] for j in range(8)]
+    acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(stop, n):
+        acc += x[..., j:j + 1]
+    return acc
+
+
 def logsumexp_lastdim(a) -> Tensor:
-    """Numerically stable ``log(sum(exp(x)))`` over the last dimension."""
+    """Numerically stable ``log(sum(exp(x)))`` over the last dimension.
+
+    The axis is short here (mixture components, agents), and numpy's ``max``/``sum``
+    reduce it with one inner-loop call per row, so this reduces over the axis's
+    slices instead (``_lastdim_max``/``_lastdim_sum``). The sum keeps numpy's
+    order, so the result is bit-identical.
+    """
     a = as_tensor(a)
-    m = a.data.max(axis=-1, keepdims=True)
+    m = _lastdim_max(a.data)
     shifted = np.exp(a.data - m)
-    total = shifted.sum(axis=-1, keepdims=True)
+    total = _lastdim_sum(shifted)
     out = (m + np.log(total)).squeeze(-1)
 
     def backward(g):
@@ -565,13 +613,21 @@ def logsumexp_lastdim(a) -> Tensor:
 
 
 def softmax_lastdim(a) -> Tensor:
+    """Softmax over the last dimension.
+
+    Attention over 5-11 agents gives rows of 5-11 scores; numpy's ``max``/``sum``
+    make one inner-loop call per row, which on rows of 5 costs ~30x one
+    elementwise ufunc per slice, so this reduces over the axis's slices
+    instead (``_lastdim_max``/``_lastdim_sum``). The sum keeps numpy's order, so
+    forward and backward are bit-identical to ``x.max``/``x.sum``.
+    """
     a = as_tensor(a)
-    m = a.data.max(axis=-1, keepdims=True)
+    m = _lastdim_max(a.data)
     e = np.exp(a.data - m)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = e / _lastdim_sum(e)
 
     def backward(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
+        inner = _lastdim_sum(g * out)
         return (out * (g - inner),)
 
     return Tensor._result(out, (a,), backward)

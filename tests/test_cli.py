@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from causaltraj import cli, data
-from causaltraj.model import CHECKPOINT_MAGIC
+from causaltraj.model import CHECKPOINT_MAGIC, load_model, save_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -233,3 +233,19 @@ def test_sample_rejects_bad_config_in_checkpoint(paths, workdir, capsys):
     assert err.startswith("error:") and "attn_heads" in err
     assert "Traceback" not in err
     assert not (workdir / "zero_heads.ctrj").exists()
+
+
+def test_sample_stops_on_a_diverging_rollout(paths, workdir, capsys):
+    model, extra, _ = load_model(paths["ckpt"])
+    model.head.bias.data[:] = np.nan
+    bad = str(workdir / "poisoned.ckpt")
+    save_checkpoint(bad, model, extra)
+    code, out, err = run_cli(
+        capsys, "sample", "--model", bad, "--data", paths["data"],
+        "--out", str(workdir / "diverged.ctrj"), "--scenarios", "2",
+    )
+    assert code == 1
+    assert err.startswith("error:") and "context 0, scenario 0, step 0" in err
+    assert "Traceback" not in err and out == ""
+    assert not (workdir / "diverged.ctrj").exists()
+    assert not (workdir / "diverged.ctrj.meta").exists()

@@ -6,8 +6,9 @@ import struct
 import numpy as np
 import pytest
 
+from causaltraj import mdn
 from causaltraj import tensor as T
-from causaltraj.errors import ConfigError, ShapeError, TrajectoryFormatError
+from causaltraj.errors import ConfigError, DataError, ShapeError, TrajectoryFormatError
 from causaltraj.model import (
     CHECKPOINT_MAGIC,
     ModelConfig,
@@ -287,6 +288,106 @@ class TestRollout:
         for bad in (dict(num_scenarios=0), dict(num_scenarios=-1), dict(horizon=0)):
             with pytest.raises(ConfigError):
                 pointnet_model.rollout(ctx, cats, **bad)
+
+
+def reference_rollout(model, contexts, categories, horizon, num_scenarios, seed, mode,
+                      incremental):
+    """The rollout loop before the per-context prefix: every scene row from the start.
+
+    Repeats each context k times before encoding it and runs the prefix and
+    step 0 on all C*k rows; kept here only as the reference for that change.
+    Returns (positions [B, H, N, 2], displacements [B, H, N, 2], components [B, H]).
+    """
+    ctx = np.asarray(contexts, dtype=np.float32)
+    C, N, P, _ = ctx.shape
+    k = num_scenarios
+    B = C * k
+    pos = np.repeat(ctx, k, axis=0)
+    cat = model._categories(categories if np.asarray(categories).ndim == 1
+                            else np.repeat(np.asarray(categories), k, axis=0), B)
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b // k, b % k)))
+            for b in range(B)]
+    state = model.temporal.init_state(B * N) if incremental else None
+    vel = model._velocities(pos)
+    if incremental:
+        for t in range(P):
+            f_t = np.concatenate([pos[:, :, t], vel[:, :, t]], axis=-1)
+            lat_t = model.temporal.step(f_t.reshape(B * N, 4).astype(np.float32), state)
+    cur = pos[:, :, P - 1].copy()
+    vel_cur = vel[:, :, P - 1].copy()
+    hist = [pos[:, :, t] for t in range(P)]
+    out_pos = np.empty((B, horizon, N, 2), dtype=np.float32)
+    out_disp = np.empty((B, horizon, N, 2), dtype=np.float32)
+    out_comp = np.empty((B, horizon), dtype=np.int64)
+    for u in range(horizon):
+        if u > 0:
+            f_t = np.concatenate([cur, vel_cur], axis=-1).astype(np.float32)
+            if incremental:
+                lat_t = model.temporal.step(f_t.reshape(B * N, 4), state)
+        if not incremental:
+            seq = np.stack(hist, axis=2)
+            feats = np.concatenate([seq, model._velocities(seq)], axis=-1)
+            with T.no_grad():
+                lat_t = model.temporal(Tensor(feats.reshape(B * N, seq.shape[2], 4))).data[:, -1]
+        with T.no_grad():
+            logits, means, chols = model._head_params(
+                Tensor(lat_t.reshape(B, 1, N, model.latent_dim)),
+                cur[:, None], vel_cur[:, None], cat,
+            )
+        lg, mn, ch = logits.data[:, 0], means.data[:, 0], chols.data[:, 0]
+        if mode == "mean":
+            dx = mdn.mode_displacements(lg, mn)
+            comp = np.argmax(lg, axis=-1)
+        else:
+            us = np.array([rngs[b].random() for b in range(B)])
+            eps = np.stack([rngs[b].standard_normal((N, 2)) for b in range(B)])
+            comp = mdn.components_from_uniforms(lg, us)
+            dx = mdn.displacements_from_normals(mn, ch, comp, eps)
+        new_cur = cur + dx
+        out_pos[:, u] = new_cur
+        out_disp[:, u] = dx
+        out_comp[:, u] = comp
+        vel_cur = new_cur - cur
+        cur = new_cur
+        hist.append(new_cur)
+    return out_pos, out_disp, out_comp
+
+
+@pytest.mark.parametrize("mode", ["sample", "mean"])
+@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "recompute"])
+@pytest.mark.parametrize("kind", ["pointnet", "ssm"])
+def test_rollout_matches_per_scene_reference(kind, incremental, mode):
+    # the prefix and step 0 run once per context and are repeated per scenario;
+    # every output byte must equal the loop that ran them per scene row
+    model = TrajectoryModel(tiny_config(temporal=kind))
+    for p in model.parameters():
+        if p.ndim == 2:   # at init the means are ~1e-4: a wrong latent would change no byte
+            p.data = p.data * 5.0
+    rng = np.random.default_rng(23)
+    ctx, cats = scenes(rng, B=3, N=3, Tlen=4)
+    per_context = rng.integers(0, 3, size=(3, 3))
+    for categories in (cats, per_context):
+        for k in (1, 4):
+            got = model.rollout(ctx, categories, horizon=5, num_scenarios=k, seed=8,
+                                mode=mode, incremental=incremental)
+            want = reference_rollout(model, ctx, categories, 5, k, 8, mode, incremental)
+            for field, ref in zip(("positions", "displacements", "components"), want):
+                arr = np.stack([getattr(s, field) for s in got])
+                assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes(), (field, k)
+
+
+def test_rollout_raises_at_the_diverging_step():
+    model = TrajectoryModel(tiny_config())
+    ctx, cats = scenes(np.random.default_rng(24), B=3, N=3, Tlen=4)
+    bad_ctx = ctx.copy()
+    bad_ctx[1, 0, -1] = np.inf                  # only context 1 goes non-finite
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(DataError, match="context 1, scenario 0, step 0"):
+        model.rollout(bad_ctx, cats, horizon=4, num_scenarios=2)
+    model.head.bias.data[:] = np.nan            # a poisoned head: every scene diverges
+    for mode in ("sample", "mean"):
+        with pytest.raises(DataError, match="context 0, scenario 0, step 0"):
+            model.rollout(ctx, cats, horizon=4, num_scenarios=2, mode=mode)
 
 
 class TestConstantVelocity:

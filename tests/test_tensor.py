@@ -298,6 +298,28 @@ def test_primitive_gradients(name):
         assert grad_check(f, params) < 1e-5, f"{name} trial {trial}"
 
 
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3), (2, 1, 3), (1, 2, 1, 3)],
+                         ids=["1d", "2d", "3d", "4d", "5d"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lastdim_reductions_equal_numpy_bitwise(dtype, lead):
+    # softmax and logsumexp reduce over slices; the result must be numpy's, bit for bit
+    rng = np.random.default_rng(31)
+    for n in range(1, 131):
+        x = rng.normal(size=lead + (n,)) * 10.0 ** rng.integers(-4, 5, size=lead + (n,))
+        x = x.astype(dtype)
+        rows = x.reshape(-1, n)
+        if len(rows) > 1:
+            rows[1, rng.integers(n)] = -np.inf
+        if len(rows) > 2:
+            rows[2] = -np.inf
+        if len(rows) > 3:
+            rows[3] = -0.0
+        for got, want in ((T._lastdim_max(x), x.max(axis=-1, keepdims=True)),
+                          (T._lastdim_sum(x), x.sum(axis=-1, keepdims=True))):
+            assert got.dtype == want.dtype and got.shape == want.shape, n
+            assert got.tobytes() == want.tobytes(), n
+
+
 class TestMatmulOracle:
     def test_against_triple_loop(self):
         rng = np.random.default_rng(5)
