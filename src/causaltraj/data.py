@@ -195,8 +195,10 @@ def synth_forking_play(
     """
     if players < 2:
         raise DataError("need at least 2 players for a pass")
-    if frames < 8:
-        raise DataError("need at least 8 frames")
+    if frames < 11:
+        raise DataError(f"need at least 11 frames for the pass window, got {frames}")
+    if count < 1:
+        raise DataError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     N = players + 1
     fork = frames // 2

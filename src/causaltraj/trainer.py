@@ -112,15 +112,18 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
+        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+            raise ConfigError(f"optimizer step count adam_t must be an integer >= 0, got {t!r}")
         for name in self.m:
             mk, vk = f"opt/m/{name}", f"opt/v/{name}"
             if mk not in arrays or vk not in arrays:
                 raise ConfigError(f"checkpoint is missing optimizer moments for {name}")
-            if arrays[mk].shape != self.m[name].shape:
-                raise ConfigError(f"optimizer moment shape mismatch for {name}")
+            for key in (mk, vk):
+                if arrays[key].shape != self.m[name].shape:
+                    raise ConfigError(f"optimizer moment shape mismatch for {key}")
             self.m[name] = arrays[mk].astype(np.float32)
             self.v[name] = arrays[vk].astype(np.float32)
-        self.t = int(t)
+        self.t = t
 
 
 def train(

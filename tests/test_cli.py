@@ -1,13 +1,23 @@
 """End-to-end command-line flow in a temp directory."""
 
 import json
+import os
+import platform
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from causaltraj import cli, data
-from causaltraj.model import CHECKPOINT_MAGIC, load_model, save_checkpoint
+from causaltraj.model import (
+    CHECKPOINT_MAGIC,
+    ModelConfig,
+    TrajectoryModel,
+    load_model,
+    save_checkpoint,
+)
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +55,17 @@ def test_synth(paths, capsys):
     meta = data.read_sidecar(paths["data"] + ".meta")
     a, b = (int(x) for x in meta["branch_counts"].split(","))
     assert a + b == 24
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--frames", "8"), ("--frames", "10"), ("--count", "0"), ("--count", "-1"),
+])
+def test_synth_rejects_short_frames_and_empty_counts(workdir, capsys, flag, value):
+    out = workdir / "rejected_synth.ctrj"
+    code, stdout, err = run_cli(capsys, "synth", "--out", str(out), flag, value)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err and stdout == ""
+    assert not out.exists() and not (workdir / "rejected_synth.ctrj.meta").exists()
 
 
 def test_train(paths, capsys):
@@ -104,6 +125,48 @@ def test_eval(paths, capsys):
     meters = json.loads(out)
     assert meters["units"] == "meters"
     assert meters["horizon"] == 4
+
+
+# Two in-process sample passes; prints the minor faults of each and how often
+# the allocator setting ran.
+FAULT_PROBE = """
+import json, resource, sys
+from causaltraj import cli
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    if cli.entrypoint(sys.argv[1:]) != 0:
+        sys.exit("sample failed")
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"faults": faults, "kept": cli.keep_freed_heap(),
+                  "runs": cli.keep_freed_heap.cache_info().misses}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_repeated_sample_passes_reuse_freed_heap(tmp_path):
+    # glibc's default thresholds refault ~12k pages on the second pass here
+    held, ckpt = str(tmp_path / "held.ctrj"), str(tmp_path / "model.ckpt")
+    data.write_trajectories(held, data.synth_forking_play(24, frames=12, players=2).trajectories)
+    save_checkpoint(ckpt, TrajectoryModel(ModelConfig.small(
+        num_agents=3, num_components=2, context_frames=4, future_frames=8)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, "sample", "--model", ckpt, "--data", held,
+         "--out", str(tmp_path / "pred.ctrj"), "--scenarios", "20"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["kept"] and report["runs"] == 1
+    assert report["faults"][1] < 2000, report["faults"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] == "glibc", reason="checks the non-glibc path")
+def test_allocator_setting_is_a_no_op_off_glibc():
+    assert cli.keep_freed_heap() is False
 
 
 def test_eval_without_sidecar_needs_context(paths, workdir, capsys):

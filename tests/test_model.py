@@ -65,6 +65,33 @@ def ssm_model():
     return TrajectoryModel(tiny_config(temporal="ssm"))
 
 
+# Gains on the weight matrices (std 0.02 at init) that make a tiny model's
+# rollout read its encoder state: unscaled, the head means are ~1e-4 and a
+# wrong latent moves no output byte. pointnet's three stages leave its latent
+# ~1e-7, so it gets the larger encoder gain; the ssm's latent leaves a norm at
+# ~1 already (and its SiLU overflows float32 at a larger gain).
+ENCODER_GAIN = {"pointnet": 25.0, "ssm": 5.0}
+RELATION_INPUT_GAIN = 50.0
+OTHER_GAIN = 5.0
+
+
+def state_dependent(model):
+    encoder = {id(p) for p in model.temporal.parameters()}
+    relation_input = {id(p) for p in model.relation_input.parameters()}
+    for p in model.parameters():
+        if p.ndim == 2:
+            gain = (ENCODER_GAIN[model.config.temporal] if id(p) in encoder
+                    else RELATION_INPUT_GAIN if id(p) in relation_input else OTHER_GAIN)
+            p.data = p.data * np.float32(gain)
+    return model
+
+
+@pytest.fixture(scope="module")
+def rollout_models():
+    return {kind: state_dependent(TrajectoryModel(tiny_config(temporal=kind)))
+            for kind in ("pointnet", "ssm")}
+
+
 class TestForward:
     def test_shapes(self, pointnet_model):
         # T = 10 frames, P = 4: the F = 6 scored frames only
@@ -206,13 +233,17 @@ class TestStepNLLFraming:
 
 
 class TestRollout:
+    @pytest.fixture
+    def pointnet(self, rollout_models):
+        return rollout_models["pointnet"]
+
     def contexts(self, rng, C=2, N=3, P=4):
         ctx, cats = scenes(rng, B=C, N=N, Tlen=P)
         return ctx, cats
 
-    def test_ordering_and_shapes(self, pointnet_model):
+    def test_ordering_and_shapes(self, pointnet):
         ctx, cats = self.contexts(np.random.default_rng(7))
-        out = pointnet_model.rollout(ctx, cats, horizon=5, num_scenarios=3, seed=1)
+        out = pointnet.rollout(ctx, cats, horizon=5, num_scenarios=3, seed=1)
         assert len(out) == 6
         for i, s in enumerate(out):
             assert (s.context_index, s.scenario_index) == divmod(i, 3)
@@ -223,28 +254,28 @@ class TestRollout:
                 s.context, ctx[s.context_index].transpose(1, 0, 2)
             )
 
-    def test_deterministic_per_seed(self, pointnet_model):
+    def test_deterministic_per_seed(self, pointnet):
         ctx, cats = self.contexts(np.random.default_rng(8))
-        a = pointnet_model.rollout(ctx, cats, horizon=4, num_scenarios=2, seed=5)
-        b = pointnet_model.rollout(ctx, cats, horizon=4, num_scenarios=2, seed=5)
-        c = pointnet_model.rollout(ctx, cats, horizon=4, num_scenarios=2, seed=6)
+        a = pointnet.rollout(ctx, cats, horizon=4, num_scenarios=2, seed=5)
+        b = pointnet.rollout(ctx, cats, horizon=4, num_scenarios=2, seed=5)
+        c = pointnet.rollout(ctx, cats, horizon=4, num_scenarios=2, seed=6)
         for x, y in zip(a, b):
             assert np.array_equal(x.positions, y.positions)
             assert np.array_equal(x.components, y.components)
         assert any(not np.array_equal(x.positions, z.positions) for x, z in zip(a, c))
 
-    def test_scenario_streams_independent_of_count(self, pointnet_model):
+    def test_scenario_streams_independent_of_count(self, pointnet):
         # scenario s draws from substream (context, s): asking for more
         # scenarios must not change the ones already drawn
         ctx, cats = self.contexts(np.random.default_rng(9))
-        one = pointnet_model.rollout(ctx, cats, horizon=4, num_scenarios=1, seed=3)
-        four = pointnet_model.rollout(ctx, cats, horizon=4, num_scenarios=4, seed=3)
+        one = pointnet.rollout(ctx, cats, horizon=4, num_scenarios=1, seed=3)
+        four = pointnet.rollout(ctx, cats, horizon=4, num_scenarios=4, seed=3)
         for c in range(2):
             assert np.array_equal(one[c].positions, four[4 * c].positions)
 
-    def test_recursive_position_consistency(self, pointnet_model):
+    def test_recursive_position_consistency(self, pointnet):
         ctx, cats = self.contexts(np.random.default_rng(10))
-        (s,) = pointnet_model.rollout(ctx[:1], cats, horizon=6, seed=2)
+        (s,) = pointnet.rollout(ctx[:1], cats, horizon=6, seed=2)
         assert np.array_equal(s.positions[0], ctx[0, :, -1] + s.displacements[0])
         for u in range(1, 6):
             assert np.array_equal(
@@ -252,8 +283,8 @@ class TestRollout:
             )
 
     @pytest.mark.parametrize("kind", ["pointnet", "ssm"])
-    def test_incremental_matches_recompute(self, kind, pointnet_model, ssm_model):
-        model = pointnet_model if kind == "pointnet" else ssm_model
+    def test_incremental_matches_recompute(self, kind, rollout_models):
+        model = rollout_models[kind]
         ctx, cats = self.contexts(np.random.default_rng(11))
         fast = model.rollout(ctx, cats, horizon=5, num_scenarios=2, seed=4,
                              incremental=True)
@@ -263,31 +294,42 @@ class TestRollout:
             assert np.array_equal(a.components, b.components)
             assert np.abs(a.positions - b.positions).max() <= 1e-5
 
-    def test_mean_mode_deterministic_argmax(self, pointnet_model):
+    @pytest.mark.parametrize("kind", ["pointnet", "ssm"])
+    def test_encoder_latent_moves_the_means(self, kind, rollout_models):
+        # a wrong encoder state fails the test above only if swapping the
+        # latent moves a step's means well beyond its 1e-5 tolerance
+        model = rollout_models[kind]
+        ctx, cats = self.contexts(np.random.default_rng(11))
+        lat = model._last_latent(ctx).reshape(2, 3, -1)
+        cur, vel = ctx[:1, :, -1], model._velocities(ctx)[:1, :, -1]
+        means = [model._step_params(lat[c], cur, vel, cats[None])[1] for c in (0, 1)]
+        assert np.abs(means[0] - means[1]).max() > 1e-4
+
+    def test_mean_mode_deterministic_argmax(self, pointnet):
         ctx, cats = self.contexts(np.random.default_rng(12))
-        a = pointnet_model.rollout(ctx, cats, horizon=4, seed=0, mode="mean")
-        b = pointnet_model.rollout(ctx, cats, horizon=4, seed=99, mode="mean")
+        a = pointnet.rollout(ctx, cats, horizon=4, seed=0, mode="mean")
+        b = pointnet.rollout(ctx, cats, horizon=4, seed=99, mode="mean")
         for x, y in zip(a, b):
             assert np.array_equal(x.positions, y.positions)
 
-    def test_shared_component_per_step(self, pointnet_model):
+    def test_shared_component_per_step(self, pointnet):
         ctx, cats = self.contexts(np.random.default_rng(13))
-        (s,) = pointnet_model.rollout(ctx[:1], cats, horizon=8, seed=7)
+        (s,) = pointnet.rollout(ctx[:1], cats, horizon=8, seed=7)
         assert s.components.dtype == np.int64
         assert s.components.min() >= 0
-        assert s.components.max() < pointnet_model.config.num_components
+        assert s.components.max() < pointnet.config.num_components
 
-    def test_rejects_bad_mode_and_shape(self, pointnet_model):
+    def test_rejects_bad_mode_and_shape(self, pointnet):
         ctx, cats = self.contexts(np.random.default_rng(14))
         with pytest.raises(ConfigError):
-            pointnet_model.rollout(ctx, cats, mode="map")
+            pointnet.rollout(ctx, cats, mode="map")
         with pytest.raises(ShapeError):
-            pointnet_model.rollout(ctx[:, :, :1], cats)
+            pointnet.rollout(ctx[:, :, :1], cats)
         with pytest.raises(ShapeError):
-            pointnet_model.rollout(ctx[:0], cats)
+            pointnet.rollout(ctx[:0], cats)
         for bad in (dict(num_scenarios=0), dict(num_scenarios=-1), dict(horizon=0)):
             with pytest.raises(ConfigError):
-                pointnet_model.rollout(ctx, cats, **bad)
+                pointnet.rollout(ctx, cats, **bad)
 
 
 def reference_rollout(model, contexts, categories, horizon, num_scenarios, seed, mode,
@@ -359,10 +401,7 @@ def reference_rollout(model, contexts, categories, horizon, num_scenarios, seed,
 def test_rollout_matches_per_scene_reference(kind, incremental, mode):
     # the prefix and step 0 run once per context and are repeated per scenario;
     # every output byte must equal the loop that ran them per scene row
-    model = TrajectoryModel(tiny_config(temporal=kind))
-    for p in model.parameters():
-        if p.ndim == 2:   # at init the means are ~1e-4: a wrong latent would change no byte
-            p.data = p.data * 5.0
+    model = state_dependent(TrajectoryModel(tiny_config(temporal=kind)))
     rng = np.random.default_rng(23)
     ctx, cats = scenes(rng, B=3, N=3, Tlen=4)
     per_context = rng.integers(0, 3, size=(3, 3))

@@ -208,6 +208,23 @@ class TestTrainLoop:
             with pytest.raises(ConfigError, match=match):
                 load_training_checkpoint(p)
 
+    def test_bad_optimizer_state_rejected(self, run, tmp_path):
+        # a wrong-shape second moment used to load and then fail the first step
+        _, model, cfg, _, opt, _ = run
+        p = tmp_path / "bad_opt.ckpt"
+        extra = {"next_epoch": 1, "adam_t": opt.t, "train": dataclasses.asdict(cfg)}
+        name = next(iter(opt.v))
+        for key in (f"opt/m/{name}", f"opt/v/{name}"):
+            arrays = {**opt.state_arrays(), key: np.zeros(1, dtype=np.float32)}
+            save_checkpoint(p, model, extra=extra, extra_arrays=arrays)
+            with pytest.raises(ConfigError, match=key):
+                load_training_checkpoint(p)
+        for t in ("3", 1.5, -1, True, None):
+            save_checkpoint(p, model, extra={**extra, "adam_t": t},
+                            extra_arrays=opt.state_arrays())
+            with pytest.raises(ConfigError, match="step count"):
+                load_training_checkpoint(p)
+
     def test_plain_checkpoint_cannot_resume(self, tmp_path):
         model = tiny_model()
         p = tmp_path / "plain.ckpt"
