@@ -28,6 +28,7 @@ CATEGORY_NAMES = ("ball", "team_a", "team_b")
 COURT_X = 94.0
 COURT_Y = 50.0
 DEFAULT_FRAME_RATE = 5.0
+TURN_FRAMES = 3  # frames over which synth_forking_play's group turn ramps in
 
 
 @dataclass
@@ -179,14 +180,12 @@ def synth_forking_play(
     players: int = 4,
     seed: int = 0,
     turn_deg: float = 35.0,
-    turn_frames: int = 3,
-    frame_rate: float = DEFAULT_FRAME_RATE,
 ) -> ForkingSet:
     """Scripted possessions whose future forks into two shared modes.
 
     Every player starts in a box on the left of the court and runs toward +x
     at an individual speed; at the fork frame (frames // 2) the whole group
-    turns by the same +/- ``turn_deg`` degrees, ramped over ``turn_frames``
+    turns by the same +/- ``turn_deg`` degrees, ramped over ``TURN_FRAMES``
     frames, with the sign drawn 50/50 per scenario. Velocity noise is a
     smooth first-order autoregression, so contexts look natural but contain
     no hint of the branch. The ball rides its carrier and is passed once,
@@ -222,7 +221,7 @@ def synth_forking_play(
         speed = rng.uniform(0.8, 1.2, players)
         heading = np.zeros((frames, players))
         for t in range(fork, frames):
-            ramp = min(1.0, (t - fork + 1) / turn_frames)
+            ramp = min(1.0, (t - fork + 1) / TURN_FRAMES)
             heading[t] = sign * theta_turn * ramp
         noise = np.zeros((frames, players, 2))
         for t in range(1, frames):
@@ -253,7 +252,7 @@ def synth_forking_play(
 
     np.clip(pos[..., 0], 0.0, COURT_X, out=pos[..., 0])
     np.clip(pos[..., 1], 0.0, COURT_Y, out=pos[..., 1])
-    ts = TrajectorySet(pos.astype(np.float32), cats, frame_rate)
+    ts = TrajectorySet(pos.astype(np.float32), cats, DEFAULT_FRAME_RATE)
     return ForkingSet(ts, branch, fork, turn_deg)
 
 

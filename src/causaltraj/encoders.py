@@ -16,9 +16,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ShapeError
 from .nn import MLP, Dense, Module, RMSNorm
-from .tensor import Tensor
-
-POOL_PAD = -1e30
+from .tensor import POOL_PAD, Tensor
 
 
 class PointNetEncoder(Module):
@@ -42,9 +40,9 @@ class PointNetEncoder(Module):
             raise ShapeError(f"PointNetEncoder expects [L, T, in_dim], got {x.shape}")
         Tlen = x.shape[1]
         f1 = self.stage1(x)
-        p1 = T.max_pool_window(f1, window=Tlen, pad_value=POOL_PAD)
+        p1 = T.max_pool_window(f1, window=Tlen)
         f2 = self.stage2(T.concat([f1, p1], axis=-1))
-        p2 = T.max_pool_window(f2, window=Tlen, pad_value=POOL_PAD)
+        p2 = T.max_pool_window(f2, window=Tlen)
         return self.stage3(p2)
 
     # incremental interface -------------------------------------------------

@@ -104,13 +104,11 @@ def mixture_entropy(logits) -> Tensor:
     return ent * (1.0 / math.log(M))
 
 
-def sequence_loss(
-    logits, means, chol_params, targets, entropy_weight: float = ENTROPY_WEIGHT
-) -> tuple[Tensor, dict]:
-    """Training objective: mean step NLL minus weighted mean normalized entropy."""
+def sequence_loss(logits, means, chol_params, targets) -> tuple[Tensor, dict]:
+    """Training objective: mean step NLL minus ENTROPY_WEIGHT * mean normalized entropy."""
     nll = step_nll(logits, means, chol_params, targets).mean()
     ent = mixture_entropy(logits).mean()
-    loss = nll - entropy_weight * ent
+    loss = nll - ENTROPY_WEIGHT * ent
     return loss, {"nll": float(nll.data), "entropy": float(ent.data)}
 
 

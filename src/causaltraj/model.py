@@ -291,10 +291,9 @@ class TrajectoryModel(Module):
         targets = np.ascontiguousarray(targets.transpose(0, 2, 1, 3))
         return (*self._head_params(lat, pos_tn, vel_tn, cat), Tensor(targets))
 
-    def loss(self, positions, categories, entropy_weight: float = mdn.ENTROPY_WEIGHT):
+    def loss(self, positions, categories):
         """Teacher-forced objective over the future frames; (Tensor, stats)."""
-        return mdn.sequence_loss(*self.forward(positions, categories),
-                                 entropy_weight=entropy_weight)
+        return mdn.sequence_loss(*self.forward(positions, categories))
 
     def per_step_nll(self, positions, categories) -> np.ndarray:
         """Per-future-frame NLL terms, shape [B, F]; no graph is kept."""
@@ -348,7 +347,9 @@ class TrajectoryModel(Module):
         The scenarios of a context share its prefix and its first step, so the
         encoder runs over the prefix and the head over step 0 once per context;
         the encoder state and step 0's mixture parameters are then repeated
-        per scenario. Raises ``DataError`` at the first step that yields a
+        per scenario. In ``mode="mean"`` the scenarios of a context are equal,
+        so the whole rollout runs once per context and its outputs are
+        repeated. Raises ``DataError`` at the first step that yields a
         non-finite position, naming the context, scenario and step.
         """
         cfg = self.config
@@ -369,31 +370,32 @@ class TrajectoryModel(Module):
         if P < 2:
             raise ShapeError("rollout needs at least 2 context frames")
         k = int(num_scenarios)
-        B = C * k
+        runs = k if mode == "sample" else 1                               # rows per context
+        B = C * runs
         ctx_cat = self._categories(categories, C)
-        cat = np.repeat(ctx_cat, k, axis=0)                               # [B, N]
+        cat = np.repeat(ctx_cat, runs, axis=0)                            # [B, N]
 
         rngs = [
             np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b // k, b % k)))
             for b in range(B)
-        ]
+        ] if mode == "sample" else []
 
-        # prefix and step 0 once per context [C, ...], then per scenario [B, ...]
+        # prefix and step 0 once per context [C, ...], then per row [B, ...]
         vel = self._velocities(ctx)
         if incremental:
             state = self.temporal.init_state(C * N)
             for t in range(P):
                 f_t = np.concatenate([ctx[:, :, t], vel[:, :, t]], axis=-1)
                 lat_t = self.temporal.step(f_t.reshape(C * N, 4).astype(np.float32), state)
-            state = _repeat_per_context(state, C, k)
+            state = _repeat_per_context(state, C, runs)
         else:
             lat_t = self._last_latent(ctx)
-            hist = [np.repeat(ctx[:, :, t], k, axis=0) for t in range(P)]
-        lg, mn, ch = (np.repeat(a, k, axis=0) for a in
+            hist = [np.repeat(ctx[:, :, t], runs, axis=0) for t in range(P)]
+        lg, mn, ch = (np.repeat(a, runs, axis=0) for a in
                       self._step_params(lat_t, ctx[:, :, P - 1], vel[:, :, P - 1], ctx_cat))
 
-        cur = np.repeat(ctx[:, :, P - 1], k, axis=0)                      # [B, N, 2]
-        vel_cur = np.repeat(vel[:, :, P - 1], k, axis=0)
+        cur = np.repeat(ctx[:, :, P - 1], runs, axis=0)                   # [B, N, 2]
+        vel_cur = np.repeat(vel[:, :, P - 1], runs, axis=0)
         out_pos = np.empty((B, horizon, N, 2), dtype=np.float32)
         out_disp = np.empty((B, horizon, N, 2), dtype=np.float32)
         out_comp = np.empty((B, horizon), dtype=np.int64)
@@ -421,7 +423,7 @@ class TrajectoryModel(Module):
             new_cur = cur + dx
             finite = np.isfinite(new_cur).all(axis=(1, 2))
             if not finite.all():
-                ci, si = divmod(int(np.argmin(finite)), k)
+                ci, si = divmod(int(np.argmin(finite)), runs)
                 raise DataError(
                     f"rollout produced non-finite positions at context {ci}, "
                     f"scenario {si}, step {u}"
@@ -434,8 +436,11 @@ class TrajectoryModel(Module):
             if not incremental:
                 hist.append(new_cur)
 
+        if runs != k:
+            cat, out_pos, out_disp, out_comp = (np.repeat(a, k, axis=0) for a in
+                                                (cat, out_pos, out_disp, out_comp))
         samples = []
-        for b in range(B):
+        for b in range(C * k):
             ci, si = divmod(b, k)
             samples.append(
                 ScenarioSample(

@@ -9,13 +9,16 @@ from .errors import ConfigError
 from .tensor import Tensor
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) samples with values beyond two deviations redrawn."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
+INIT_STD = 0.02
+
+
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, INIT_STD) samples with values beyond two deviations redrawn."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(out) > 2.0 * INIT_STD
     while np.any(bad):
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * INIT_STD
     return out.astype(np.float32)
 
 
@@ -120,22 +123,20 @@ class MLP(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
         self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, eps=self.eps)
+        return T.layer_norm(x, self.gain, self.bias)
 
 
 class RMSNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x) -> Tensor:
-        return T.rms_norm(x, self.gain, eps=self.eps)
+        return T.rms_norm(x, self.gain)
 
 
 class EmbeddingTable(Module):

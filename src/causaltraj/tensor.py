@@ -23,6 +23,8 @@ from scipy import special as _sp
 from .errors import GradCheckError, ShapeError
 
 DEFAULT_DTYPE = np.float32
+NORM_EPS = 1e-5     # added to the variance (mean square) in layer_norm and rms_norm
+POOL_PAD = -1e30    # max_pool_window's value for positions before the sequence start
 
 _grad_enabled = True
 
@@ -633,7 +635,7 @@ def softmax_lastdim(a) -> Tensor:
     return Tensor._result(out, (a,), backward)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Per-vector standardization over the last dimension, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
@@ -642,7 +644,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
@@ -659,13 +661,13 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return Tensor._result(out, (x, gain, bias), backward)
 
 
-def rms_norm(x, gain, eps: float = 1e-5) -> Tensor:
+def rms_norm(x, gain) -> Tensor:
     x, gain = as_tensor(x), as_tensor(gain)
     d = x.shape[-1]
     if gain.shape != (d,):
         raise ShapeError(f"rms_norm: gain shape {gain.shape} != ({d},)")
     ms = (x.data * x.data).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(ms + eps)
+    inv = 1.0 / np.sqrt(ms + NORM_EPS)
     xhat = x.data * inv
     out = xhat * gain.data
 
@@ -682,11 +684,11 @@ def rms_norm(x, gain, eps: float = 1e-5) -> Tensor:
 # -- causal sequence ops -------------------------------------------------------------------
 
 
-def max_pool_window(x, window: int, pad_value: float = -1e30) -> Tensor:
+def max_pool_window(x, window: int) -> Tensor:
     """Causal sliding-window channelwise max over the second-to-last axis.
 
     ``out[..., t, :]`` is the max of ``x[..., max(0, t-window+1) : t+1, :]``
-    with positions before 0 treated as ``pad_value``. The gradient routes to
+    with positions before 0 treated as ``POOL_PAD``. The gradient routes to
     the lowest-index argmax; if the pad value wins, no gradient flows.
     """
     x = as_tensor(x)
@@ -710,8 +712,8 @@ def max_pool_window(x, window: int, pad_value: float = -1e30) -> Tensor:
         # pad positions exist for t < window-1; let the pad value win ties
         tgrid = np.arange(T).reshape((1,) * (xd.ndim - 2) + (T, 1))
         padded = tgrid < (window - 1)
-        pad_wins = padded & (out <= pad_value)
-        out = np.where(pad_wins, pad_value, out)
+        pad_wins = padded & (out <= POOL_PAD)
+        out = np.where(pad_wins, POOL_PAD, out)
         idx = np.where(pad_wins, -1, idx)
 
     def backward(g):

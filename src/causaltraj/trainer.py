@@ -1,12 +1,23 @@
 """Optimizer, schedule, and the teacher-forced training loop.
 
-Decoupled weight decay, global-norm gradient clipping, and a one-cycle
-learning-rate schedule with cosine ramps on both sides. Updates are skipped
-outright when any gradient is non-finite, leaving parameters, moments, and
-the bias-correction counter untouched.
+Training follows one fixed recipe; only ``epochs``, ``batch_size``, ``lr_max``
+and ``seed`` are settable. The rest are the module constants below:
+
+* AdamW with betas 0.9 / 0.999, eps 1e-8 and decoupled weight decay 0.01;
+* global-norm gradient clipping at 1.0;
+* a one-cycle learning-rate schedule with cosine ramps on both sides: 30% of
+  the steps warm up from lr_max / 25, the rest anneal to lr_max / 1e4;
+* an entropy bonus of weight 0.05 on the mixture weights
+  (``mdn.ENTROPY_WEIGHT``).
+
+Updates are skipped outright when any gradient is non-finite, leaving
+parameters, moments, and the bias-correction counter untouched.
 
 Epoch shuffles are derived from (seed, epoch), so resuming from a checkpoint
 reproduces the exact remaining batch sequence without serialized RNG state.
+A training checkpoint stores its ``TrainConfig``; one whose ``train`` entry
+still names a setting of the recipe (``weight_decay``, ``clip_norm``, ...)
+cannot be resumed and raises ``ConfigError``, but its model still loads.
 """
 
 from __future__ import annotations
@@ -20,9 +31,17 @@ import numpy as np
 from . import model as model_mod
 from .data import TrajectorySet, epoch_batches
 from .errors import ConfigError
-from .mdn import ENTROPY_WEIGHT
 from .model import TrajectoryModel
 from .tensor import Tensor
+
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+CLIP_NORM = 1.0
+WARMUP_FRAC = 0.3
+START_DIV = 25.0
+FINAL_DIV = 1e4
 
 
 @dataclass
@@ -30,44 +49,37 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     lr_max: float = 0.02
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 1.0
-    warmup_frac: float = 0.3
-    start_div: float = 25.0
-    final_div: float = 1e4
-    entropy_weight: float = ENTROPY_WEIGHT
     seed: int = 0
 
     def __post_init__(self):
         model_mod.check_config_fields(self)
-        if not 0.0 < self.warmup_frac < 1.0:
-            raise ConfigError("warmup_frac must be in (0, 1)")
 
 
 def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
-    """Cosine ramp up to lr_max, then cosine anneal down to lr_max/final_div."""
+    """Cosine ramp up to lr_max, then cosine anneal down to lr_max/FINAL_DIV."""
     if total_steps <= 1:
         return cfg.lr_max
-    warm = cfg.warmup_frac * (total_steps - 1)
-    lo = cfg.lr_max / cfg.start_div
-    end = cfg.lr_max / cfg.final_div
+    warm = WARMUP_FRAC * (total_steps - 1)
+    lo = cfg.lr_max / START_DIV
+    end = cfg.lr_max / FINAL_DIV
     s = min(max(step, 0), total_steps - 1)
     if s <= warm:
-        t = s / warm if warm > 0 else 1.0
+        t = s / warm
         return lo + (cfg.lr_max - lo) * 0.5 * (1.0 - math.cos(math.pi * t))
     t = (s - warm) / (total_steps - 1 - warm)
     return end + (cfg.lr_max - end) * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
 class AdamW:
-    """Moment state keyed by parameter name; applies updates in place."""
+    """Moment state keyed by parameter name; applies updates in place.
+
+    Every optimizer setting is a module constant, so ``cfg`` does not affect
+    the updates; it stays in the signature because callers pass the run's
+    ``TrainConfig``.
+    """
 
     def __init__(self, named_params: list[tuple[str, Tensor]], cfg: TrainConfig):
         self.named = named_params
-        self.cfg = cfg
         self.m = {name: np.zeros_like(p.data) for name, p in named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in named_params}
         self.t = 0
@@ -75,7 +87,6 @@ class AdamW:
 
     def step(self, lr: float) -> bool:
         """Clip by global norm and update; returns False on a skipped step."""
-        cfg = self.cfg
         grads = []
         for name, p in self.named:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -87,21 +98,21 @@ class AdamW:
         for g in grads:
             total += float(np.square(g, dtype=np.float64).sum())
         norm = math.sqrt(total)
-        if cfg.clip_norm > 0.0 and norm > cfg.clip_norm:
-            scale = cfg.clip_norm / norm
+        if norm > CLIP_NORM:
+            scale = CLIP_NORM / norm
             grads = [g * np.float32(scale) for g in grads]
         self.t += 1
-        bc1 = 1.0 - cfg.beta1 ** self.t
-        bc2 = 1.0 - cfg.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for (name, p), g in zip(self.named, grads):
             m = self.m[name]
             v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-            p.data = p.data - lr * (update + cfg.weight_decay * p.data)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            p.data = p.data - lr * (update + WEIGHT_DECAY * p.data)
         return True
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -163,7 +174,7 @@ def train(
         for positions, categories in epoch_batches(data, cfg.batch_size, cfg.seed, epoch):
             lr = onecycle_lr(step, total_steps, cfg)
             model.zero_grad()
-            loss, stats = model.loss(positions, categories, entropy_weight=cfg.entropy_weight)
+            loss, stats = model.loss(positions, categories)
             loss.backward()
             optimizer.step(lr)
             rec = {
@@ -207,4 +218,7 @@ def load_training_checkpoint(path) -> tuple[TrajectoryModel, AdamW, TrainConfig,
     cfg = model_mod.config_from_dict(TrainConfig, extra["train"])
     optimizer = AdamW(model.named_parameters(), cfg)
     optimizer.load_state_arrays(arrays, extra.get("adam_t", 0))
-    return model, optimizer, cfg, int(extra.get("next_epoch", 0))
+    next_epoch = extra.get("next_epoch", 0)
+    if not isinstance(next_epoch, int) or isinstance(next_epoch, bool) or next_epoch < 0:
+        raise ConfigError(f"checkpoint next_epoch must be an integer >= 0, got {next_epoch!r}")
+    return model, optimizer, cfg, next_epoch

@@ -90,6 +90,43 @@ def test_resume_rejects_finished_run(paths, capsys):
     assert "nothing to resume" in err
 
 
+@pytest.mark.parametrize("next_epoch", ["x", 1.5, -1, True])
+def test_resume_rejects_bad_next_epoch(paths, workdir, capsys, next_epoch):
+    model, extra, arrays = load_model(paths["ckpt"])
+    bad = str(workdir / "bad_epoch.ckpt")
+    save_checkpoint(bad, model, {**extra, "next_epoch": next_epoch}, arrays)
+    out = workdir / "bad_epoch_resumed.ckpt"
+    code, stdout, err = run_cli(
+        capsys, "train", "--data", paths["data"], "--out", str(out), "--resume", bad,
+    )
+    assert code == 2
+    assert err.startswith("error:") and "next_epoch" in err
+    assert "Traceback" not in err and stdout == ""
+    assert not out.exists()
+
+
+def test_checkpoint_with_removed_train_settings(paths, workdir, capsys):
+    # checkpoints written while the optimizer recipe was configurable store it
+    # in the train entry: they no longer resume, but their model still samples
+    model, extra, arrays = load_model(paths["ckpt"])
+    old = str(workdir / "old_recipe.ckpt")
+    train = {**extra["train"], "weight_decay": 0.01, "clip_norm": 1.0}
+    save_checkpoint(old, model, {**extra, "next_epoch": 1, "train": train}, arrays)
+    out = workdir / "old_recipe_resumed.ckpt"
+    code, stdout, err = run_cli(
+        capsys, "train", "--data", paths["data"], "--out", str(out), "--resume", old,
+    )
+    assert code == 2
+    assert err.startswith("error:") and "clip_norm" in err and "weight_decay" in err
+    assert "Traceback" not in err and stdout == ""
+    assert not out.exists()
+    code, _, _ = run_cli(
+        capsys, "sample", "--model", old, "--data", paths["data"],
+        "--out", str(workdir / "old_recipe.ctrj"), "--scenarios", "2", "--limit", "2",
+    )
+    assert code == 0
+
+
 def test_sample(paths, capsys):
     code, out, _ = run_cli(
         capsys, "sample", "--model", paths["ckpt"], "--data", paths["data"],

@@ -312,6 +312,22 @@ class TestRollout:
         for x, y in zip(a, b):
             assert np.array_equal(x.positions, y.positions)
 
+    @pytest.mark.parametrize("kind", ["pointnet", "ssm"])
+    def test_mean_mode_runs_each_context_once(self, kind, rollout_models, monkeypatch):
+        # the k scenarios of a context are equal in mean mode: every encoder
+        # step sees one row per context and agent, C * N, never C * k * N
+        model = rollout_models[kind]
+        ctx, cats = self.contexts(np.random.default_rng(12))
+        rows = []
+        step = model.temporal.step
+        monkeypatch.setattr(model.temporal, "step",
+                            lambda x_t, state: rows.append(len(x_t)) or step(x_t, state))
+        out = model.rollout(ctx, cats, horizon=4, num_scenarios=3, mode="mean")
+        assert rows == [2 * 3] * (4 + 3)        # P = 4 prefix frames, then 3 steps
+        for i, s in enumerate(out):
+            assert (s.context_index, s.scenario_index) == divmod(i, 3)
+            assert np.array_equal(s.positions, out[3 * s.context_index].positions)
+
     def test_shared_component_per_step(self, pointnet):
         ctx, cats = self.contexts(np.random.default_rng(13))
         (s,) = pointnet.rollout(ctx[:1], cats, horizon=8, seed=7)
@@ -466,7 +482,7 @@ class TestConfig:
         (TrainConfig, {"batch_size": True}),
         (TrainConfig, {"seed": -1}),
         (TrainConfig, {"lr_max": "0.1"}),
-        (TrainConfig, {"weight_decay": float("nan")}),
+        (TrainConfig, {"lr_max": float("nan")}),
         (ModelConfig, {"num_components": "x"}),
         (ModelConfig, {"relation_dim": 32.0}),
         (ModelConfig, {"attn_heads": 0}),

@@ -5,6 +5,7 @@ import pytest
 
 from causaltraj.errors import ConfigError
 from causaltraj.nn import (
+    INIT_STD,
     MLP,
     Dense,
     EmbeddingTable,
@@ -76,11 +77,11 @@ class TestModule:
 class TestInit:
     def test_trunc_normal_bounds_and_dtype(self):
         rng = np.random.default_rng(1)
-        w = trunc_normal(rng, (200, 200), std=0.02)
+        w = trunc_normal(rng, (200, 200))
         assert w.dtype == np.float32
-        assert np.abs(w).max() <= 0.04 + 1e-9
+        assert np.abs(w).max() <= 2 * INIT_STD + 1e-9
         # truncation at two deviations shrinks the std to ~0.88 sigma
-        assert abs(w.std() - 0.0176) < 0.002
+        assert abs(w.std() - 0.88 * INIT_STD) < 0.1 * INIT_STD
 
     def test_dense_bias_zero(self):
         d = Dense(np.random.default_rng(0), 4, 4)

@@ -11,6 +11,12 @@ from causaltraj.model import ModelConfig, TrajectoryModel, save_checkpoint
 from causaltraj.data import synth_forking_play
 from causaltraj.tensor import Tensor
 from causaltraj.trainer import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
+    CLIP_NORM,
+    WARMUP_FRAC,
+    WEIGHT_DECAY,
     AdamW,
     TrainConfig,
     load_training_checkpoint,
@@ -40,7 +46,7 @@ class TestSchedule:
     def test_endpoints_and_peak(self):
         cfg = TrainConfig(lr_max=0.02)
         total = 11
-        warm = int(cfg.warmup_frac * (total - 1))
+        warm = int(WARMUP_FRAC * (total - 1))
         assert onecycle_lr(0, total, cfg) == pytest.approx(0.02 / 25, rel=1e-12)
         assert onecycle_lr(warm, total, cfg) == pytest.approx(0.02, rel=1e-12)
         assert onecycle_lr(total - 1, total, cfg) == pytest.approx(0.02 / 1e4, rel=1e-12)
@@ -63,19 +69,20 @@ class TestSchedule:
 
 
 class TestAdamW:
-    def one_param(self, value, grad, **cfg_over):
+    def one_param(self, value, grad):
         p = Tensor(np.array(value, dtype=np.float32), requires_grad=True)
         p.grad = np.array(grad, dtype=np.float32)
-        cfg = TrainConfig(**{"weight_decay": 0.0, "clip_norm": 0.0, **cfg_over})
-        return p, AdamW([("p", p)], cfg), cfg
+        return p, AdamW([("p", p)], TrainConfig())
 
     def test_first_step_matches_hand_formula(self):
-        p, opt, cfg = self.one_param([1.0, -2.0], [0.3, -0.1])
+        # |g| < CLIP_NORM: no clip, only the decoupled decay joins the Adam step
+        p, opt = self.one_param([1.0, -2.0], [0.3, -0.1])
+        x = np.array([1.0, -2.0])
         g = np.array([0.3, -0.1])
         assert opt.step(0.01)
-        m_hat = (1 - cfg.beta1) * g / (1 - cfg.beta1)
-        v_hat = (1 - cfg.beta2) * g * g / (1 - cfg.beta2)
-        want = np.array([1.0, -2.0]) - 0.01 * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        m_hat = (1 - BETA1) * g / (1 - BETA1)
+        v_hat = (1 - BETA2) * g * g / (1 - BETA2)
+        want = x - 0.01 * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + WEIGHT_DECAY * x)
         np.testing.assert_allclose(p.data, want, rtol=1e-6)
         assert opt.t == 1
 
@@ -83,29 +90,39 @@ class TestAdamW:
         rng = np.random.default_rng(0)
         val = rng.normal(size=5).astype(np.float32)
         grads = [rng.normal(size=5).astype(np.float32) for _ in range(3)]
-        p, opt, cfg = self.one_param(val, grads[0], weight_decay=0.04)
+        p, opt = self.one_param(val, grads[0])
         m = np.zeros(5)
         v = np.zeros(5)
         x = val.astype(np.float64)
+        clipped = 0
         for t, g32 in enumerate(grads, start=1):
             g = g32.astype(np.float64)
-            m = cfg.beta1 * m + (1 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-            mh = m / (1 - cfg.beta1 ** t)
-            vh = v / (1 - cfg.beta2 ** t)
-            x = x - 0.02 * (mh / (np.sqrt(vh) + cfg.eps) + 0.04 * x)
+            norm = np.sqrt((g * g).sum())
+            if norm > CLIP_NORM:
+                g = g * (CLIP_NORM / norm)
+                clipped += 1
+            m = BETA1 * m + (1 - BETA1) * g
+            v = BETA2 * v + (1 - BETA2) * g * g
+            mh = m / (1 - BETA1 ** t)
+            vh = v / (1 - BETA2 ** t)
+            x = x - 0.02 * (mh / (np.sqrt(vh) + ADAM_EPS) + WEIGHT_DECAY * x)
             p.grad = g32
             opt.step(0.02)
+        assert clipped == 3                     # every step exercises the clip
         np.testing.assert_allclose(p.data, x, rtol=1e-5)
+        np.testing.assert_allclose(opt.m["p"], m, rtol=1e-5)
+        np.testing.assert_allclose(opt.v["p"], v, rtol=1e-5)
 
     def test_global_norm_clip(self):
-        p, opt, cfg = self.one_param([0.0], [30.0], clip_norm=1.0)
+        p, opt = self.one_param([0.0], [30.0 * CLIP_NORM])
         opt.step(0.1)
-        # clipped gradient is 1.0; first-step update is then ~sign(g)
+        # the first moment sees the clipped gradient CLIP_NORM
+        assert opt.m["p"][0] == pytest.approx((1 - BETA1) * CLIP_NORM, rel=1e-6)
+        # first-step update is ~sign(g); decay of a zero parameter adds nothing
         assert p.data[0] == pytest.approx(-0.1, rel=1e-4)
 
     def test_skip_on_non_finite(self):
-        p, opt, _ = self.one_param([1.0], [np.nan])
+        p, opt = self.one_param([1.0], [np.nan])
         before = p.data.copy()
         assert not opt.step(0.1)
         assert opt.skipped == 1
@@ -115,15 +132,15 @@ class TestAdamW:
 
     def test_decoupled_decay_without_gradient(self):
         p = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
-        opt = AdamW([("p", p)], TrainConfig(weight_decay=0.5, clip_norm=0.0))
+        opt = AdamW([("p", p)], TrainConfig())
         opt.step(0.1)
-        assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
+        assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * WEIGHT_DECAY))
 
     def test_state_round_trip_requires_all_moments(self):
-        p, opt, _ = self.one_param([1.0], [0.5])
+        p, opt = self.one_param([1.0], [0.5])
         opt.step(0.1)
         arrays = {k: v.copy() for k, v in opt.state_arrays().items()}
-        p2, opt2, _ = self.one_param([1.0], [0.5])
+        p2, opt2 = self.one_param([1.0], [0.5])
         opt2.load_state_arrays(arrays, t=1)
         np.testing.assert_array_equal(opt2.m["p"], opt.m["p"])
         assert opt2.t == 1
@@ -135,8 +152,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(warmup_frac=1.0)
 
 
 @pytest.fixture(scope="module")
