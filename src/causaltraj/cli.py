@@ -167,9 +167,8 @@ def cmd_sample(args) -> int:
         seed=args.seed,
         mode=args.mode,
     )
-    full = np.stack(
-        [np.concatenate([s.context, s.positions], axis=0) for s in samples], axis=0
-    )
+    prefixes = np.repeat(ts.positions[:count, :P], args.scenarios, axis=0)
+    full = np.concatenate([prefixes, np.stack([s.positions for s in samples])], axis=1)
     out_ts = data_mod.TrajectorySet(full, ts.categories, ts.frame_rate)
     data_mod.write_trajectories(args.out, out_ts)
     data_mod.write_sidecar(
@@ -197,12 +196,18 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _check_context_frames(P, error, source: str) -> None:
+    """Refuse a context length below 1 from the --context flag or a sidecar."""
+    if P is not None and P < 1:
+        raise error(f"{source} must be >= 1, got {P}")
+
+
 def _prediction_groups(pred_path: str, pred_count: int, truth_count: int):
     """Read a prediction set's sidecar and group its rows by context.
 
     Returns (context_frames or None, scenarios per context, contexts). Without
     a ``scenarios_per_context`` entry the rows must group evenly over the
-    truths; either way the groups must cover at most ``truth_count`` contexts.
+    truths; either way they must cover 1 to ``truth_count`` contexts.
     """
     meta_path = pred_path + ".meta"
     meta = data_mod.read_sidecar(meta_path) if os.path.exists(meta_path) else {}
@@ -211,8 +216,9 @@ def _prediction_groups(pred_path: str, pred_count: int, truth_count: int):
         k = int(meta["scenarios_per_context"]) if "scenarios_per_context" in meta else None
     except ValueError as e:
         raise DataError(f"{meta_path}: {e}") from e
+    _check_context_frames(P, DataError, f"{meta_path}: context_frames")
     if k is None:
-        if pred_count % truth_count != 0:
+        if truth_count < 1 or pred_count % truth_count != 0:
             raise DataError(
                 f"{pred_count} predictions do not group evenly over {truth_count} truths"
             )
@@ -220,12 +226,15 @@ def _prediction_groups(pred_path: str, pred_count: int, truth_count: int):
     if k < 1 or pred_count % k != 0:
         raise DataError(f"{pred_count} predictions do not split into groups of {k}")
     contexts = pred_count // k
+    if contexts < 1:
+        raise DataError(f"{pred_path} holds no predictions")
     if contexts > truth_count:
         raise DataError(f"predictions cover {contexts} contexts but truth has {truth_count}")
     return P, k, contexts
 
 
 def cmd_eval(args) -> int:
+    _check_context_frames(args.context, ConfigError, "--context")
     pred = data_mod.read_trajectories(args.pred)
     gt = data_mod.read_trajectories(args.gt)
     meta_P, k, contexts = _prediction_groups(args.pred, pred.count, gt.count)
@@ -247,9 +256,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render(args) -> int:
+    _check_context_frames(args.context, ConfigError, "--context")
     ts = data_mod.read_trajectories(args.data)
     if not 0 <= args.index < ts.count:
         raise DataError(f"index {args.index} out of range for {ts.count} scenarios")
+    if ts.frames < 1:
+        raise DataError(f"{args.data} holds no frames to draw")
     P = args.context if args.context is not None else ts.frames
     seq = ts.positions[args.index]
     context, future = seq[:P], seq[P:] if P < ts.frames else None
@@ -268,7 +280,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_info(args) -> int:
-    raw = open(args.path, "rb").read(8)
+    with open(args.path, "rb") as f:
+        raw = f.read(8)
     if raw.startswith(data_mod.MAGIC):
         _print(data_mod.read_trajectories(args.path).describe())
     elif raw.startswith(model_mod.CHECKPOINT_MAGIC):

@@ -19,92 +19,76 @@ from .errors import ShapeError
 COURT_TO_METERS = 28.0 / 94.0  # 94 ft playing surface mapped onto a 28 m one
 
 
-def _check(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def error_table(pred, gt) -> np.ndarray:
+    """Euclidean errors per (scenario, frame, agent): [k, F, N], or [C, k, F, N] for a batch."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    if pred.ndim != 4 or pred.shape[-1] != 2:
-        raise ShapeError(f"predictions must be [k, F, N, 2], got {pred.shape}")
-    if gt.shape != pred.shape[1:]:
+    if pred.ndim not in (4, 5) or pred.shape[-1] != 2:
+        raise ShapeError(f"predictions must be [(C,) k, F, N, 2], got {pred.shape}")
+    if gt.shape != pred.shape[:-4] + pred.shape[-3:]:
         raise ShapeError(f"ground truth {gt.shape} does not match predictions {pred.shape}")
-    return pred, gt
-
-
-def error_table(pred, gt) -> np.ndarray:
-    """Euclidean errors per (scenario, frame, agent): [k, F, N]."""
-    pred, gt = _check(pred, gt)
-    d = pred - gt[None]
+    d = pred - np.expand_dims(gt, -4)
     return np.sqrt((d * d).sum(axis=-1))
 
 
-def ade_table(pred, gt) -> np.ndarray:
-    """Per-scenario, per-agent displacement error averaged over frames: [k, N]."""
-    return error_table(pred, gt).mean(axis=1)
-
-
-def fde_table(pred, gt) -> np.ndarray:
-    """Per-scenario, per-agent error at the final frame: [k, N]."""
-    return error_table(pred, gt)[:, -1, :]
+def _case_table(pred, gt) -> np.ndarray:
+    """The error table [k, F, N] of one case."""
+    if np.ndim(pred) != 4:
+        raise ShapeError(f"predictions must be [k, F, N, 2], got {np.shape(pred)}")
+    return error_table(pred, gt)
 
 
 def min_ade(pred, gt) -> float:
     """Each agent independently keeps its best scenario; mean over agents."""
-    return float(ade_table(pred, gt).min(axis=0).mean())
+    return float(_case_table(pred, gt).mean(axis=1).min(axis=0).mean())
 
 
 def min_fde(pred, gt) -> float:
-    return float(fde_table(pred, gt).min(axis=0).mean())
+    return float(_case_table(pred, gt)[:, -1].min(axis=0).mean())
 
 
 def min_jade(pred, gt) -> float:
     """One scenario serves the whole scene; best scene-average error."""
-    return float(ade_table(pred, gt).mean(axis=1).min())
+    return float(_case_table(pred, gt).mean(axis=1).mean(axis=1).min())
 
 
 def min_jfde(pred, gt) -> float:
-    return float(fde_table(pred, gt).mean(axis=1).min())
+    return float(_case_table(pred, gt)[:, -1].mean(axis=1).min())
 
 
 def average_jade(pred, gt) -> float:
     """Scene-average error averaged over all scenarios instead of the best."""
-    return float(ade_table(pred, gt).mean())
-
-
-def evaluate(pred, gt, slice_frames: int | None = None, scale: float = 1.0) -> dict:
-    """All metrics at once; optionally truncated to the first ``slice_frames``.
-
-    The final-displacement metrics always refer to the last frame of the
-    (possibly truncated) slice. ``scale`` multiplies every reported value,
-    e.g. ``COURT_TO_METERS`` to convert court units.
-    """
-    pred, gt = _check(pred, gt)
-    if slice_frames is not None:
-        if not 1 <= slice_frames <= pred.shape[1]:
-            raise ShapeError(
-                f"slice_frames {slice_frames} out of range for horizon {pred.shape[1]}"
-            )
-        pred = pred[:, :slice_frames]
-        gt = gt[:slice_frames]
-    return {
-        "k": int(pred.shape[0]),
-        "horizon": int(pred.shape[1]),
-        "min_ade": min_ade(pred, gt) * scale,
-        "min_fde": min_fde(pred, gt) * scale,
-        "min_jade": min_jade(pred, gt) * scale,
-        "min_jfde": min_jfde(pred, gt) * scale,
-        "average_jade": average_jade(pred, gt) * scale,
-    }
+    return float(_case_table(pred, gt).mean(axis=1).mean())
 
 
 def evaluate_batch(preds, gts, slice_frames: int | None = None, scale: float = 1.0) -> dict:
-    """Mean of :func:`evaluate` over cases; preds [C, k, F, N, 2], gts [C, F, N, 2]."""
+    """Each metric's mean over cases; preds [C, k, F, N, 2], gts [C, F, N, 2].
+
+    All metrics come from one error table [C, k, F, N], optionally truncated
+    to the first ``slice_frames`` (the final-displacement metrics then refer
+    to the slice's last frame). ``scale`` multiplies every reported value,
+    e.g. ``COURT_TO_METERS`` to convert court units.
+    """
     preds = np.asarray(preds, dtype=np.float64)
     gts = np.asarray(gts, dtype=np.float64)
     if preds.ndim != 5 or gts.ndim != 4 or preds.shape[0] != gts.shape[0]:
         raise ShapeError(f"batch shapes {preds.shape} / {gts.shape} inconsistent")
-    cases = [evaluate(p, g, slice_frames=slice_frames, scale=scale) for p, g in zip(preds, gts)]
-    out = {"cases": len(cases)}
-    for key in ("min_ade", "min_fde", "min_jade", "min_jfde", "average_jade"):
-        out[key] = float(np.mean([c[key] for c in cases]))
-    out["k"] = cases[0]["k"]
-    out["horizon"] = cases[0]["horizon"]
-    return out
+    if 0 in preds.shape:
+        raise ShapeError(f"nothing to score in predictions {preds.shape}")
+    C, k, F = preds.shape[:3]
+    if slice_frames is not None:
+        if not 1 <= slice_frames <= F:
+            raise ShapeError(f"slice_frames {slice_frames} out of range for horizon {F}")
+        preds = preds[:, :, :slice_frames]
+        gts = gts[:, :slice_frames]
+    err = error_table(preds, gts)
+    ade, fde = err.mean(axis=2), err[:, :, -1]                     # [C, k, N] each
+    per_case = {                                                   # [C] each
+        "min_ade": ade.min(axis=1).mean(axis=1),
+        "min_fde": fde.min(axis=1).mean(axis=1),
+        "min_jade": ade.mean(axis=2).min(axis=1),
+        "min_jfde": fde.mean(axis=2).min(axis=1),
+        "average_jade": ade.reshape(C, -1).mean(axis=1),
+    }
+    out = {key: float(np.mean(v * scale)) for key, v in per_case.items()}
+    return {"cases": C, "k": k, "horizon": err.shape[2], **out}

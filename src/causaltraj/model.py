@@ -151,12 +151,10 @@ class ModelConfig:
 
 @dataclass
 class ScenarioSample:
-    """One sampled future for one context."""
+    """One sampled future for one context; the context itself stays with the caller."""
 
     context_index: int
     scenario_index: int
-    categories: np.ndarray       # [N] uint8
-    context: np.ndarray          # [P, N, 2] float32
     positions: np.ndarray        # [F, N, 2] float32
     displacements: np.ndarray    # [F, N, 2] float32
     components: np.ndarray       # [F] int64
@@ -338,7 +336,8 @@ class TrajectoryModel(Module):
         """Sample futures for each context scene.
 
         contexts [C, N, P, 2]; categories [N] or [C, N]; returns
-        C * num_scenarios samples ordered by context then scenario. Each
+        C * num_scenarios samples ordered by context then scenario; sample
+        ``s`` continues ``contexts[s.context_index]`` without copying it. Each
         scenario consumes its own RNG substream, so results are independent of
         batching and of the other scenarios. One component index is drawn per
         scene per step and shared by all agents. ``mode="mean"`` instead takes
@@ -437,23 +436,18 @@ class TrajectoryModel(Module):
                 hist.append(new_cur)
 
         if runs != k:
-            cat, out_pos, out_disp, out_comp = (np.repeat(a, k, axis=0) for a in
-                                                (cat, out_pos, out_disp, out_comp))
-        samples = []
-        for b in range(C * k):
-            ci, si = divmod(b, k)
-            samples.append(
-                ScenarioSample(
-                    context_index=ci,
-                    scenario_index=si,
-                    categories=cat[b].astype(np.uint8),
-                    context=np.ascontiguousarray(ctx[ci].transpose(1, 0, 2)),
-                    positions=out_pos[b],
-                    displacements=out_disp[b],
-                    components=out_comp[b],
-                )
+            out_pos, out_disp, out_comp = (np.repeat(a, k, axis=0) for a in
+                                           (out_pos, out_disp, out_comp))
+        return [
+            ScenarioSample(
+                context_index=b // k,
+                scenario_index=b % k,
+                positions=out_pos[b],
+                displacements=out_disp[b],
+                components=out_comp[b],
             )
-        return samples
+            for b in range(C * k)
+        ]
 
 
 def _repeat_per_context(state, contexts: int, k: int):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import COURT_X, COURT_Y
+from .data import COURT_X, COURT_Y, atomic_write
 from .errors import ShapeError
 
 AGENT_COLORS = ("#e8962d", "#2d66c8", "#c83a2d")  # ball, team_a, team_b
@@ -78,6 +78,7 @@ def render_scene(
 
 
 def save_scene(path, *args, **kwargs) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    """Write :func:`render_scene`'s SVG to ``path``; a failed write keeps the old file."""
+    with atomic_write(path, "w") as f:
         f.write(render_scene(*args, **kwargs))
         f.write("\n")

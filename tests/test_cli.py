@@ -1,5 +1,7 @@
 """End-to-end command-line flow in a temp directory."""
 
+import contextlib
+import io
 import json
 import os
 import platform
@@ -31,21 +33,54 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
 
 
+def run_cli_captured(*argv):
+    """``run_cli`` for module-scoped fixtures, where capsys is not available."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.entrypoint(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture(scope="module")
-def paths(workdir):
-    return {
+def pipeline(workdir):
+    """Synthesise, train and sample once; returns the paths and each run's result.
+
+    Every test that reads the data, the checkpoint or the predictions depends
+    on this fixture, so any test can run on its own.
+    """
+    paths = {
         "data": str(workdir / "plays.ctrj"),
         "ckpt": str(workdir / "model.ckpt"),
         "pred": str(workdir / "pred.ctrj"),
         "svg": str(workdir / "scene.svg"),
     }
+    runs = {
+        "synth": run_cli_captured(
+            "synth", "--out", paths["data"], "--count", "24",
+            "--frames", "12", "--players", "2", "--seed", "3",
+        ),
+        "train": run_cli_captured(
+            "train", "--data", paths["data"], "--out", paths["ckpt"],
+            "--epochs", "2", "--batch-size", "8", "--lr", "0.002",
+            "--context", "4", "--components", "2", "--seed", "1",
+        ),
+        "sample": run_cli_captured(
+            "sample", "--model", paths["ckpt"], "--data", paths["data"],
+            "--out", paths["pred"], "--scenarios", "3", "--seed", "9",
+            "--limit", "8",
+        ),
+    }
+    return paths, runs
 
 
-def test_synth(paths, capsys):
-    code, out, _ = run_cli(
-        capsys, "synth", "--out", paths["data"], "--count", "24",
-        "--frames", "12", "--players", "2", "--seed", "3",
-    )
+@pytest.fixture(scope="module")
+def paths(pipeline):
+    return pipeline[0]
+
+
+def test_synth(pipeline):
+    paths, runs = pipeline
+    code, out, _ = runs["synth"]
     assert code == 0
     info = json.loads(out)
     assert info["count"] == 24
@@ -68,12 +103,8 @@ def test_synth_rejects_short_frames_and_empty_counts(workdir, capsys, flag, valu
     assert not out.exists() and not (workdir / "rejected_synth.ctrj.meta").exists()
 
 
-def test_train(paths, capsys):
-    code, out, err = run_cli(
-        capsys, "train", "--data", paths["data"], "--out", paths["ckpt"],
-        "--epochs", "2", "--batch-size", "8", "--lr", "0.002",
-        "--context", "4", "--components", "2", "--seed", "1",
-    )
+def test_train(pipeline):
+    code, out, err = pipeline[1]["train"]
     assert code == 0
     info = json.loads(out)
     assert info["steps"] == 6
@@ -127,12 +158,9 @@ def test_checkpoint_with_removed_train_settings(paths, workdir, capsys):
     assert code == 0
 
 
-def test_sample(paths, capsys):
-    code, out, _ = run_cli(
-        capsys, "sample", "--model", paths["ckpt"], "--data", paths["data"],
-        "--out", paths["pred"], "--scenarios", "3", "--seed", "9",
-        "--limit", "8",
-    )
+def test_sample(pipeline):
+    paths, runs = pipeline
+    code, out, _ = runs["sample"]
     assert code == 0
     info = json.loads(out)
     assert info["contexts"] == 8
@@ -164,6 +192,15 @@ def test_eval(paths, capsys):
     assert meters["horizon"] == 4
 
 
+def run_python(*argv):
+    """Run a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 # Two in-process sample passes; prints the minor faults of each and how often
 # the allocator setting ran.
 FAULT_PROBE = """
@@ -187,14 +224,8 @@ def test_repeated_sample_passes_reuse_freed_heap(tmp_path):
     data.write_trajectories(held, data.synth_forking_play(24, frames=12, players=2).trajectories)
     save_checkpoint(ckpt, TrajectoryModel(ModelConfig.small(
         num_agents=3, num_components=2, context_frames=4, future_frames=8)))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", FAULT_PROBE, "sample", "--model", ckpt, "--data", held,
-         "--out", str(tmp_path / "pred.ctrj"), "--scenarios", "20"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python("-c", FAULT_PROBE, "sample", "--model", ckpt, "--data", held,
+                      "--out", str(tmp_path / "pred.ctrj"), "--scenarios", "20")
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["kept"] and report["runs"] == 1
@@ -227,7 +258,8 @@ def test_render(paths, capsys):
         "--index", "1", "--context", "4", "--pred", paths["pred"],
     )
     assert code == 0
-    svg = open(paths["svg"]).read()
+    with open(paths["svg"]) as f:
+        svg = f.read()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
@@ -272,6 +304,74 @@ def test_render_rejects_index_beyond_predicted_contexts(paths, workdir, capsys):
     assert code == 1
     assert "8 predicted contexts" in err
     assert not (workdir / "far.svg").exists()
+
+
+@pytest.mark.parametrize("value", ["-2", "0"])
+def test_eval_and_render_reject_context_flag_below_one(paths, workdir, capsys, value):
+    svg = workdir / "short_context.svg"
+    for argv in (("eval", "--pred", paths["pred"], "--gt", paths["data"]),
+                 ("render", "--data", paths["data"], "--out", str(svg)),
+                 ("render", "--data", paths["data"], "--out", str(svg), "--pred", paths["pred"])):
+        code, out, err = run_cli(capsys, *argv, "--context", value)
+        assert code == 2, argv
+        assert err.startswith("error:") and f"--context must be >= 1, got {value}" in err
+        assert "Traceback" not in err and out == ""
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("value", ["-2", "0"])
+def test_eval_and_render_reject_sidecar_context_below_one(paths, workdir, capsys, value):
+    pred = subset(paths["pred"], str(workdir / "short_context.ctrj"), 24)
+    data.write_sidecar(pred + ".meta", {"context_frames": value, "scenarios_per_context": 3})
+    svg = workdir / "short_context.svg"
+    for argv in (("eval", "--pred", pred, "--gt", paths["data"]),
+                 ("render", "--data", paths["data"], "--out", str(svg), "--pred", pred)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv[0]
+        assert err.startswith("error:") and f"context_frames must be >= 1, got {value}" in err
+        assert "Traceback" not in err and out == ""
+    assert not svg.exists()
+
+
+def test_eval_rejects_an_empty_prediction_set(paths, workdir, capsys):
+    empty = subset(paths["pred"], str(workdir / "empty.ctrj"), 0)
+    data.write_sidecar(empty + ".meta", {"context_frames": 4, "scenarios_per_context": 3})
+    code, out, err = run_cli(capsys, "eval", "--pred", empty, "--gt", paths["data"])
+    assert code == 1
+    assert err.startswith("error:") and "holds no predictions" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_eval_rejects_an_empty_truth_set(paths, workdir, capsys):
+    # no sidecar: the rows are grouped over the truths, of which there are none
+    truth = subset(paths["data"], str(workdir / "no_truths.ctrj"), 0)
+    pred = subset(paths["pred"], str(workdir / "no_sidecar.ctrj"), 24)
+    code, out, err = run_cli(capsys, "eval", "--pred", pred, "--gt", truth, "--context", "4")
+    assert code == 1
+    assert err.startswith("error:") and "over 0 truths" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_render_rejects_a_container_without_frames(paths, workdir, capsys):
+    ts = data.read_trajectories(paths["data"])
+    blank = str(workdir / "no_frames.ctrj")
+    data.write_trajectories(blank, data.TrajectorySet(ts.positions[:, :0], ts.categories,
+                                                      ts.frame_rate))
+    svg = workdir / "no_frames.svg"
+    for flags in ((), ("--context", "4")):
+        code, out, err = run_cli(capsys, "render", "--data", blank, "--out", str(svg), *flags)
+        assert code == 1, flags
+        assert err.startswith("error:") and "no frames" in err
+        assert "Traceback" not in err and out == ""
+    assert not svg.exists()
+
+
+def test_info_closes_the_files_it_reads(paths):
+    probe = "import sys; from causaltraj import cli; sys.exit(cli.entrypoint(sys.argv[1:]))"
+    for path in (paths["data"], paths["ckpt"]):
+        proc = run_python("-W", "error::ResourceWarning", "-c", probe, "info", path)
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr, proc.stderr
 
 
 def test_info_on_both_artifacts(paths, capsys):

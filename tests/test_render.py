@@ -48,3 +48,18 @@ def test_save_writes_newline_terminated_file(tmp_path):
     save_scene(p, context, cats)
     text = p.read_text()
     assert text.endswith("</svg>\n")
+
+
+def test_failed_write_keeps_old_file(tmp_path):
+    class Unwritable:
+        def __array__(self, dtype=None, copy=None):
+            raise RuntimeError("disk went away")
+
+    context, cats, future, samples = scene()
+    p = tmp_path / "x.svg"
+    save_scene(p, context, cats, future)
+    before = p.read_bytes()
+    with pytest.raises(RuntimeError):
+        save_scene(p, context, cats, future, samples=[samples[0], Unwritable()])
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["x.svg"]
