@@ -7,7 +7,9 @@ orderings min_ade <= min_jade and min_fde <= min_jfde hold exactly, not just
 up to rounding.
 
 All arithmetic is float64. Shapes: predictions [k, F, N, 2] (time-major like
-the trajectory container), ground truth [F, N, 2].
+the trajectory container), ground truth [F, N, 2]; ``error_table`` and
+``evaluate_batch`` also take a batch of C cases, [C, k, F, N, 2] and
+[C, F, N, 2]. The single-case metrics score a batch of one.
 """
 
 from __future__ import annotations
@@ -31,34 +33,27 @@ def error_table(pred, gt) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=-1))
 
 
-def _case_table(pred, gt) -> np.ndarray:
-    """The error table [k, F, N] of one case."""
-    if np.ndim(pred) != 4:
-        raise ShapeError(f"predictions must be [k, F, N, 2], got {np.shape(pred)}")
-    return error_table(pred, gt)
-
-
 def min_ade(pred, gt) -> float:
     """Each agent independently keeps its best scenario; mean over agents."""
-    return float(_case_table(pred, gt).mean(axis=1).min(axis=0).mean())
+    return evaluate_batch([pred], [gt])["min_ade"]
 
 
 def min_fde(pred, gt) -> float:
-    return float(_case_table(pred, gt)[:, -1].min(axis=0).mean())
+    return evaluate_batch([pred], [gt])["min_fde"]
 
 
 def min_jade(pred, gt) -> float:
     """One scenario serves the whole scene; best scene-average error."""
-    return float(_case_table(pred, gt).mean(axis=1).mean(axis=1).min())
+    return evaluate_batch([pred], [gt])["min_jade"]
 
 
 def min_jfde(pred, gt) -> float:
-    return float(_case_table(pred, gt)[:, -1].mean(axis=1).min())
+    return evaluate_batch([pred], [gt])["min_jfde"]
 
 
 def average_jade(pred, gt) -> float:
     """Scene-average error averaged over all scenarios instead of the best."""
-    return float(_case_table(pred, gt).mean(axis=1).mean())
+    return evaluate_batch([pred], [gt])["average_jade"]
 
 
 def evaluate_batch(preds, gts, slice_frames: int | None = None, scale: float = 1.0) -> dict:

@@ -22,23 +22,17 @@ from causaltraj.model import (
 )
 
 
-def run_cli(capsys, *argv):
-    code = cli.entrypoint(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def run_cli(*argv):
+    """Run the CLI in-process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.entrypoint(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
-
-
-def run_cli_captured(*argv):
-    """``run_cli`` for module-scoped fixtures, where capsys is not available."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.entrypoint(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -55,16 +49,16 @@ def pipeline(workdir):
         "svg": str(workdir / "scene.svg"),
     }
     runs = {
-        "synth": run_cli_captured(
+        "synth": run_cli(
             "synth", "--out", paths["data"], "--count", "24",
             "--frames", "12", "--players", "2", "--seed", "3",
         ),
-        "train": run_cli_captured(
+        "train": run_cli(
             "train", "--data", paths["data"], "--out", paths["ckpt"],
             "--epochs", "2", "--batch-size", "8", "--lr", "0.002",
             "--context", "4", "--components", "2", "--seed", "1",
         ),
-        "sample": run_cli_captured(
+        "sample": run_cli(
             "sample", "--model", paths["ckpt"], "--data", paths["data"],
             "--out", paths["pred"], "--scenarios", "3", "--seed", "9",
             "--limit", "8",
@@ -95,9 +89,9 @@ def test_synth(pipeline):
 @pytest.mark.parametrize("flag, value", [
     ("--frames", "8"), ("--frames", "10"), ("--count", "0"), ("--count", "-1"),
 ])
-def test_synth_rejects_short_frames_and_empty_counts(workdir, capsys, flag, value):
+def test_synth_rejects_short_frames_and_empty_counts(workdir, flag, value):
     out = workdir / "rejected_synth.ctrj"
-    code, stdout, err = run_cli(capsys, "synth", "--out", str(out), flag, value)
+    code, stdout, err = run_cli("synth", "--out", str(out), flag, value)
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err and stdout == ""
     assert not out.exists() and not (workdir / "rejected_synth.ctrj.meta").exists()
@@ -112,9 +106,9 @@ def test_train(pipeline):
     assert "epoch 2/2" in err
 
 
-def test_resume_rejects_finished_run(paths, capsys):
+def test_resume_rejects_finished_run(paths):
     code, _, err = run_cli(
-        capsys, "train", "--data", paths["data"], "--out", paths["ckpt"],
+        "train", "--data", paths["data"], "--out", paths["ckpt"],
         "--resume", paths["ckpt"],
     )
     assert code == 2
@@ -122,13 +116,13 @@ def test_resume_rejects_finished_run(paths, capsys):
 
 
 @pytest.mark.parametrize("next_epoch", ["x", 1.5, -1, True])
-def test_resume_rejects_bad_next_epoch(paths, workdir, capsys, next_epoch):
+def test_resume_rejects_bad_next_epoch(paths, workdir, next_epoch):
     model, extra, arrays = load_model(paths["ckpt"])
     bad = str(workdir / "bad_epoch.ckpt")
     save_checkpoint(bad, model, {**extra, "next_epoch": next_epoch}, arrays)
     out = workdir / "bad_epoch_resumed.ckpt"
     code, stdout, err = run_cli(
-        capsys, "train", "--data", paths["data"], "--out", str(out), "--resume", bad,
+        "train", "--data", paths["data"], "--out", str(out), "--resume", bad,
     )
     assert code == 2
     assert err.startswith("error:") and "next_epoch" in err
@@ -136,7 +130,7 @@ def test_resume_rejects_bad_next_epoch(paths, workdir, capsys, next_epoch):
     assert not out.exists()
 
 
-def test_checkpoint_with_removed_train_settings(paths, workdir, capsys):
+def test_checkpoint_with_removed_train_settings(paths, workdir):
     # checkpoints written while the optimizer recipe was configurable store it
     # in the train entry: they no longer resume, but their model still samples
     model, extra, arrays = load_model(paths["ckpt"])
@@ -145,14 +139,14 @@ def test_checkpoint_with_removed_train_settings(paths, workdir, capsys):
     save_checkpoint(old, model, {**extra, "next_epoch": 1, "train": train}, arrays)
     out = workdir / "old_recipe_resumed.ckpt"
     code, stdout, err = run_cli(
-        capsys, "train", "--data", paths["data"], "--out", str(out), "--resume", old,
+        "train", "--data", paths["data"], "--out", str(out), "--resume", old,
     )
     assert code == 2
     assert err.startswith("error:") and "clip_norm" in err and "weight_decay" in err
     assert "Traceback" not in err and stdout == ""
     assert not out.exists()
     code, _, _ = run_cli(
-        capsys, "sample", "--model", old, "--data", paths["data"],
+        "sample", "--model", old, "--data", paths["data"],
         "--out", str(workdir / "old_recipe.ctrj"), "--scenarios", "2", "--limit", "2",
     )
     assert code == 0
@@ -168,13 +162,13 @@ def test_sample(pipeline):
     assert pred.count == 24                    # 8 contexts x 3 scenarios
     assert pred.frames == 12                   # 4 context + 8 horizon
     gt = data.read_trajectories(paths["data"])
-    np.testing.assert_array_equal(
-        pred.positions[0, :4], gt.positions[0, :4]
+    np.testing.assert_array_equal(            # each context's k rows, in order
+        pred.positions[:, :4], np.repeat(gt.positions[:8, :4], 3, axis=0)
     )
 
 
-def test_eval(paths, capsys):
-    code, out, _ = run_cli(capsys, "eval", "--pred", paths["pred"], "--gt", paths["data"])
+def test_eval(paths):
+    code, out, _ = run_cli("eval", "--pred", paths["pred"], "--gt", paths["data"])
     assert code == 0
     scores = json.loads(out)
     assert scores["k"] == 3
@@ -184,7 +178,7 @@ def test_eval(paths, capsys):
     assert scores["units"] == "court"
 
     code, out, _ = run_cli(
-        capsys, "eval", "--pred", paths["pred"], "--gt", paths["data"],
+        "eval", "--pred", paths["pred"], "--gt", paths["data"],
         "--meters", "--slice", "4",
     )
     meters = json.loads(out)
@@ -237,24 +231,24 @@ def test_allocator_setting_is_a_no_op_off_glibc():
     assert cli.keep_freed_heap() is False
 
 
-def test_eval_without_sidecar_needs_context(paths, workdir, capsys):
+def test_eval_without_sidecar_needs_context(paths, workdir):
     bare = str(workdir / "bare.ctrj")
     pred = data.read_trajectories(paths["pred"])
     data.write_trajectories(bare, pred)
-    code, _, err = run_cli(capsys, "eval", "--pred", bare, "--gt", paths["data"])
+    code, _, err = run_cli("eval", "--pred", bare, "--gt", paths["data"])
     assert code == 2
     assert "--context" in err
     code, out, _ = run_cli(
-        capsys, "eval", "--pred", bare, "--gt", paths["data"], "--context", "4",
+        "eval", "--pred", bare, "--gt", paths["data"], "--context", "4",
     )
     assert code == 0
     # without the sidecar the 24 rows can only be grouped 1:1 with the truths
     assert json.loads(out)["k"] == 1
 
 
-def test_render(paths, capsys):
+def test_render(paths):
     code, _, _ = run_cli(
-        capsys, "render", "--data", paths["data"], "--out", paths["svg"],
+        "render", "--data", paths["data"], "--out", paths["svg"],
         "--index", "1", "--context", "4", "--pred", paths["pred"],
     )
     assert code == 0
@@ -270,35 +264,35 @@ def subset(src, dst, rows):
     return dst
 
 
-def test_eval_and_render_reject_non_integer_sidecar(paths, workdir, capsys):
+def test_eval_and_render_reject_non_integer_sidecar(paths, workdir):
     pred = subset(paths["pred"], str(workdir / "badmeta.ctrj"), 24)
     data.write_sidecar(pred + ".meta", {"context_frames": 4, "scenarios_per_context": "abc"})
     for argv in (("eval", "--pred", pred, "--gt", paths["data"]),
                  ("render", "--data", paths["data"], "--out", str(workdir / "bad.svg"),
                   "--pred", pred)):
-        code, _, err = run_cli(capsys, *argv)
+        code, _, err = run_cli(*argv)
         assert code == 1, argv[0]
         assert err.startswith("error:") and "abc" in err
     assert not (workdir / "bad.svg").exists()
 
 
-def test_render_rejects_ungroupable_predictions(paths, workdir, capsys):
+def test_render_rejects_ungroupable_predictions(paths, workdir):
     # 2 predictions over 3 truths and no sidecar: eval and render both refuse
     truth = subset(paths["data"], str(workdir / "three.ctrj"), 3)
     pred = subset(paths["pred"], str(workdir / "two.ctrj"), 2)
     for argv in (("eval", "--pred", pred, "--gt", truth, "--context", "4"),
                  ("render", "--data", truth, "--out", str(workdir / "two.svg"),
                   "--context", "4", "--pred", pred)):
-        code, _, err = run_cli(capsys, *argv)
+        code, _, err = run_cli(*argv)
         assert code == 1, argv[0]
         assert "do not group evenly" in err
     assert not (workdir / "two.svg").exists()
 
 
-def test_render_rejects_index_beyond_predicted_contexts(paths, workdir, capsys):
+def test_render_rejects_index_beyond_predicted_contexts(paths, workdir):
     # the sidecar says 3 scenarios each, so the 24 rows cover contexts 0..7
     code, _, err = run_cli(
-        capsys, "render", "--data", paths["data"], "--out", str(workdir / "far.svg"),
+        "render", "--data", paths["data"], "--out", str(workdir / "far.svg"),
         "--index", "8", "--context", "4", "--pred", paths["pred"],
     )
     assert code == 1
@@ -307,12 +301,12 @@ def test_render_rejects_index_beyond_predicted_contexts(paths, workdir, capsys):
 
 
 @pytest.mark.parametrize("value", ["-2", "0"])
-def test_eval_and_render_reject_context_flag_below_one(paths, workdir, capsys, value):
+def test_eval_and_render_reject_context_flag_below_one(paths, workdir, value):
     svg = workdir / "short_context.svg"
     for argv in (("eval", "--pred", paths["pred"], "--gt", paths["data"]),
                  ("render", "--data", paths["data"], "--out", str(svg)),
                  ("render", "--data", paths["data"], "--out", str(svg), "--pred", paths["pred"])):
-        code, out, err = run_cli(capsys, *argv, "--context", value)
+        code, out, err = run_cli(*argv, "--context", value)
         assert code == 2, argv
         assert err.startswith("error:") and f"--context must be >= 1, got {value}" in err
         assert "Traceback" not in err and out == ""
@@ -320,46 +314,46 @@ def test_eval_and_render_reject_context_flag_below_one(paths, workdir, capsys, v
 
 
 @pytest.mark.parametrize("value", ["-2", "0"])
-def test_eval_and_render_reject_sidecar_context_below_one(paths, workdir, capsys, value):
+def test_eval_and_render_reject_sidecar_context_below_one(paths, workdir, value):
     pred = subset(paths["pred"], str(workdir / "short_context.ctrj"), 24)
     data.write_sidecar(pred + ".meta", {"context_frames": value, "scenarios_per_context": 3})
     svg = workdir / "short_context.svg"
     for argv in (("eval", "--pred", pred, "--gt", paths["data"]),
                  ("render", "--data", paths["data"], "--out", str(svg), "--pred", pred)):
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(*argv)
         assert code == 1, argv[0]
         assert err.startswith("error:") and f"context_frames must be >= 1, got {value}" in err
         assert "Traceback" not in err and out == ""
     assert not svg.exists()
 
 
-def test_eval_rejects_an_empty_prediction_set(paths, workdir, capsys):
+def test_eval_rejects_an_empty_prediction_set(paths, workdir):
     empty = subset(paths["pred"], str(workdir / "empty.ctrj"), 0)
     data.write_sidecar(empty + ".meta", {"context_frames": 4, "scenarios_per_context": 3})
-    code, out, err = run_cli(capsys, "eval", "--pred", empty, "--gt", paths["data"])
+    code, out, err = run_cli("eval", "--pred", empty, "--gt", paths["data"])
     assert code == 1
     assert err.startswith("error:") and "holds no predictions" in err
     assert "Traceback" not in err and out == ""
 
 
-def test_eval_rejects_an_empty_truth_set(paths, workdir, capsys):
+def test_eval_rejects_an_empty_truth_set(paths, workdir):
     # no sidecar: the rows are grouped over the truths, of which there are none
     truth = subset(paths["data"], str(workdir / "no_truths.ctrj"), 0)
     pred = subset(paths["pred"], str(workdir / "no_sidecar.ctrj"), 24)
-    code, out, err = run_cli(capsys, "eval", "--pred", pred, "--gt", truth, "--context", "4")
+    code, out, err = run_cli("eval", "--pred", pred, "--gt", truth, "--context", "4")
     assert code == 1
     assert err.startswith("error:") and "over 0 truths" in err
     assert "Traceback" not in err and out == ""
 
 
-def test_render_rejects_a_container_without_frames(paths, workdir, capsys):
+def test_render_rejects_a_container_without_frames(paths, workdir):
     ts = data.read_trajectories(paths["data"])
     blank = str(workdir / "no_frames.ctrj")
     data.write_trajectories(blank, data.TrajectorySet(ts.positions[:, :0], ts.categories,
                                                       ts.frame_rate))
     svg = workdir / "no_frames.svg"
     for flags in ((), ("--context", "4")):
-        code, out, err = run_cli(capsys, "render", "--data", blank, "--out", str(svg), *flags)
+        code, out, err = run_cli("render", "--data", blank, "--out", str(svg), *flags)
         assert code == 1, flags
         assert err.startswith("error:") and "no frames" in err
         assert "Traceback" not in err and out == ""
@@ -374,26 +368,26 @@ def test_info_closes_the_files_it_reads(paths):
         assert "ResourceWarning" not in proc.stderr, proc.stderr
 
 
-def test_info_on_both_artifacts(paths, capsys):
-    code, out, _ = run_cli(capsys, "info", paths["data"])
+def test_info_on_both_artifacts(paths):
+    code, out, _ = run_cli("info", paths["data"])
     assert code == 0
     assert json.loads(out)["frames"] == 12
-    code, out, _ = run_cli(capsys, "info", paths["ckpt"])
+    code, out, _ = run_cli("info", paths["ckpt"])
     assert code == 0
     info = json.loads(out)
     assert info["model"]["num_agents"] == 3
     assert info["parameters"] > 0
 
 
-def test_missing_file_exits_one(workdir, capsys):
-    code, _, err = run_cli(capsys, "info", str(workdir / "nope.ctrj"))
+def test_missing_file_exits_one(workdir):
+    code, _, err = run_cli("info", str(workdir / "nope.ctrj"))
     assert code == 1
     assert "error:" in err
 
 
-def test_bad_config_exits_two(paths, capsys):
+def test_bad_config_exits_two(paths):
     code, _, err = run_cli(
-        capsys, "train", "--data", paths["data"], "--out", paths["ckpt"] + ".x",
+        "train", "--data", paths["data"], "--out", paths["ckpt"] + ".x",
         "--context", "12",
     )
     assert code == 2
@@ -403,10 +397,10 @@ def test_bad_config_exits_two(paths, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--scenarios", "0"), ("--scenarios", "-1"), ("--limit", "0"), ("--horizon", "0"),
 ])
-def test_sample_rejects_counts_below_one(paths, workdir, capsys, flag, value):
+def test_sample_rejects_counts_below_one(paths, workdir, flag, value):
     out = str(workdir / "rejected.ctrj")
     code, _, err = run_cli(
-        capsys, "sample", "--model", paths["ckpt"], "--data", paths["data"],
+        "sample", "--model", paths["ckpt"], "--data", paths["data"],
         "--out", out, flag, value,
     )
     assert code == 2
@@ -414,7 +408,7 @@ def test_sample_rejects_counts_below_one(paths, workdir, capsys, flag, value):
     assert not (workdir / "rejected.ctrj").exists()
 
 
-def test_sample_rejects_bad_config_in_checkpoint(paths, workdir, capsys):
+def test_sample_rejects_bad_config_in_checkpoint(paths, workdir):
     with open(paths["ckpt"], "rb") as f:
         raw = f.read()
     off = len(CHECKPOINT_MAGIC)
@@ -426,7 +420,7 @@ def test_sample_rejects_bad_config_in_checkpoint(paths, workdir, capsys):
     bad.write_bytes(raw[:off] + struct.pack("<I", len(header)) + header
                     + raw[off + 4 + size:])
     code, _, err = run_cli(
-        capsys, "sample", "--model", str(bad), "--data", paths["data"],
+        "sample", "--model", str(bad), "--data", paths["data"],
         "--out", str(workdir / "zero_heads.ctrj"),
     )
     assert code == 2
@@ -435,13 +429,13 @@ def test_sample_rejects_bad_config_in_checkpoint(paths, workdir, capsys):
     assert not (workdir / "zero_heads.ctrj").exists()
 
 
-def test_sample_stops_on_a_diverging_rollout(paths, workdir, capsys):
+def test_sample_stops_on_a_diverging_rollout(paths, workdir):
     model, extra, _ = load_model(paths["ckpt"])
     model.head.bias.data[:] = np.nan
     bad = str(workdir / "poisoned.ckpt")
     save_checkpoint(bad, model, extra)
     code, out, err = run_cli(
-        capsys, "sample", "--model", bad, "--data", paths["data"],
+        "sample", "--model", bad, "--data", paths["data"],
         "--out", str(workdir / "diverged.ctrj"), "--scenarios", "2",
     )
     assert code == 1
