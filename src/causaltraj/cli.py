@@ -268,6 +268,10 @@ def cmd_render(args) -> int:
     samples = None
     if args.pred is not None:
         pr = data_mod.read_trajectories(args.pred)
+        if pr.num_agents != ts.num_agents:
+            raise DataError(
+                f"{args.pred} holds {pr.num_agents} agents but {args.data} holds {ts.num_agents}"
+            )
         meta_P, k, contexts = _prediction_groups(args.pred, pr.count, ts.count)
         if args.index >= contexts:
             raise DataError(f"index {args.index} beyond the {contexts} predicted contexts")

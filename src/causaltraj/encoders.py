@@ -16,7 +16,11 @@ import numpy as np
 from . import tensor as T
 from .errors import ShapeError
 from .nn import MLP, Dense, Module, RMSNorm
-from .tensor import POOL_PAD, Tensor
+from .tensor import Tensor
+
+SSM_BLOCKS = 2        # SSM blocks per encoder
+SSM_EXPAND = 2        # a block's inner width is SSM_EXPAND * d_model
+SSM_CONV_WIDTH = 4    # taps of the causal depthwise conv
 
 
 class PointNetEncoder(Module):
@@ -49,8 +53,8 @@ class PointNetEncoder(Module):
 
     def init_state(self, L: int) -> dict:
         return {
-            "rmax1": np.full((L, self.hidden), POOL_PAD, dtype=np.float32),
-            "rmax2": np.full((L, self.hidden), POOL_PAD, dtype=np.float32),
+            "rmax1": np.full((L, self.hidden), -np.inf, dtype=np.float32),
+            "rmax2": np.full((L, self.hidden), -np.inf, dtype=np.float32),
         }
 
     def step(self, x_t: np.ndarray, state: dict) -> np.ndarray:
@@ -76,31 +80,21 @@ class SSMBlock(Module):
     output projection; residual connection around the whole block.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        d_model: int,
-        state: int = 16,
-        expand: int = 2,
-        headdim: int = 64,
-        conv_width: int = 4,
-    ):
-        d_inner = expand * d_model
+    def __init__(self, rng: np.random.Generator, d_model: int, state: int = 16, headdim: int = 64):
+        d_inner = SSM_EXPAND * d_model
         if d_inner % headdim != 0:
             raise ShapeError(f"d_inner {d_inner} not divisible by headdim {headdim}")
-        self.d_model = d_model
         self.d_inner = d_inner
         self.state = state
         self.headdim = headdim
         self.heads = d_inner // headdim
-        self.conv_width = conv_width
         self.conv_dim = d_inner + 2 * state
 
         proj_out = d_inner + self.conv_dim + self.heads
         self.in_proj = Dense(rng, d_model, proj_out, bias=False)
-        bound = 1.0 / math.sqrt(conv_width)
+        bound = 1.0 / math.sqrt(SSM_CONV_WIDTH)
         self.conv_weight = Tensor(
-            rng.uniform(-bound, bound, (conv_width, self.conv_dim)).astype(np.float32),
+            rng.uniform(-bound, bound, (SSM_CONV_WIDTH, self.conv_dim)).astype(np.float32),
             requires_grad=True,
         )
         dt = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), self.heads))
@@ -155,7 +149,7 @@ class SSMBlock(Module):
 
     def init_state(self, L: int) -> dict:
         return {
-            "conv": np.zeros((L, self.conv_width - 1, self.conv_dim), dtype=np.float32),
+            "conv": np.zeros((L, SSM_CONV_WIDTH - 1, self.conv_dim), dtype=np.float32),
             "h": np.zeros((L, self.heads, self.headdim, self.state), dtype=np.float32),
         }
 
@@ -177,23 +171,19 @@ class SSMBlock(Module):
 
 
 class SSMEncoder(Module):
-    """Frame embedding, a stack of SSM blocks, and a final RMSNorm."""
+    """Frame embedding, ``SSM_BLOCKS`` SSM blocks, and a final RMSNorm."""
 
     def __init__(
         self,
         rng: np.random.Generator,
         in_dim: int,
         d_model: int = 128,
-        n_blocks: int = 2,
         state: int = 16,
-        expand: int = 2,
         headdim: int = 64,
-        conv_width: int = 4,
     ):
         self.embed = Dense(rng, in_dim, d_model)
         self.blocks = [
-            SSMBlock(rng, d_model, state=state, expand=expand, headdim=headdim, conv_width=conv_width)
-            for _ in range(n_blocks)
+            SSMBlock(rng, d_model, state=state, headdim=headdim) for _ in range(SSM_BLOCKS)
         ]
         self.norm = RMSNorm(d_model)
         self.out_dim = d_model

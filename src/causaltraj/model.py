@@ -23,7 +23,7 @@ import numpy as np
 from . import mdn
 from . import tensor as T
 from .data import atomic_write
-from .encoders import PointNetEncoder, SSMEncoder
+from .encoders import SSM_BLOCKS, SSM_CONV_WIDTH, SSM_EXPAND, PointNetEncoder, SSMEncoder
 from .errors import ConfigError, DataError, ShapeError, TrajectoryFormatError
 from .nn import Dense, EmbeddingTable, MLP, Module
 from .relation import RelationEncoder
@@ -33,6 +33,10 @@ NUM_CATEGORIES = 3  # ball, team_a, team_b
 
 CHECKPOINT_MAGIC = b"CTCKPT1"
 MAX_NDIM = 64  # numpy's limit on array dimensions
+
+# Former ModelConfig fields, now encoder constants; older checkpoint headers
+# still carry them, always at these values.
+FIXED_SSM_KEYS = {"ssm_blocks": SSM_BLOCKS, "ssm_expand": SSM_EXPAND, "ssm_conv": SSM_CONV_WIDTH}
 
 
 def config_from_dict(cls, d: dict):
@@ -97,11 +101,8 @@ class ModelConfig:
     category_dim: int = 64
     agent_channels: int = 64
     scene_hidden: tuple = (768, 768, 448)
-    ssm_blocks: int = 2
     ssm_state: int = 16
-    ssm_expand: int = 2
     ssm_headdim: int = 64
-    ssm_conv: int = 4
     seed: int = 0
 
     def __post_init__(self):
@@ -121,6 +122,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        if isinstance(d, dict):
+            d = dict(d)
+            for key, fixed in FIXED_SSM_KEYS.items():
+                v = d.pop(key, fixed)
+                if not _is_int(v) or v != fixed:
+                    raise ConfigError(f"ModelConfig.{key} is fixed at {fixed}, got {v!r}")
         return config_from_dict(cls, d)
 
     @classmethod
@@ -171,14 +178,7 @@ class TrajectoryModel(Module):
             )
         else:
             self.temporal = SSMEncoder(
-                rng,
-                4,
-                d_model=cfg.relation_dim,
-                n_blocks=cfg.ssm_blocks,
-                state=cfg.ssm_state,
-                expand=cfg.ssm_expand,
-                headdim=cfg.ssm_headdim,
-                conv_width=cfg.ssm_conv,
+                rng, 4, d_model=cfg.relation_dim, state=cfg.ssm_state, headdim=cfg.ssm_headdim
             )
         self.latent_dim = self.temporal.out_dim
         self.category_embed = EmbeddingTable(rng, NUM_CATEGORIES, cfg.category_dim)
@@ -539,7 +539,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     if not isinstance(meta, dict) or meta.get("format") != 1:
         fmt = meta.get("format") if isinstance(meta, dict) else None
         raise TrajectoryFormatError(f"unsupported checkpoint format {fmt!r}", offset=header_off)
-    if not isinstance(meta.get("model"), dict) or not isinstance(meta.get("extra", {}), dict):
+    meta.setdefault("extra", {})
+    if not isinstance(meta.get("model"), dict) or not isinstance(meta["extra"], dict):
         raise TrajectoryFormatError("checkpoint header lacks model/extra objects",
                                     offset=header_off)
     (count,) = struct.unpack("<I", take(4, "array count"))
@@ -582,4 +583,4 @@ def load_model(path) -> tuple[TrajectoryModel, dict, dict[str, np.ndarray]]:
     }
     rest = {name: arr for name, arr in arrays.items() if not name.startswith("param/")}
     model.load_state_arrays(params)
-    return model, meta.get("extra", {}), rest
+    return model, meta["extra"], rest

@@ -24,7 +24,6 @@ from .errors import GradCheckError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 NORM_EPS = 1e-5     # added to the variance (mean square) in layer_norm and rms_norm
-POOL_PAD = -1e30    # max_pool_window's value for positions before the sequence start
 
 _grad_enabled = True
 
@@ -687,9 +686,9 @@ def rms_norm(x, gain) -> Tensor:
 def max_pool_window(x, window: int) -> Tensor:
     """Causal sliding-window channelwise max over the second-to-last axis.
 
-    ``out[..., t, :]`` is the max of ``x[..., max(0, t-window+1) : t+1, :]``
-    with positions before 0 treated as ``POOL_PAD``. The gradient routes to
-    the lowest-index argmax; if the pad value wins, no gradient flows.
+    ``out[..., t, :]`` is the max of the in-range frames
+    ``x[..., max(0, t-window+1) : t+1, :]``; frames before 0 take no part.
+    The gradient routes to the lowest-index argmax.
     """
     x = as_tensor(x)
     if window < 1:
@@ -708,30 +707,13 @@ def max_pool_window(x, window: int) -> Tensor:
             seg = xd[..., a: t + 1, :]
             out[..., t, :] = seg.max(axis=-2)
             idx[..., t, :] = a + seg.argmax(axis=-2)
-    if window > T or (window > 1 and T > 0):
-        # pad positions exist for t < window-1; let the pad value win ties
-        tgrid = np.arange(T).reshape((1,) * (xd.ndim - 2) + (T, 1))
-        padded = tgrid < (window - 1)
-        pad_wins = padded & (out <= POOL_PAD)
-        out = np.where(pad_wins, POOL_PAD, out)
-        idx = np.where(pad_wins, -1, idx)
 
     def backward(g):
-        gx = np.zeros(xd.shape, dtype=g.dtype)
-        flat_g = g.reshape(-1, T, xd.shape[-1])
-        flat_gx = gx.reshape(-1, T, xd.shape[-1])
-        flat_idx = idx.reshape(-1, T, xd.shape[-1])
-        B, _, D = flat_g.shape
-        b_ix, t_ix, d_ix = np.meshgrid(
-            np.arange(B), np.arange(T), np.arange(D), indexing="ij"
-        )
-        valid = flat_idx >= 0
-        np.add.at(
-            flat_gx,
-            (b_ix[valid], flat_idx[valid], d_ix[valid]),
-            flat_g[valid],
-        )
-        return (gx,)
+        R, D = math.prod(xd.shape[:-2]), xd.shape[-1]
+        gx = np.zeros((R, T, D), dtype=g.dtype)
+        rows = np.arange(R).reshape(R, 1, 1)
+        np.add.at(gx, (rows, idx.reshape(R, T, D), np.arange(D)), g.reshape(R, T, D))
+        return (gx.reshape(xd.shape),)
 
     return Tensor._result(out, (x,), backward)
 
@@ -740,13 +722,12 @@ def _prefix_max_with_argmax(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative max over axis -2 plus lowest-index argmax per position."""
     out = np.maximum.accumulate(xd, axis=-2)
     T = xd.shape[-2]
-    prev = np.empty_like(out)
-    prev[..., 0, :] = -np.inf
-    prev[..., 1:, :] = out[..., :-1, :]
-    is_new = xd > prev  # strict: ties keep the earlier index
+    # frame t > 0 is a candidate where it beats every earlier frame (strict: ties
+    # keep the earlier index); frame 0 always is, as the fill index 0
+    is_new = np.zeros(xd.shape, dtype=bool)
+    is_new[..., 1:, :] = xd[..., 1:, :] > out[..., :-1, :]
     tgrid = np.arange(T).reshape((1,) * (xd.ndim - 2) + (T, 1))
-    candidates = np.where(is_new, tgrid, -1)
-    idx = np.maximum.accumulate(candidates, axis=-2)
+    idx = np.maximum.accumulate(np.where(is_new, tgrid, 0), axis=-2)
     return out, idx
 
 
@@ -803,10 +784,9 @@ def ssm_scan(decay, xdt, b_in, c_out) -> Tensor:
     hs = np.empty((L, T, H, P, S), dtype=xdt.dtype) if need_grad else None
     ad, xd, bd, cd = decay.data, xdt.data, b_in.data, c_out.data
     for t in range(T):
-        h = ad[:, t, :, None, None] * h + xd[:, t, :, :, None] * bd[:, t, None, None, :]
+        y[:, t], h = ssm_scan_step(h, ad[:, t], xd[:, t], bd[:, t], cd[:, t])
         if hs is not None:
             hs[:, t] = h
-        y[:, t] = np.einsum("lhps,ls->lhp", h, cd[:, t])
 
     def backward(g):
         gd = np.zeros((L, T, H), dtype=g.dtype)

@@ -53,6 +53,8 @@ class TrainConfig:
 
     def __post_init__(self):
         model_mod.check_config_fields(self)
+        if self.lr_max <= 0:
+            raise ConfigError(f"TrainConfig.lr_max must be > 0, got {self.lr_max!r}")
 
 
 def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:

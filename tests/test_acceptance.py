@@ -362,8 +362,7 @@ def test_c04_causality(announce):
         lambda: PointNetEncoder(np.random.default_rng(0), 4, hidden=12, out_dim=8)
     )
     ok_ssm = causality_probes_encoder(
-        lambda: SSMEncoder(np.random.default_rng(0), 4, d_model=12, n_blocks=2,
-                           state=4, expand=2, headdim=6)
+        lambda: SSMEncoder(np.random.default_rng(0), 4, d_model=12, state=4, headdim=6)
     )
     ok_model_pn = causality_probes_model("pointnet")
     ok_model_ssm = causality_probes_model("ssm")

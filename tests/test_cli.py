@@ -289,6 +289,24 @@ def test_render_rejects_ungroupable_predictions(paths, workdir):
     assert not (workdir / "two.svg").exists()
 
 
+@pytest.mark.parametrize("agents", [2, 4], ids=["fewer", "more"])
+def test_render_rejects_predictions_with_another_roster(paths, workdir, agents):
+    pr = data.read_trajectories(paths["pred"])
+    pos = np.concatenate([pr.positions, pr.positions[:, :, :1]], axis=2)[:, :, :agents]
+    cats = np.concatenate([pr.categories, pr.categories[:1]])[:agents]
+    pred = str(workdir / f"roster_{agents}.ctrj")
+    data.write_trajectories(pred, data.TrajectorySet(pos, cats, pr.frame_rate))
+    data.write_sidecar(pred + ".meta", {"context_frames": 4, "scenarios_per_context": 3})
+    svg = workdir / f"roster_{agents}.svg"
+    code, out, err = run_cli(
+        "render", "--data", paths["data"], "--out", str(svg), "--pred", pred,
+    )
+    assert code == 1
+    assert err.startswith("error:") and f"holds {agents} agents" in err
+    assert "Traceback" not in err and out == ""
+    assert not svg.exists()
+
+
 def test_render_rejects_index_beyond_predicted_contexts(paths, workdir):
     # the sidecar says 3 scenarios each, so the 24 rows cover contexts 0..7
     code, _, err = run_cli(
@@ -379,10 +397,31 @@ def test_info_on_both_artifacts(paths):
     assert info["parameters"] > 0
 
 
+def test_info_on_a_checkpoint_without_extra(paths, workdir):
+    bare = rewrite_header(paths["ckpt"], workdir / "no_extra.ckpt",
+                          lambda meta: meta.pop("extra"))
+    code, out, err = run_cli("info", str(bare))
+    assert code == 0, err
+    assert '"extra": {}' in out
+    assert json.loads(out)["extra"] == {}
+
+
 def test_missing_file_exits_one(workdir):
     code, _, err = run_cli("info", str(workdir / "nope.ctrj"))
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("lr", ["0", "-0.01"])
+def test_train_rejects_a_non_positive_learning_rate(paths, workdir, lr):
+    out = workdir / "bad_lr.ckpt"
+    code, stdout, err = run_cli(
+        "train", "--data", paths["data"], "--out", str(out), "--epochs", "1", "--lr", lr,
+    )
+    assert code == 2
+    assert err.startswith("error:") and "lr_max" in err
+    assert "Traceback" not in err and stdout == ""
+    assert not out.exists()
 
 
 def test_bad_config_exits_two(paths):
@@ -408,17 +447,23 @@ def test_sample_rejects_counts_below_one(paths, workdir, flag, value):
     assert not (workdir / "rejected.ctrj").exists()
 
 
-def test_sample_rejects_bad_config_in_checkpoint(paths, workdir):
-    with open(paths["ckpt"], "rb") as f:
+def rewrite_header(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit(meta)`` applied to its JSON header."""
+    with open(src, "rb") as f:
         raw = f.read()
     off = len(CHECKPOINT_MAGIC)
     (size,) = struct.unpack("<I", raw[off: off + 4])
     meta = json.loads(raw[off + 4: off + 4 + size])
-    meta["model"]["attn_heads"] = 0
+    edit(meta)
     header = json.dumps(meta).encode()
-    bad = workdir / "zero_heads.ckpt"
-    bad.write_bytes(raw[:off] + struct.pack("<I", len(header)) + header
+    dst.write_bytes(raw[:off] + struct.pack("<I", len(header)) + header
                     + raw[off + 4 + size:])
+    return dst
+
+
+def test_sample_rejects_bad_config_in_checkpoint(paths, workdir):
+    bad = rewrite_header(paths["ckpt"], workdir / "zero_heads.ckpt",
+                         lambda meta: meta["model"].update(attn_heads=0))
     code, _, err = run_cli(
         "sample", "--model", str(bad), "--data", paths["data"],
         "--out", str(workdir / "zero_heads.ctrj"),
@@ -427,6 +472,41 @@ def test_sample_rejects_bad_config_in_checkpoint(paths, workdir):
     assert err.startswith("error:") and "attn_heads" in err
     assert "Traceback" not in err
     assert not (workdir / "zero_heads.ctrj").exists()
+
+
+def test_checkpoint_with_the_fixed_ssm_layout_in_its_header(paths, workdir):
+    # headers written while the SSM layout was a config field carry it at the
+    # fixed values; they load and sample exactly like a header without it
+    ts = data.read_trajectories(paths["data"])
+    cfg = ModelConfig.small(num_agents=ts.num_agents, context_frames=4, future_frames=8,
+                            temporal="ssm", seed=2)
+    new = workdir / "ssm.ckpt"
+    save_checkpoint(new, TrajectoryModel(cfg))
+    old = rewrite_header(new, workdir / "ssm_old_header.ckpt", lambda meta: meta["model"].update(
+        ssm_blocks=2, ssm_expand=2, ssm_conv=4))
+    samples = []
+    for ckpt in (new, old):
+        out = workdir / f"{ckpt.stem}.ctrj"
+        code, _, err = run_cli(
+            "sample", "--model", str(ckpt), "--data", paths["data"],
+            "--out", str(out), "--scenarios", "2", "--limit", "3",
+        )
+        assert code == 0, err
+        samples.append(out.read_bytes())
+    assert samples[0] == samples[1]
+
+
+def test_sample_rejects_a_changed_ssm_layout(paths, workdir):
+    bad = rewrite_header(paths["ckpt"], workdir / "three_blocks.ckpt",
+                         lambda meta: meta["model"].update(ssm_blocks=3))
+    out = workdir / "three_blocks.ctrj"
+    code, stdout, err = run_cli(
+        "sample", "--model", str(bad), "--data", paths["data"], "--out", str(out),
+    )
+    assert code == 2
+    assert err.startswith("error:") and "ssm_blocks" in err
+    assert "Traceback" not in err and stdout == ""
+    assert not out.exists()
 
 
 def test_sample_stops_on_a_diverging_rollout(paths, workdir):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from causaltraj import tensor as T
-from causaltraj.encoders import PointNetEncoder, SSMBlock, SSMEncoder
+from causaltraj.encoders import SSM_CONV_WIDTH, PointNetEncoder, SSMBlock, SSMEncoder
 from causaltraj.errors import ShapeError
 from causaltraj.tensor import Tensor, grad_check
 
@@ -14,8 +14,7 @@ def make_pointnet(seed=0):
 
 
 def make_ssm(seed=0):
-    return SSMEncoder(np.random.default_rng(seed), 4, d_model=12, n_blocks=2,
-                      state=4, expand=2, headdim=6, conv_width=4)
+    return SSMEncoder(np.random.default_rng(seed), 4, d_model=12, state=4, headdim=6)
 
 
 ENCODERS = {"pointnet": make_pointnet, "ssm": make_ssm}
@@ -98,7 +97,7 @@ class TestPointNetSpecifics:
 class TestSSMSpecifics:
     def test_block_residual_at_zero_weights(self):
         # zeroing the output projection makes the block an identity
-        blk = SSMBlock(np.random.default_rng(7), 8, state=4, expand=2, headdim=4)
+        blk = SSMBlock(np.random.default_rng(7), 8, state=4, headdim=4)
         blk.out_proj.weight.data[:] = 0.0
         x = np.random.default_rng(8).normal(size=(2, 5, 8)).astype(np.float32)
         with T.no_grad():
@@ -106,7 +105,7 @@ class TestSSMSpecifics:
         assert np.array_equal(y, x)
 
     def test_decay_in_unit_interval(self):
-        blk = SSMBlock(np.random.default_rng(9), 8, state=4, expand=2, headdim=4)
+        blk = SSMBlock(np.random.default_rng(9), 8, state=4, headdim=4)
         x = Tensor(np.random.default_rng(10).normal(size=(2, 6, 8)).astype(np.float32))
         with T.no_grad():
             u = blk.in_proj(x)
@@ -117,9 +116,9 @@ class TestSSMSpecifics:
         assert decay.data.max() < 1.0
 
     def test_conv_state_ring_buffer(self):
-        blk = SSMBlock(np.random.default_rng(11), 8, state=4, expand=2, headdim=4)
+        blk = SSMBlock(np.random.default_rng(11), 8, state=4, headdim=4)
         state = blk.init_state(3)
-        assert state["conv"].shape == (3, blk.conv_width - 1, blk.conv_dim)
+        assert state["conv"].shape == (3, SSM_CONV_WIDTH - 1, blk.conv_dim)
         assert state["h"].shape == (3, blk.heads, blk.headdim, blk.state)
         x0 = np.random.default_rng(12).normal(size=(3, 8)).astype(np.float32)
         blk.step(x0, state)
@@ -131,7 +130,7 @@ class TestSSMSpecifics:
 
     def test_headdim_divisibility(self):
         with pytest.raises(ShapeError):
-            SSMBlock(np.random.default_rng(0), 10, state=4, expand=2, headdim=6)
+            SSMBlock(np.random.default_rng(0), 10, state=4, headdim=6)
 
     def test_no_biases(self):
         enc = make_ssm()

@@ -485,6 +485,8 @@ class TestConfig:
         (TrainConfig, {"seed": -1}),
         (TrainConfig, {"lr_max": "0.1"}),
         (TrainConfig, {"lr_max": float("nan")}),
+        (TrainConfig, {"lr_max": 0.0}),
+        (TrainConfig, {"lr_max": -1e-3}),
         (ModelConfig, {"num_components": "x"}),
         (ModelConfig, {"relation_dim": 32.0}),
         (ModelConfig, {"attn_heads": 0}),

@@ -1,5 +1,7 @@
 """Autodiff engine: primitives against finite differences and hand oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -343,22 +345,34 @@ class TestMatmulOracle:
 
 
 class TestMaxPoolOracle:
-    def brute(self, x, window, pad=-1e30):
-        Tlen = x.shape[-2]
-        out = np.empty_like(x)
-        for t in range(Tlen):
-            vals = [x[..., s, :] if s >= 0 else np.full(x.shape[:-2] + x.shape[-1:], pad, x.dtype)
-                    for s in range(t - window + 1, t + 1)]
-            out[..., t, :] = np.max(np.stack(vals, axis=-2), axis=-2)
-        return out
+    def brute(self, x, window, g):
+        """The max over each window's in-range frames, and the gradient it passes back for ``g``."""
+        out, gx = np.empty_like(x), np.zeros_like(x)
+        for lead in np.ndindex(x.shape[:-2]):
+            for t in range(x.shape[-2]):
+                a = max(0, t - window + 1)
+                for d in range(x.shape[-1]):
+                    seg = list(x[lead][a: t + 1, d])
+                    s = a + seg.index(max(seg))     # lowest-index argmax
+                    out[lead][t, d] = x[lead][s, d]
+                    gx[lead][s, d] += g[lead][t, d]
+        return out, gx
 
     @pytest.mark.parametrize("window", [1, 2, 3, 5, 8, 12])
     def test_matches_brute_force(self, window):
         rng = np.random.default_rng(window)
-        for _ in range(5):
-            x = rng.normal(size=(2, 8, 3)).astype(np.float32)
-            got = T.max_pool_window(Tensor(x), window).data
-            assert np.array_equal(got, self.brute(x, window))
+        for trial, dtype in itertools.product(range(7), (np.float32, np.float64)):
+            x = rng.normal(size=(2, 8, 3)).astype(dtype)
+            if trial >= 5:
+                # frames at -1e31 or -inf still take part in the max
+                x[rng.random(x.shape) < 0.5] = (-1e31, -np.inf)[trial - 5]
+            g = rng.normal(size=x.shape).astype(dtype)
+            xt = Tensor(x, requires_grad=True)
+            got = T.max_pool_window(xt, window)
+            got.backward(g)
+            want, want_grad = self.brute(x, window, g)
+            assert np.array_equal(got.data, want)
+            assert np.array_equal(xt.grad, want_grad)
 
     def test_tie_routes_to_lowest_index(self):
         x = np.zeros((1, 4, 1), dtype=np.float32)
