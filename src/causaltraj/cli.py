@@ -235,6 +235,8 @@ def _prediction_groups(pred_path: str, pred_count: int, truth_count: int):
 
 def cmd_eval(args) -> int:
     _check_context_frames(args.context, ConfigError, "--context")
+    if args.slice is not None and args.slice < 1:
+        raise ConfigError(f"--slice must be >= 1, got {args.slice}")
     pred = data_mod.read_trajectories(args.pred)
     gt = data_mod.read_trajectories(args.gt)
     meta_P, k, contexts = _prediction_groups(args.pred, pred.count, gt.count)

@@ -75,8 +75,8 @@ class SSMBlock(Module):
 
     The input projection produces a gate, the conv stream (carrying the state
     inputs x, B, C), and a per-head step-size logit. The recurrence uses a
-    scalar decay per head, exp(-softplus(dt + dt_bias) * exp(A_log)), and a
-    rank-1 state update per head. No biases anywhere; RMSNorm before the
+    scalar decay per head, exp(-softplus(dt + dt_bias) * exp(A_log)), handed
+    to the scan as its log, and a rank-1 state update per head. No biases anywhere; RMSNorm before the
     output projection; residual connection around the whole block.
     """
 
@@ -118,12 +118,12 @@ class SSMBlock(Module):
         b_part = T.narrow(xbc, -1, self.d_inner, self.state)
         c_part = T.narrow(xbc, -1, self.d_inner + self.state, self.state)
         delta = T.softplus(dt + self.dt_bias)                     # [L, T, H]
-        decay = T.exp(-(delta * T.exp(self.a_log)))
+        log_decay = -(delta * T.exp(self.a_log))
         x_heads = T.reshape(x_part, (L, Tlen, self.heads, self.headdim))
         dl = T.broadcast_to(
             T.reshape(delta, (L, Tlen, self.heads, 1)), x_heads.shape
         )
-        return decay, x_heads * dl, b_part, c_part, x_heads
+        return log_decay, x_heads * dl, b_part, c_part, x_heads
 
     def _finish(self, y_heads: Tensor, x_heads: Tensor, z: Tensor, resid: Tensor) -> Tensor:
         L, Tlen = y_heads.shape[0], y_heads.shape[1]
@@ -141,8 +141,8 @@ class SSMBlock(Module):
         u = self.in_proj(x)
         z, xbc, dt = self._split(u)
         xbc = T.silu(T.causal_depthwise_conv(xbc, self.conv_weight))
-        decay, xdt, b_part, c_part, x_heads = self._recurrence_inputs(xbc, dt)
-        y_heads = T.ssm_scan(decay, xdt, b_part, c_part)
+        log_decay, xdt, b_part, c_part, x_heads = self._recurrence_inputs(xbc, dt)
+        y_heads = T.ssm_scan(log_decay, xdt, b_part, c_part)
         return self._finish(y_heads, x_heads, z, x)
 
     # incremental interface -------------------------------------------------
@@ -161,9 +161,10 @@ class SSMBlock(Module):
             state["conv"] = window[:, 1:]
             conv_t = np.einsum("lkc,kc->lc", window, self.conv_weight.data)
             xbc = T.silu(Tensor(conv_t[:, None, :]))
-            decay, xdt, b_part, c_part, x_heads = self._recurrence_inputs(xbc, dt)
+            log_decay, xdt, b_part, c_part, x_heads = self._recurrence_inputs(xbc, dt)
             y, h = T.ssm_scan_step(
-                state["h"], decay.data[:, 0], xdt.data[:, 0], b_part.data[:, 0], c_part.data[:, 0]
+                state["h"], log_decay.data[:, 0], xdt.data[:, 0],
+                b_part.data[:, 0], c_part.data[:, 0],
             )
             state["h"] = h
             out = self._finish(Tensor(y[:, None]), x_heads, z, Tensor(x_t[:, None, :]))

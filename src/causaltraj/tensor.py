@@ -759,95 +759,131 @@ def causal_depthwise_conv(x, weight) -> Tensor:
     return Tensor._result(out, (x, weight), backward)
 
 
-def ssm_scan(decay, xdt, b_in, c_out) -> Tensor:
-    """Data-dependent diagonal state-space recurrence (sequential reference).
+SCAN_CHUNK = 8      # frames per ssm_scan chunk; chunks start at frames 0, 8, 16, ...
 
-    Shapes: decay [L, T, H]; xdt [L, T, H, P]; b_in, c_out [L, T, S].
-    Recurrence per head: h_t = decay_t * h_{t-1} + xdt_t (outer) b_t, with
+# _LATER[k, j]: frame k of a chunk comes after frame j
+_LATER = np.tril(np.ones((SCAN_CHUNK, SCAN_CHUNK), dtype=bool), -1)
+# _SEG_TERMS[i * Q + j, k]: log decay k is a term of the segment sum [i, j]
+_SEG_TERMS = (_LATER.T[None, :, :] & np.tri(SCAN_CHUNK, dtype=bool)[:, None, :]).reshape(
+    SCAN_CHUNK * SCAN_CHUNK, SCAN_CHUNK
+)
+
+
+def ssm_scan(log_decay, xdt, b_in, c_out) -> Tensor:
+    """Data-dependent diagonal state-space recurrence, evaluated chunk by chunk.
+
+    Shapes: log_decay [L, T, H]; xdt [L, T, H, P]; b_in, c_out [L, T, S].
+    Per head, from h_{-1} = 0:
+    h_t = exp(log_decay_t) * h_{t-1} + xdt_t (outer) b_t and
     y_t[h, p] = sum_s c_t[s] * h_t[h, p, s].
+
+    The frames are cut into chunks of ``SCAN_CHUNK`` at fixed absolute frames,
+    [0, 8), [8, 16), ..., whatever T is; the last chunk is zero-padded, so
+    frame t's output does not depend on T. Inside a chunk the recurrence is the
+    SSD form of Dao & Gu (arXiv:2405.21060): ``y = (C B^T * E) @ x`` with the
+    decay matrix ``E[i, j] = exp(sum of log_decay over j < k <= i)``: the sums
+    come from a masked float64 cumsum, are set to -inf above the diagonal
+    before ``exp``, and E is cast to the input dtype. The state each
+    chunk ends in is carried into the next, adding ``exp(cumsum) * (C . h)``
+    to its output; that carry is the only loop. The backward is written out
+    by hand.
     """
-    decay, xdt = as_tensor(decay), as_tensor(xdt)
+    log_decay, xdt = as_tensor(log_decay), as_tensor(xdt)
     b_in, c_out = as_tensor(b_in), as_tensor(c_out)
-    L, T, H = decay.shape
+    L, T, H = log_decay.shape
     P = xdt.shape[-1]
     S = b_in.shape[-1]
     if xdt.shape != (L, T, H, P) or b_in.shape != (L, T, S) or c_out.shape != (L, T, S):
         raise ShapeError(
-            f"ssm_scan: inconsistent shapes decay={decay.shape} xdt={xdt.shape} "
+            f"ssm_scan: inconsistent shapes log_decay={log_decay.shape} xdt={xdt.shape} "
             f"b={b_in.shape} c={c_out.shape}"
         )
-    need_grad = _grad_enabled and any(
-        t.requires_grad for t in (decay, xdt, b_in, c_out)
-    )
-    y = np.empty((L, T, H, P), dtype=xdt.dtype)
-    h = np.zeros((L, H, P, S), dtype=xdt.dtype)
-    hs = np.empty((L, T, H, P, S), dtype=xdt.dtype) if need_grad else None
-    ad, xd, bd, cd = decay.data, xdt.data, b_in.data, c_out.data
-    for t in range(T):
-        y[:, t], h = ssm_scan_step(h, ad[:, t], xd[:, t], bd[:, t], cd[:, t])
-        if hs is not None:
-            hs[:, t] = h
+    dt = xdt.dtype
+    Q = SCAN_CHUNK
+    nc = -(-T // Q)
+
+    def chunked(a, dtype):
+        """[L, T, ...] -> [L, nc, Q, ...], zero-padded at the end."""
+        out = np.zeros((L, nc * Q) + a.shape[2:], dtype=dtype)
+        out[:, :T] = a
+        return out.reshape((L, nc, Q) + a.shape[2:])
+
+    def by_head(a):
+        """[L, nc, Q, H, P] -> a [L, nc, H, Q, P] view."""
+        return a.transpose(0, 1, 3, 2, 4)
+
+    la = chunked(log_decay.data, np.float64).transpose(0, 1, 3, 2)     # [L, nc, H, Q]
+    X = by_head(chunked(xdt.data, dt))                                 # [L, nc, H, Q, P]
+    Bc, Cc = chunked(b_in.data, dt), chunked(c_out.data, dt)           # [L, nc, Q, S]
+    # seg[i, j] = sum of la over j < k <= i: a masked cumsum, -inf above the diagonal
+    seg = np.cumsum(np.where(_LATER, la[..., :, None], 0.0), axis=-2)
+    seg[..., _LATER.T] = -np.inf
+    E = np.exp(seg).astype(dt)                          # [L, nc, H, Q, Q]
+    e_in = np.exp(np.cumsum(la, axis=-1)).astype(dt)   # chunk start -> frame i
+    e_out = E[:, :-1, :, Q - 1, :, None]               # frame j -> chunk end
+    e_all = e_in[:, :, :, Q - 1, None, None]           # [L, nc, H, 1, 1]
+
+    G = Cc @ Bc.swapaxes(-1, -2)                       # G[i, j] = C_i . B_j
+    M = G[:, :, None] * E
+    Ce = Cc[:, :, None] * e_in[..., None]              # [L, nc, H, Q, S]
+    Be = Bc[:, :-1, None] * e_out                      # [L, nc-1, H, Q, S]
+    # the state each chunk but the last ends in from its own frames, and the
+    # state every chunk starts in, both as [S, P]
+    local = Be.swapaxes(-1, -2) @ X[:, :-1]
+    h_in = np.zeros((L, nc, H, S, P), dtype=dt)
+    for c in range(1, nc):
+        np.multiply(e_all[:, c - 1], h_in[:, c - 1], out=h_in[:, c])
+        h_in[:, c] += local[:, c - 1]
+    y = np.empty((L, nc * Q, H, P), dtype=dt)
+    Y = by_head(y.reshape(L, nc, Q, H, P))
+    np.matmul(M, X, out=Y)
+    Y += Ce @ h_in
 
     def backward(g):
-        gd = np.zeros((L, T, H), dtype=g.dtype)
-        gx = np.zeros((L, T, H, P), dtype=g.dtype)
-        gb = np.zeros((L, T, S), dtype=g.dtype)
-        gc = np.zeros((L, T, S), dtype=g.dtype)
-        lam = np.zeros((L, H, P, S), dtype=g.dtype)
-        for t in range(T - 1, -1, -1):
-            ht = hs[:, t]
-            gc[:, t] = np.einsum("lhp,lhps->ls", g[:, t], ht)
-            lam += g[:, t, :, :, None] * cd[:, t, None, None, :]
-            h_prev = hs[:, t - 1] if t > 0 else np.zeros_like(ht)
-            gd[:, t] = np.einsum("lhps,lhps->lh", lam, h_prev)
-            gx[:, t] = np.einsum("lhps,ls->lhp", lam, bd[:, t])
-            gb[:, t] = np.einsum("lhps,lhp->ls", lam, xd[:, t])
-            lam *= ad[:, t, :, None, None]
-        return gd, gx, gb, gc
-
-    return Tensor._result(y, (decay, xdt, b_in, c_out), backward)
-
-
-def ssm_scan_chunked(decay, xdt, b_in, c_out, chunk: int = 32) -> np.ndarray:
-    """Chunked evaluation of the same recurrence as :func:`ssm_scan`.
-
-    Pure-ndarray forward; the chunked cross-check of the sequential scan that
-    acceptance criterion 7 (c07) runs. Within each chunk the contribution is
-    computed with cumulative log-decay products.
-    """
-    ad = np.asarray(decay, dtype=np.float64)
-    xd = np.asarray(xdt, dtype=np.float64)
-    bd = np.asarray(b_in, dtype=np.float64)
-    cd = np.asarray(c_out, dtype=np.float64)
-    L, T, H = ad.shape
-    P = xd.shape[-1]
-    S = bd.shape[-1]
-    y = np.empty((L, T, H, P), dtype=np.float64)
-    h = np.zeros((L, H, P, S), dtype=np.float64)
-    log_a = np.log(ad)
-    for start in range(0, T, chunk):
-        end = min(start + chunk, T)
-        Q = end - start
-        la = log_a[:, start:end]                      # [L, Q, H]
-        cum = np.cumsum(la, axis=1)                   # prod a_{start..t}
-        seg = cum[:, :, None, :] - cum[:, None, :, :]  # [L, Q(t), Q(s), H]
-        mask = np.tril(np.ones((Q, Q)))[None, :, :, None]
-        L_mat = np.exp(seg) * mask
-        cb = np.einsum("lts,lqs->ltq", cd[:, start:end], bd[:, start:end])  # C_t . B_s
-        y_intra = np.einsum("ltq,ltqh,lqhp->lthp", cb, L_mat, xd[:, start:end])
-        carry_decay = np.exp(cum)                     # [L, Q, H]
-        hC = np.einsum("lhps,lts->lthp", h, cd[:, start:end])
-        y[:, start:end] = y_intra + carry_decay[:, :, :, None] * hC
-        tail = np.exp(cum[:, -1:, :] - cum)           # prod a_{t+1..end-1}
-        h = h * np.exp(cum[:, -1])[:, :, None, None] + np.einsum(
-            "lqh,lqhp,lqs->lhps", tail, xd[:, start:end], bd[:, start:end]
+        dY = by_head(chunked(g, g.dtype))
+        dM = dY @ X.swapaxes(-1, -2)
+        dx = np.empty((L, nc * Q, H, P), dtype=g.dtype)
+        dX = by_head(dx.reshape(L, nc, Q, H, P))
+        np.matmul(M.swapaxes(-1, -2), dY, out=dX)
+        dG = (dM * E).sum(axis=2)
+        dseg = dM * M                                  # d/dseg of exp(seg)
+        dCe = dY @ h_in.swapaxes(-1, -2)
+        dh_in = Ce.swapaxes(-1, -2) @ dY
+        dC = dG @ Bc + (dCe * e_in[..., None]).sum(axis=2)
+        dB = dG.swapaxes(-1, -2) @ Cc
+        dcum = (dCe * Cc[:, :, None]).sum(axis=-1) * e_in   # d/dcumsum of exp(cumsum)
+        if nc > 1:
+            dlocal = np.empty_like(local)
+            dlocal[:, nc - 2] = dh_in[:, nc - 1]
+            for c in range(nc - 2, 0, -1):
+                dlocal[:, c - 1] = dh_in[:, c] + e_all[:, c] * dlocal[:, c]
+            dcum[:, :-1, :, Q - 1] += (
+                np.einsum("lchsp,lchsp->lch", dlocal, h_in[:, :-1]) * e_all[:, :-1, :, 0, 0]
+            )
+            dBe = X[:, :-1] @ dlocal.swapaxes(-1, -2)
+            dX[:, :-1] += Be @ dlocal
+            dB[:, :-1] += (dBe * e_out).sum(axis=2)
+            dseg[:, :-1, :, Q - 1, :] += (dBe * Bc[:, :-1, None]).sum(axis=-1) * e_out[..., 0]
+        # la[k] is a term of seg[i, j] for j < k <= i and of cumsum[i] for k <= i
+        dla = (dseg.reshape(L, nc, H, Q * Q) @ _SEG_TERMS.astype(g.dtype)
+               + dcum @ np.tri(Q, dtype=g.dtype))
+        return (
+            dla.transpose(0, 1, 3, 2).reshape(L, nc * Q, H)[:, :T],
+            dx[:, :T],
+            dB.reshape(L, nc * Q, S)[:, :T],
+            dC.reshape(L, nc * Q, S)[:, :T],
         )
-    return y
+
+    return Tensor._result(y[:, :T], (log_decay, xdt, b_in, c_out), backward)
 
 
-def ssm_scan_step(h, decay_t, xdt_t, b_t, c_t):
-    """Single recurrence step on raw arrays; returns (y_t, new_h)."""
-    h = decay_t[:, :, None, None] * h + xdt_t[:, :, :, None] * b_t[:, None, None, :]
+def ssm_scan_step(h, log_decay_t, xdt_t, b_t, c_t):
+    """One frame of :func:`ssm_scan` on raw arrays; returns (y_t, new_h).
+
+    Shapes: h [L, H, P, S]; log_decay_t [L, H]; xdt_t [L, H, P]; b_t, c_t
+    [L, S]. Rollout's step path, and the reference the scan is tested against.
+    """
+    h = np.exp(log_decay_t)[:, :, None, None] * h + xdt_t[:, :, :, None] * b_t[:, None, None, :]
     y = np.einsum("lhps,ls->lhp", h, c_t)
     return y, h
 

@@ -331,6 +331,24 @@ def test_eval_and_render_reject_context_flag_below_one(paths, workdir, value):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_eval_rejects_a_slice_below_one(paths, value):
+    code, out, err = run_cli("eval", "--pred", paths["pred"], "--gt", paths["data"],
+                             "--slice", value)
+    assert code == 2
+    assert err.startswith("error:") and f"--slice must be >= 1, got {value}" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_eval_rejects_a_slice_beyond_the_horizon(paths):
+    # the predictions score an 8-frame horizon
+    code, out, err = run_cli("eval", "--pred", paths["pred"], "--gt", paths["data"],
+                             "--slice", "9")
+    assert code == 1
+    assert err.startswith("error:") and "slice_frames 9 out of range for horizon 8" in err
+    assert "Traceback" not in err and out == ""
+
+
 @pytest.mark.parametrize("value", ["-2", "0"])
 def test_eval_and_render_reject_sidecar_context_below_one(paths, workdir, value):
     pred = subset(paths["pred"], str(workdir / "short_context.ctrj"), 24)

@@ -111,9 +111,10 @@ class TestSSMSpecifics:
             u = blk.in_proj(x)
             z, xbc, dt = blk._split(u)
             xbc = T.silu(T.causal_depthwise_conv(xbc, blk.conv_weight))
-            decay, *_ = blk._recurrence_inputs(xbc, dt)
-        assert decay.data.min() > 0.0
-        assert decay.data.max() < 1.0
+            log_decay, *_ = blk._recurrence_inputs(xbc, dt)
+        decay = np.exp(log_decay.data)
+        assert decay.min() > 0.0
+        assert decay.max() < 1.0
 
     def test_conv_state_ring_buffer(self):
         blk = SSMBlock(np.random.default_rng(11), 8, state=4, headdim=4)

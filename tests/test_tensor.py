@@ -1,6 +1,7 @@
 """Autodiff engine: primitives against finite differences and hand oracles."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -285,11 +286,11 @@ def _case_conv(rng):
 @primitive("ssm_scan")
 def _case_ssm(rng):
     L, Tn, H, P, S = 2, 4, 2, 3, 3
-    dec = Tensor(rng.uniform(0.2, 0.95, (L, Tn, H)), requires_grad=True)
+    la = Tensor(np.log(rng.uniform(0.2, 0.95, (L, Tn, H))), requires_grad=True)
     xdt = randt(rng, (L, Tn, H, P))
     b = randt(rng, (L, Tn, S))
     c = randt(rng, (L, Tn, S))
-    return lambda: T.ssm_scan(dec, xdt, b, c).sum(), [dec, xdt, b, c]
+    return lambda: T.ssm_scan(la, xdt, b, c).sum(), [la, xdt, b, c]
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
@@ -421,6 +422,26 @@ class TestConvOracle:
         assert np.array_equal(y1[:, :5], y2[:, :5])
 
 
+def step_loop(log_decay, xdt, b, c):
+    """The recurrence as rollout runs it: ``ssm_scan_step`` frame by frame."""
+    L, Tn, H = log_decay.shape
+    h = np.zeros((L, H, xdt.shape[-1], b.shape[-1]), dtype=xdt.dtype)
+    ys = []
+    for t in range(Tn):
+        y, h = T.ssm_scan_step(h, log_decay[:, t], xdt[:, t], b[:, t], c[:, t])
+        ys.append(y)
+    return np.stack(ys, axis=1)
+
+
+def scan_inputs(rng, Tn, L=2, H=2, P=3, S=4, dtype=np.float32):
+    """log decays of decays drawn from [0.05, 0.999], and normal x, B, C."""
+    la = np.log(rng.uniform(0.05, 0.999, (L, Tn, H)))
+    return tuple(a.astype(dtype) for a in (
+        la, rng.normal(size=(L, Tn, H, P)), rng.normal(size=(L, Tn, S)),
+        rng.normal(size=(L, Tn, S)),
+    ))
+
+
 class TestSSMScan:
     def hand_recurrence(self, dec, xdt, b, c):
         L, Tn, H = dec.shape
@@ -440,20 +461,54 @@ class TestSSMScan:
         xdt = rng.normal(size=(2, 5, 3, 2))
         b = rng.normal(size=(2, 5, 4))
         c = rng.normal(size=(2, 5, 4))
-        got = T.ssm_scan(Tensor(dec), Tensor(xdt), Tensor(b), Tensor(c)).data
+        got = T.ssm_scan(Tensor(np.log(dec)), Tensor(xdt), Tensor(b), Tensor(c)).data
         assert np.allclose(got, self.hand_recurrence(dec, xdt, b, c), atol=1e-6)
 
-    @pytest.mark.parametrize("Tn,chunk", [(7, 3), (33, 32), (64, 32), (40, 8)])
-    def test_chunked_matches_sequential(self, Tn, chunk):
-        rng = np.random.default_rng(Tn * 100 + chunk)
-        dec = rng.uniform(0.05, 0.999, (2, Tn, 2)).astype(np.float32)
-        xdt = rng.normal(size=(2, Tn, 2, 3)).astype(np.float32)
-        b = rng.normal(size=(2, Tn, 4)).astype(np.float32)
-        c = rng.normal(size=(2, Tn, 4)).astype(np.float32)
+    @pytest.mark.parametrize("Tn,P", [(7, 3), (33, 32), (64, 32), (40, 8)])
+    def test_chunked_matches_sequential(self, Tn, P):
+        rng = np.random.default_rng(Tn * 100 + P)
+        la, xdt, b, c = scan_inputs(rng, Tn, P=P)
         with T.no_grad():
-            seq = T.ssm_scan(Tensor(dec), Tensor(xdt), Tensor(b), Tensor(c)).data
-        chq = T.ssm_scan_chunked(dec, xdt, b, c, chunk=chunk)
-        assert np.abs(seq - chq).max() < 1e-4
+            got = T.ssm_scan(la, xdt, b, c).data
+        assert np.abs(got - step_loop(la, xdt, b, c)).max() < 1e-4
+
+    @pytest.mark.parametrize("Tn", [23, 64])
+    def test_step_loop_parity(self, Tn):
+        la, xdt, b, c = scan_inputs(np.random.default_rng(Tn), Tn, L=3, P=32, S=8)
+        got = T.ssm_scan(la, xdt, b, c).data
+        ref = step_loop(la, xdt, b, c)
+        assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    def test_gradients_across_chunk_boundaries(self):
+        # two chunk boundaries and a ragged last chunk
+        Tn = 2 * T.SCAN_CHUNK + 3
+        rng = np.random.default_rng(17)
+        ps = [Tensor(a, requires_grad=True)
+              for a in scan_inputs(rng, Tn, dtype=np.float64)]
+        w = Tensor(rng.normal(size=ps[1].shape))
+        assert grad_check(lambda: (T.ssm_scan(*ps) * w).sum(), ps) < 1e-6
+
+    def test_output_does_not_depend_on_length(self):
+        Tn = 3 * T.SCAN_CHUNK + 5
+        la, xdt, b, c = scan_inputs(np.random.default_rng(19), Tn, P=8)
+        full = T.ssm_scan(la, xdt, b, c).data
+        for t in range(1, Tn + 1):
+            part = T.ssm_scan(la[:, :t], xdt[:, :t], b[:, :t], c[:, :t]).data
+            assert part.tobytes() == full[:, :t].tobytes(), t
+
+    def test_underflowing_decay(self):
+        # exp(-1e4) is 0 in any float: the state forgets everything each frame
+        _, xdt, b, c = scan_inputs(np.random.default_rng(23), 2 * T.SCAN_CHUNK + 3)
+        la = np.full(xdt.shape[:3], -1e4, dtype=np.float32)
+        ps = [Tensor(a, requires_grad=True) for a in (la, xdt, b, c)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = T.ssm_scan(*ps)
+            (y * y).sum().backward()
+            ref = step_loop(la, xdt, b, c)
+        assert np.isfinite(y.data).all()
+        assert all(np.isfinite(p.grad).all() for p in ps)
+        assert np.abs(y.data - ref).max() < 1e-4
 
     def test_step_matches_scan(self):
         rng = np.random.default_rng(13)
@@ -462,11 +517,12 @@ class TestSSMScan:
         xdt = rng.normal(size=(L, Tn, H, P)).astype(np.float32)
         b = rng.normal(size=(L, Tn, S)).astype(np.float32)
         c = rng.normal(size=(L, Tn, S)).astype(np.float32)
+        la = np.log(dec)
         with T.no_grad():
-            full = T.ssm_scan(Tensor(dec), Tensor(xdt), Tensor(b), Tensor(c)).data
+            full = T.ssm_scan(Tensor(la), Tensor(xdt), Tensor(b), Tensor(c)).data
         h = np.zeros((L, H, P, S), dtype=np.float32)
         for t in range(Tn):
-            y, h = T.ssm_scan_step(h, dec[:, t], xdt[:, t], b[:, t], c[:, t])
+            y, h = T.ssm_scan_step(h, la[:, t], xdt[:, t], b[:, t], c[:, t])
             assert np.allclose(y, full[:, t], atol=1e-6)
 
     def test_shape_validation(self):
