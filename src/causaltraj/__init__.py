@@ -5,6 +5,7 @@ from .errors import (
     ConfigError,
     DataError,
     GradCheckError,
+    GraphReleasedError,
     ParameterizationError,
     ShapeError,
     TrajectoryFormatError,
@@ -19,6 +20,7 @@ __all__ = [
     "ConfigError",
     "DataError",
     "GradCheckError",
+    "GraphReleasedError",
     "ModelConfig",
     "ParameterizationError",
     "ScenarioSample",

@@ -246,6 +246,8 @@ def cmd_eval(args) -> int:
     horizon = min(pred.frames - P, gt.frames - P)
     if horizon < 1:
         raise DataError("no overlapping future frames to score")
+    if args.slice is not None and args.slice > horizon:
+        raise DataError(f"--slice {args.slice} is beyond the scored horizon of {horizon} frames")
     preds = pred.positions[:, P: P + horizon].reshape(
         contexts, k, horizon, pred.num_agents, 2
     )

@@ -50,9 +50,12 @@ class TrajectorySet:
             raise DataError("category bytes must be 0 (ball), 1 (team_a), or 2 (team_b)")
         if not np.isfinite(pos).all():
             raise DataError("positions contain non-finite values")
+        rate = float(self.frame_rate)
+        if not (math.isfinite(rate) and rate > 0.0):
+            raise DataError(f"frame rate must be finite and > 0, got {rate}")
         self.positions = pos
         self.categories = cats
-        self.frame_rate = float(self.frame_rate)
+        self.frame_rate = rate
 
     @property
     def count(self) -> int:
@@ -150,14 +153,18 @@ def write_sidecar(path, mapping: dict) -> None:
 
 
 def read_sidecar(path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: sidecar is not UTF-8 text ({e.reason})") from e
     out = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            out[key] = value
+    for line in lines:
+        line = line.strip()
+        if not line or "=" not in line:
+            continue
+        key, _, value = line.partition("=")
+        out[key] = value
     return out
 
 

@@ -32,6 +32,10 @@ class TrajectoryFormatError(CausalTrajError):
         self.offset = offset
 
 
+class GraphReleasedError(CausalTrajError):
+    """backward() reached a recorded graph that an earlier backward() released."""
+
+
 class GradCheckError(CausalTrajError):
     """Finite-difference check could not be evaluated."""
 

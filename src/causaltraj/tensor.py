@@ -3,7 +3,11 @@
 Tensors are dense row-major float arrays (float32 by default, float64 where a
 computation asks for it). Every differentiable operation records its parents
 and a backward closure; ``Tensor.backward`` walks the recorded graph once in
-reverse topological order and accumulates gradients into ``.grad``.
+reverse topological order and accumulates gradients into the ``.grad`` of the
+leaves (parameters and inputs built with ``requires_grad=True``). Interior
+results never keep a gradient. The walk releases each node's closure and
+parent links as it goes, so a recorded graph is single-use: run the forward
+pass again before the next ``backward()``.
 
 Broadcasting is deliberately restricted: binary operations accept equal
 shapes, a Python scalar, or an operand whose shape is a trailing suffix of the
@@ -20,12 +24,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy import special as _sp
 
-from .errors import GradCheckError, ShapeError
+from .errors import GradCheckError, GraphReleasedError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 NORM_EPS = 1e-5     # added to the variance (mean square) in layer_norm and rms_norm
 
 _grad_enabled = True
+_RELEASED = object()  # ``_backward`` of a node whose closure a backward() walk already ran
 
 
 @contextlib.contextmanager
@@ -43,7 +48,7 @@ def no_grad():
 class Tensor:
     """A dense array participating in reverse-mode gradient computation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -105,11 +110,16 @@ class Tensor:
     # -- backward pass -----------------------------------------------------------
 
     def backward(self, grad=None) -> None:
-        """Accumulate gradients of ``self`` w.r.t. every reachable tensor.
+        """Accumulate gradients of ``self`` into the ``.grad`` of every reachable leaf.
 
-        Each node in the recorded graph is visited exactly once. Tensors that
-        do not contribute to ``self`` are never touched (their ``.grad`` stays
-        ``None``, i.e. exactly zero).
+        A leaf is a tensor no operation recorded: a parameter or an input built
+        with ``requires_grad=True``. Only leaves keep ``.grad``; interior results
+        never get one. Each node is visited once, and its backward closure and
+        parent links are dropped as soon as the walk has used them, so the saved
+        arrays are freed while the walk goes on. The recorded graph is therefore
+        single-use: a later ``backward()`` that reaches any released node raises
+        :class:`GraphReleasedError` before it writes a gradient. Leaves that do
+        not contribute to ``self`` are never touched (``.grad`` stays ``None``).
         """
         if not self.requires_grad:
             raise ShapeError("backward() on a tensor that does not require grad")
@@ -132,6 +142,11 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _RELEASED:
+                raise GraphReleasedError(
+                    "backward() reached a graph that an earlier backward() already "
+                    "released; recompute the forward pass"
+                )
             visited.add(id(node))
             stack.append((node, True))
             if node._parents is not None:
@@ -139,23 +154,19 @@ class Tensor:
                     if p.requires_grad and id(p) not in visited:
                         stack.append((p, False))
 
+        # Every key in ``pending`` is the id of a node still held by ``topo``.
         pending: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = pending.pop(id(node), None)
-            if g is None:
+            backward, parents = node._backward, node._parents
+            if backward is None:
+                if g is not None:
+                    node.grad = g if node.grad is None else node.grad + g
                 continue
-            node.grad = g if node.grad is None else node.grad + g
-            if node._backward is None:
-                continue
-            parent_grads = node._backward(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not parent.requires_grad:
-                    continue
-                pg = np.asarray(pg)
-                if pg.dtype != parent.data.dtype:
-                    pg = pg.astype(parent.data.dtype)
-                prev = pending.get(id(parent))
-                pending[id(parent)] = pg if prev is None else prev + pg
+            node._backward, node._parents = _RELEASED, None
+            if g is not None:
+                _accumulate(pending, parents, backward(g))
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -203,6 +214,18 @@ class Tensor:
 
     def cast(self, dtype):
         return cast(self, dtype)
+
+
+def _accumulate(pending: dict[int, np.ndarray], parents, parent_grads) -> None:
+    """Add each parent's gradient, cast to the parent's dtype, into ``pending``."""
+    for parent, pg in zip(parents, parent_grads):
+        if pg is None or not parent.requires_grad:
+            continue
+        pg = np.asarray(pg)
+        if pg.dtype != parent.data.dtype:
+            pg = pg.astype(parent.data.dtype)
+        prev = pending.get(id(parent))
+        pending[id(parent)] = pg if prev is None else prev + pg
 
 
 def as_tensor(x, dtype=None) -> Tensor:

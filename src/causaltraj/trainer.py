@@ -30,7 +30,7 @@ import numpy as np
 
 from . import model as model_mod
 from .data import TrajectorySet, epoch_batches
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .model import TrajectoryModel
 from .tensor import Tensor
 
@@ -162,6 +162,8 @@ def train(
         raise ConfigError(
             f"data has {data.frames} frames but context is {model.config.context_frames}"
         )
+    if data.count == 0:
+        raise DataError("data holds no scenes to train on")
     named = model.named_parameters()
     if optimizer is None:
         optimizer = AdamW(named, cfg)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import platform
 import struct
 import subprocess
@@ -345,7 +346,7 @@ def test_eval_rejects_a_slice_beyond_the_horizon(paths):
     code, out, err = run_cli("eval", "--pred", paths["pred"], "--gt", paths["data"],
                              "--slice", "9")
     assert code == 1
-    assert err.startswith("error:") and "slice_frames 9 out of range for horizon 8" in err
+    assert err.startswith("error:") and "--slice 9 is beyond the scored horizon of 8" in err
     assert "Traceback" not in err and out == ""
 
 
@@ -379,6 +380,39 @@ def test_eval_rejects_an_empty_truth_set(paths, workdir):
     code, out, err = run_cli("eval", "--pred", pred, "--gt", truth, "--context", "4")
     assert code == 1
     assert err.startswith("error:") and "over 0 truths" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_eval_rejects_a_sidecar_that_is_not_utf8(paths, workdir):
+    pred = subset(paths["pred"], str(workdir / "latin.ctrj"), 24)
+    with open(pred + ".meta", "wb") as f:
+        f.write(b"context_frames=4\nscenarios_per_context=3\nnote=\xff\n")
+    code, out, err = run_cli("eval", "--pred", pred, "--gt", paths["data"])
+    assert code == 1
+    assert err.startswith("error:") and "not UTF-8" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_train_rejects_a_container_without_scenes(paths, workdir):
+    empty = subset(paths["data"], str(workdir / "no_scenes.ctrj"), 0)
+    ckpt = workdir / "no_scenes.ckpt"
+    code, out, err = run_cli("train", "--data", empty, "--out", str(ckpt),
+                             "--epochs", "1", "--context", "4")
+    assert code == 1
+    assert err.startswith("error:") and "no scenes" in err
+    assert "Traceback" not in err and out == ""
+    assert not ckpt.exists()
+
+
+def test_info_rejects_a_nan_frame_rate(paths, workdir):
+    raw = bytearray(pathlib.Path(paths["data"]).read_bytes())
+    at = len(data.MAGIC) + 12 + 3          # header, then the 3 category bytes
+    raw[at: at + 4] = struct.pack("<f", float("nan"))
+    bad = workdir / "nan_rate.ctrj"
+    bad.write_bytes(bytes(raw))
+    code, out, err = run_cli("info", str(bad))
+    assert code == 1
+    assert err.startswith("error:") and "frame rate must be finite and > 0" in err
     assert "Traceback" not in err and out == ""
 
 

@@ -102,6 +102,12 @@ class TestContainer:
         with pytest.raises(DataError):
             TrajectorySet(bad, np.zeros(4, np.uint8), 5.0)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -5.0])
+    def test_set_rejects_a_bad_frame_rate(self, rate):
+        ts = small_set(np.random.default_rng(4))
+        with pytest.raises(DataError, match="frame rate must be finite and > 0"):
+            TrajectorySet(ts.positions, ts.categories, rate)
+
     def test_agent_major_layout(self):
         ts = small_set(np.random.default_rng(5))
         am = ts.agent_major()
@@ -126,6 +132,12 @@ class TestSidecar:
         p = tmp_path / "t.meta"
         p.write_text("a=1\n\nnot a pair\nb=2\n")
         assert read_sidecar(p) == {"a": "1", "b": "2"}
+
+    def test_invalid_utf8(self, tmp_path):
+        p = tmp_path / "t.meta"
+        p.write_bytes(b"a=1\nb=\xff\n")
+        with pytest.raises(DataError, match="not UTF-8"):
+            read_sidecar(p)
 
 
 @pytest.fixture(scope="module")

@@ -2,12 +2,13 @@
 
 import itertools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from causaltraj import tensor as T
-from causaltraj.errors import GradCheckError, ShapeError
+from causaltraj.errors import CausalTrajError, GradCheckError, GraphReleasedError, ShapeError
 from causaltraj.tensor import Tensor, grad_check
 
 
@@ -61,6 +62,70 @@ class TestBasics:
         y = Tensor(np.ones(2), requires_grad=True)
         x.sum().backward()
         assert y.grad is None
+
+
+def mlp_graph():
+    """A two-layer MLP loss; returns (loss, leaves, weakrefs to the interior tensors)."""
+    rng = np.random.default_rng(0)
+    x = randt(rng, (4, 3))
+    w1, b1, w2 = randt(rng, (3, 5)), randt(rng, (5,)), randt(rng, (5, 2))
+    pre = T.linear(x, w1, b1)
+    hidden = T.gelu(pre)
+    out = T.linear(hidden, w2)
+    loss = (out * out).sum()
+    return loss, [x, w1, b1, w2], [weakref.ref(t) for t in (pre, hidden, out)]
+
+
+class TestTapeRelease:
+    def test_backward_frees_the_interior_tensors(self):
+        loss, leaves, interior = mlp_graph()
+        assert all(ref() is not None for ref in interior)
+        loss.backward()
+        assert all(ref() is None for ref in interior)
+        assert loss.data.shape == ()            # the root itself is still held here
+        assert all(p.grad is not None for p in leaves)
+
+    def test_interior_tensors_keep_no_grad(self):
+        rng = np.random.default_rng(1)
+        x = randt(rng, (4, 3))
+        hidden = T.gelu(x * 2.0)
+        loss = hidden.sum()
+        loss.backward()
+        assert hidden.grad is None and loss.grad is None
+        assert x.grad is not None
+
+    def test_second_backward_on_the_same_root_raises(self):
+        loss, leaves, _ = mlp_graph()
+        loss.backward()
+        before = [p.grad.copy() for p in leaves]
+        with pytest.raises(GraphReleasedError):
+            loss.backward()
+        assert issubclass(GraphReleasedError, CausalTrajError)
+        assert all(np.array_equal(b, p.grad) for b, p in zip(before, leaves))
+
+    def test_second_root_on_a_released_subgraph_raises(self):
+        rng = np.random.default_rng(2)
+        x, w = randt(rng, (4, 3)), randt(rng, (3, 5))
+        shared = T.gelu(T.linear(x, w))
+        first = shared.sum()
+        second = (shared * shared).sum()
+        first.backward()
+        before = [p.grad.copy() for p in (x, w)]
+        with pytest.raises(GraphReleasedError):
+            second.backward()
+        assert all(np.array_equal(b, p.grad) for b, p in zip(before, (x, w)))
+
+    def test_refused_backward_writes_no_leaf_gradient(self):
+        rng = np.random.default_rng(3)
+        x, y = randt(rng, (3,)), randt(rng, (3,))
+        shared = x * 2.0
+        shared.sum().backward()
+        with pytest.raises(GraphReleasedError):
+            # y is walked before ``shared``: a check made during the walk instead
+            # of the sort would already have written y.grad
+            (y * shared).sum().backward()
+        assert y.grad is None
+        assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
 class TestBroadcasting:
