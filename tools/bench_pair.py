@@ -76,7 +76,6 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--seed", type=int, required=True, help="the same for every run")
-    p.add_argument("--workload", action="append", help="default: every workload")
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args(argv)
     if args.pairs < 2:
@@ -85,7 +84,7 @@ def main(argv=None) -> int:
     commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
                for side, rev in zip(SIDES, (args.base, args.head))}
     spec = json.loads(git("show", f"{commits['head']}:BENCHMARK.json"))
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     env = None
