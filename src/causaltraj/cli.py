@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import ctypes
-import functools
 import json
 import os
-import platform
 import sys
 
 import numpy as np
@@ -19,43 +16,7 @@ from . import render as render_mod
 from . import trainer as trainer_mod
 from .errors import CausalTrajError, ConfigError, DataError
 from .model import ModelConfig, TrajectoryModel
-
-
-# glibc's mallopt parameters (malloc.h) and the values the CLI sets.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD = 32 << 20    # glibc's largest on 64-bit; larger values are refused
-_TRIM_THRESHOLD = 256 << 20
-
-
-@functools.cache
-def keep_freed_heap() -> bool:
-    """Have glibc keep freed memory for reuse; once per process, CLI only.
-
-    A rollout step frees and reallocates arrays of a few hundred KB to a few
-    MB. With glibc's default thresholds those are mmap'ed, or the heap top is
-    trimmed after they are freed, so each step faults in fresh zeroed pages
-    (~150k minor faults in a 64-context x 20-scenario sample pass). Raising
-    the mmap threshold to 32 MB and the trim threshold to 256 MB keeps freed
-    memory in the heap. Both are set: any mallopt call freezes the adaptive
-    mmap threshold at its 128 KB start, so the trim threshold alone makes
-    more faults, not fewer. Library callers of ``rollout``/``train`` keep
-    their allocator: a library must not reset its host process's malloc.
-
-    Returns True when glibc took both values; off glibc it does nothing.
-    """
-    if platform.libc_ver()[0] != "glibc":
-        return False
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    # mmap first: if glibc refuses it, the trim threshold is left alone too
-    if not mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
-        return False
-    return bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+from .trainer import keep_freed_heap
 
 
 def _print(obj) -> None:

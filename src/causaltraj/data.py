@@ -88,12 +88,17 @@ def atomic_write(path, mode: str = "wb"):
     """Write through a temp file next to ``path`` that replaces it on success.
 
     If the write fails part-way, the temp file is removed and whatever was at
-    ``path`` before is left as it was.
+    ``path`` before is left as it was. A temp file that cannot be created
+    raises its ``OSError`` under ``path``'s name, not the temp file's.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+        f = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as e:
+        raise type(e)(e.errno, e.strerror, path) from None
+    try:
+        with f:
             yield f
         os.replace(tmp, path)
     except BaseException:

@@ -1,13 +1,21 @@
 """Minimal reverse-mode automatic differentiation over dense numpy arrays.
 
 Tensors are dense row-major float arrays (float32 by default, float64 where a
-computation asks for it). Every differentiable operation records its parents
-and a backward closure; ``Tensor.backward`` walks the recorded graph once in
-reverse topological order and accumulates gradients into the ``.grad`` of the
-leaves (parameters and inputs built with ``requires_grad=True``). Interior
-results never keep a gradient. The walk releases each node's closure and
-parent links as it goes, so a recorded graph is single-use: run the forward
-pass again before the next ``backward()``.
+computation asks for it). Every differentiable operation gives its result a
+small graph node: the backward closure, the result's dtype, and one link per
+parent (the parent's node, the parent itself if it is a leaf, or ``None`` if
+it needs no gradient). A node never holds its output or whole parent tensors,
+and each closure keeps only the arrays and shapes its backward reads, so an
+intermediate result that no backward reads is freed with its ``Tensor``
+during the forward pass. ``gelu``, for one, keeps its slope rather than its
+input.
+
+``Tensor.backward`` walks the recorded graph once in reverse topological order
+and accumulates gradients into the ``.grad`` of the leaves (parameters and
+inputs built with ``requires_grad=True``). Interior results never keep a
+gradient. The walk releases each node's closure and parent links as it goes,
+so a recorded graph is single-use: run the forward pass again before the next
+``backward()``.
 
 Broadcasting is deliberately restricted: binary operations accept equal
 shapes, a Python scalar, or an operand whose shape is a trailing suffix of the
@@ -30,7 +38,7 @@ DEFAULT_DTYPE = np.float32
 NORM_EPS = 1e-5     # added to the variance (mean square) in layer_norm and rms_norm
 
 _grad_enabled = True
-_RELEASED = object()  # ``_backward`` of a node whose closure a backward() walk already ran
+_RELEASED = object()  # ``backward`` of a node whose closure a backward() walk already ran
 
 
 @contextlib.contextmanager
@@ -45,10 +53,30 @@ def no_grad():
         _grad_enabled = prev
 
 
+def _records(t: "Tensor") -> bool:
+    """Whether an op applied to ``t`` now records a node that needs ``t``'s gradient."""
+    return _grad_enabled and t.requires_grad
+
+
+class _Node:
+    """The graph record of one op result: its backward closure, dtype and parent links.
+
+    ``parents`` has one entry per op operand: the operand's node, the operand
+    itself if it is a leaf, or ``None`` if it needs no gradient.
+    """
+
+    __slots__ = ("backward", "dtype", "parents")
+
+    def __init__(self, backward, dtype, parents):
+        self.backward = backward
+        self.dtype = dtype
+        self.parents = parents
+
+
 class Tensor:
     """A dense array participating in reverse-mode gradient computation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -59,8 +87,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] | None = None
-        self._backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
+        self._node: _Node | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -69,15 +96,26 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
-        else:
-            out.requires_grad = False
-            out._parents = None
-            out._backward = None
+        out._node = None
+        out.requires_grad = False
+        if _grad_enabled:
+            links = tuple(
+                (p if p._node is None else p._node) if p.requires_grad else None
+                for p in parents
+            )
+            if links.count(None) < len(links):
+                out.requires_grad = True
+                out._node = _Node(backward, data.dtype, links)
         return out
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], Sequence[np.ndarray | None]] | None:
+        """The recorded backward closure (``None`` for a leaf or an unrecorded result)."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._node.backward = fn
 
     # -- basic properties ------------------------------------------------------
 
@@ -114,12 +152,16 @@ class Tensor:
 
         A leaf is a tensor no operation recorded: a parameter or an input built
         with ``requires_grad=True``. Only leaves keep ``.grad``; interior results
-        never get one. Each node is visited once, and its backward closure and
-        parent links are dropped as soon as the walk has used them, so the saved
-        arrays are freed while the walk goes on. The recorded graph is therefore
-        single-use: a later ``backward()`` that reaches any released node raises
-        :class:`GraphReleasedError` before it writes a gradient. Leaves that do
-        not contribute to ``self`` are never touched (``.grad`` stays ``None``).
+        never get one. The walk runs over graph nodes, not tensors: a node holds
+        its closure and links to its parents' nodes, and each closure holds only
+        the arrays its backward reads, so intermediate results that no backward
+        reads were already freed during the forward pass. Each node is visited
+        once, and its closure and parent links are dropped as soon as the walk
+        has used them, so the saved arrays are freed while the walk goes on. The
+        recorded graph is therefore single-use: a later ``backward()`` that
+        reaches any released node raises :class:`GraphReleasedError` before it
+        writes a gradient. Leaves that do not contribute to ``self`` are never
+        touched (``.grad`` stays ``None``).
         """
         if not self.requires_grad:
             raise ShapeError("backward() on a tensor that does not require grad")
@@ -132,39 +174,43 @@ class Tensor:
             if grad.shape != self.data.shape:
                 raise ShapeError(f"seed gradient shape {grad.shape} != tensor shape {self.data.shape}")
 
-        topo: list[Tensor] = []
+        # Entries are nodes and leaf tensors; leaves have no parents to visit.
+        root = self if self._node is None else self._node
+        topo: list[_Node | Tensor] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
         while stack:
-            node, done = stack.pop()
+            entry, done = stack.pop()
             if done:
-                topo.append(node)
+                topo.append(entry)
                 continue
-            if id(node) in visited:
+            if id(entry) in visited:
                 continue
-            if node._backward is _RELEASED:
+            visited.add(id(entry))
+            if type(entry) is not _Node:
+                topo.append(entry)
+                continue
+            if entry.backward is _RELEASED:
                 raise GraphReleasedError(
                     "backward() reached a graph that an earlier backward() already "
                     "released; recompute the forward pass"
                 )
-            visited.add(id(node))
-            stack.append((node, True))
-            if node._parents is not None:
-                for p in node._parents:
-                    if p.requires_grad and id(p) not in visited:
-                        stack.append((p, False))
+            stack.append((entry, True))
+            for p in entry.parents:
+                if p is not None and id(p) not in visited:
+                    stack.append((p, False))
 
-        # Every key in ``pending`` is the id of a node still held by ``topo``.
-        pending: dict[int, np.ndarray] = {id(self): grad}
+        # Every key in ``pending`` is the id of an entry still held by ``topo``.
+        pending: dict[int, np.ndarray] = {id(root): grad}
         while topo:
-            node = topo.pop()
-            g = pending.pop(id(node), None)
-            backward, parents = node._backward, node._parents
-            if backward is None:
+            entry = topo.pop()
+            g = pending.pop(id(entry), None)
+            if type(entry) is not _Node:
                 if g is not None:
-                    node.grad = g if node.grad is None else node.grad + g
+                    entry.grad = g if entry.grad is None else entry.grad + g
                 continue
-            node._backward, node._parents = _RELEASED, None
+            backward, parents = entry.backward, entry.parents
+            entry.backward, entry.parents = _RELEASED, None
             if g is not None:
                 _accumulate(pending, parents, backward(g))
 
@@ -219,11 +265,11 @@ class Tensor:
 def _accumulate(pending: dict[int, np.ndarray], parents, parent_grads) -> None:
     """Add each parent's gradient, cast to the parent's dtype, into ``pending``."""
     for parent, pg in zip(parents, parent_grads):
-        if pg is None or not parent.requires_grad:
+        if pg is None or parent is None:
             continue
         pg = np.asarray(pg)
-        if pg.dtype != parent.data.dtype:
-            pg = pg.astype(parent.data.dtype)
+        if pg.dtype != parent.dtype:
+            pg = pg.astype(parent.dtype)
         prev = pending.get(id(parent))
         pending[id(parent)] = pg if prev is None else prev + pg
 
@@ -272,9 +318,12 @@ def _coerce_pair(a, b, opname: str) -> tuple[Tensor, Tensor]:
 def add(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "add")
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
+    need_a, need_b = _records(a), _records(b)
 
     def backward(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return (_reduce_to(g, sa) if need_a else None,
+                _reduce_to(g, sb) if need_b else None)
 
     return Tensor._result(out, (a, b), backward)
 
@@ -282,9 +331,12 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "sub")
     out = a.data - b.data
+    sa, sb = a.shape, b.shape
+    need_a, need_b = _records(a), _records(b)
 
     def backward(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+        return (_reduce_to(g, sa) if need_a else None,
+                _reduce_to(-g, sb) if need_b else None)
 
     return Tensor._result(out, (a, b), backward)
 
@@ -292,9 +344,14 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "mul")
     out = a.data * b.data
+    sa, sb = a.shape, b.shape
+    # each operand's gradient reads only the other operand
+    bd = b.data if _records(a) else None
+    ad = a.data if _records(b) else None
 
     def backward(g):
-        return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
+        return (None if bd is None else _reduce_to(g * bd, sa),
+                None if ad is None else _reduce_to(g * ad, sb))
 
     return Tensor._result(out, (a, b), backward)
 
@@ -302,10 +359,14 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "div")
     out = a.data / b.data
+    sa, sb = a.shape, b.shape
+    need_a, need_b = _records(a), _records(b)
+    bd = b.data if need_a or need_b else None
+    ad = a.data if need_b else None
 
     def backward(g):
-        ga = _reduce_to(g / b.data, a.shape)
-        gb = _reduce_to(-g * a.data / (b.data * b.data), b.shape)
+        ga = _reduce_to(g / bd, sa) if need_a else None
+        gb = _reduce_to(-g * ad / (bd * bd), sb) if need_b else None
         return ga, gb
 
     return Tensor._result(out, (a, b), backward)
@@ -319,11 +380,13 @@ def neg(a) -> Tensor:
 def maximum(a, b) -> Tensor:
     """Elementwise max; ties route the gradient to the first operand."""
     a, b = _coerce_pair(a, b, "maximum")
-    out = np.maximum(a.data, b.data)
+    ad, bd = a.data, b.data
+    out = np.maximum(ad, bd)
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        take_a = a.data >= b.data
-        return _reduce_to(g * take_a, a.shape), _reduce_to(g * ~take_a, b.shape)
+        take_a = ad >= bd
+        return _reduce_to(g * take_a, sa), _reduce_to(g * ~take_a, sb)
 
     return Tensor._result(out, (a, b), backward)
 
@@ -336,7 +399,8 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return Tensor._result(np.log(a.data), (a,), lambda g: (g / a.data,))
+    x = a.data
+    return Tensor._result(np.log(x), (a,), lambda g: (g / x,))
 
 
 def sqrt(a) -> Tensor:
@@ -348,10 +412,11 @@ def sqrt(a) -> Tensor:
 def clamp(a, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes only where the input is interior."""
     a = as_tensor(a)
-    out = np.clip(a.data, lo, hi)
+    x = a.data
+    out = np.clip(x, lo, hi)
 
     def backward(g):
-        mask = (a.data >= lo) & (a.data <= hi)
+        mask = (x >= lo) & (x <= hi)
         return (g * mask,)
 
     return Tensor._result(out, (a,), backward)
@@ -362,19 +427,28 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(a) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU.
+
+    When the call records a node it also computes the slope
+    ``cdf + x * pdf`` and keeps only that for backward, instead of the input
+    and ``cdf``; under ``no_grad`` it computes nothing extra.
+    """
     a = as_tensor(a)
     x = a.data
     cdf = _sp.erf(x * _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
     out = x * cdf
-
-    def backward(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (cdf + x * pdf),)
-
-    return Tensor._result(out.astype(x.dtype, copy=False), (a,), backward)
+    slope = None
+    if _records(a):
+        # in place, in the order of cdf + x * (exp(-0.5 * x * x) * _INV_SQRT_2PI)
+        slope = x * -0.5
+        slope *= x
+        np.exp(slope, out=slope)
+        slope *= _INV_SQRT_2PI
+        slope *= x
+        slope += cdf
+    return Tensor._result(out.astype(x.dtype, copy=False), (a,), lambda g: (g * slope,))
 
 
 def silu(a) -> Tensor:
@@ -391,10 +465,11 @@ def silu(a) -> Tensor:
 
 def softplus(a) -> Tensor:
     a = as_tensor(a)
-    out = np.logaddexp(0.0, a.data).astype(a.dtype, copy=False)
+    x = a.data
+    out = np.logaddexp(0.0, x).astype(a.dtype, copy=False)
 
     def backward(g):
-        return (g / (1.0 + np.exp(-a.data)),)
+        return (g / (1.0 + np.exp(-x)),)
 
     return Tensor._result(out, (a,), backward)
 
@@ -406,7 +481,8 @@ def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     shape = tuple(int(s) for s in shape)
     out = a.data.reshape(shape)
-    return Tensor._result(out, (a,), lambda g: (g.reshape(a.shape),))
+    sa = a.shape
+    return Tensor._result(out, (a,), lambda g: (g.reshape(sa),))
 
 
 def transpose(a, axes) -> Tensor:
@@ -421,7 +497,8 @@ def broadcast_to(a, shape) -> Tensor:
     a = as_tensor(a)
     shape = tuple(int(s) for s in shape)
     out = np.broadcast_to(a.data, shape)
-    return Tensor._result(out, (a,), lambda g: (_reduce_to(g, a.shape),))
+    sa = a.shape
+    return Tensor._result(out, (a,), lambda g: (_reduce_to(g, sa),))
 
 
 def cast(a, dtype) -> Tensor:
@@ -437,11 +514,13 @@ def concat(tensors: Iterable, axis: int = -1) -> Tensor:
     ax = axis if axis >= 0 else out.ndim + axis
     sizes = [t.shape[ax] for t in ts]
     offsets = np.cumsum([0] + sizes)
+    needs = [_records(t) for t in ts]
 
     def backward(g):
         return tuple(
             np.ascontiguousarray(np.take(g, range(offsets[i], offsets[i + 1]), axis=ax))
-            for i in range(len(ts))
+            if need else None
+            for i, need in enumerate(needs)
         )
 
     return Tensor._result(out, tuple(ts), backward)
@@ -457,9 +536,10 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     idx[ax] = slice(start, start + length)
     idx = tuple(idx)
     out = np.ascontiguousarray(a.data[idx])
+    sa = a.shape
 
     def backward(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
+        full = np.zeros(sa, dtype=g.dtype)
         full[idx] = g
         return (full,)
 
@@ -469,15 +549,16 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    sa = a.shape
 
     def backward(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(g.dtype, copy=False),)
+            return (np.broadcast_to(g, sa).astype(g.dtype, copy=False),)
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(ax if ax >= 0 else a.ndim + ax for ax in axes)
+        axes = tuple(ax if ax >= 0 else len(sa) + ax for ax in axes)
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape),)
+        return (np.broadcast_to(g, sa),)
 
     return Tensor._result(np.asarray(out), (a,), backward)
 
@@ -512,13 +593,17 @@ def matmul(a, b) -> Tensor:
     if batch_a != batch_b and batch_a != () and batch_b != ():
         raise ShapeError(f"matmul: batch dims disagree for {a.shape} @ {b.shape}")
     out = np.matmul(a.data, b.data)
+    sa, sb = a.shape, b.shape
+    # each operand's gradient reads only the other operand
+    bd = b.data if _records(a) else None
+    ad = a.data if _records(b) else None
 
     def backward(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = _reduce_to(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _reduce_to(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        if bd is not None:
+            ga = _reduce_to(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)
+        if ad is not None:
+            gb = _reduce_to(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
         return ga, gb
 
     return Tensor._result(out, (a, b), backward)
@@ -533,25 +618,32 @@ def linear(x, weight, bias=None) -> Tensor:
         raise ShapeError(f"linear: input dim {x.shape} incompatible with weight {weight.shape}")
     # one 2-D GEMM over all leading rows, not one small GEMM per batch entry
     d_in, d_out = weight.shape
-    out_shape = x.shape[:-1] + (d_out,)
+    sx = x.shape
+    out_shape = sx[:-1] + (d_out,)
     xf = x.data.reshape(-1, d_in)
     out = np.matmul(xf, weight.data)
     parents: tuple[Tensor, ...]
-    if bias is not None:
+    has_bias = bias is not None
+    need_b = False
+    if has_bias:
         bias = as_tensor(bias)
         if bias.shape != (d_out,):
             raise ShapeError(f"linear: bias shape {bias.shape} != ({d_out},)")
         out += bias.data
         parents = (x, weight, bias)
+        need_b = _records(bias)
     else:
         parents = (x, weight)
+    # the input's gradient reads only the weight, the weight's only the input
+    w = weight.data if _records(x) else None
+    xk = xf if _records(weight) else None
 
     def backward(g):
         gf = g.reshape(-1, d_out)
-        gx = np.matmul(gf, weight.data.T).reshape(x.shape) if x.requires_grad else None
-        gw = np.matmul(xf.T, gf)
-        if bias is not None:
-            return gx, gw, gf.sum(axis=0)
+        gx = None if w is None else np.matmul(gf, w.T).reshape(sx)
+        gw = None if xk is None else np.matmul(xk.T, gf)
+        if has_bias:
+            return gx, gw, gf.sum(axis=0) if need_b else None
         return gx, gw
 
     return Tensor._result(out.reshape(out_shape), parents, backward)
@@ -564,10 +656,11 @@ def embedding_lookup(table, indices) -> Tensor:
     if np.any(idx < 0) or np.any(idx >= table.shape[0]):
         raise ShapeError(f"embedding_lookup: index out of range for table {table.shape}")
     out = table.data[idx]
+    st = table.shape
 
     def backward(g):
-        gt = np.zeros(table.shape, dtype=g.dtype)
-        np.add.at(gt, idx.reshape(-1), g.reshape(-1, table.shape[-1]))
+        gt = np.zeros(st, dtype=g.dtype)
+        np.add.at(gt, idx.reshape(-1), g.reshape(-1, st[-1]))
         return (gt,)
 
     return Tensor._result(np.ascontiguousarray(out), (table,), backward)
@@ -668,16 +761,22 @@ def layer_norm(x, gain, bias) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    gd = gain.data
+    out = xhat * gd + bias.data
+    need_x, need_gain, need_bias = _records(x), _records(gain), _records(bias)
 
     def backward(g):
-        gx_hat = g * gain.data
-        # d/dx of (x - mu) * inv with mu, var both functions of x
-        mean_g = gx_hat.mean(axis=-1, keepdims=True)
-        mean_gx = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gx_hat - mean_g - xhat * mean_gx)
-        ggain = (g * xhat).reshape(-1, d).sum(axis=0)
-        gbias = g.reshape(-1, d).sum(axis=0)
+        gx = ggain = gbias = None
+        if need_x:
+            gx_hat = g * gd
+            # d/dx of (x - mu) * inv with mu, var both functions of x
+            mean_g = gx_hat.mean(axis=-1, keepdims=True)
+            mean_gx = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+            gx = inv * (gx_hat - mean_g - xhat * mean_gx)
+        if need_gain:
+            ggain = (g * xhat).reshape(-1, d).sum(axis=0)
+        if need_bias:
+            gbias = g.reshape(-1, d).sum(axis=0)
         return gx, ggain, gbias
 
     return Tensor._result(out, (x, gain, bias), backward)
@@ -691,13 +790,18 @@ def rms_norm(x, gain) -> Tensor:
     ms = (x.data * x.data).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(ms + NORM_EPS)
     xhat = x.data * inv
-    out = xhat * gain.data
+    gd = gain.data
+    out = xhat * gd
+    need_x, need_gain = _records(x), _records(gain)
 
     def backward(g):
-        gx_hat = g * gain.data
-        mean_gx = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gx_hat - xhat * mean_gx)
-        ggain = (g * xhat).reshape(-1, d).sum(axis=0)
+        gx = ggain = None
+        if need_x:
+            gx_hat = g * gd
+            mean_gx = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+            gx = inv * (gx_hat - xhat * mean_gx)
+        if need_gain:
+            ggain = (g * xhat).reshape(-1, d).sum(axis=0)
         return gx, ggain
 
     return Tensor._result(out, (x, gain), backward)
@@ -731,12 +835,14 @@ def max_pool_window(x, window: int) -> Tensor:
             out[..., t, :] = seg.max(axis=-2)
             idx[..., t, :] = a + seg.argmax(axis=-2)
 
+    sx = xd.shape
+
     def backward(g):
-        R, D = math.prod(xd.shape[:-2]), xd.shape[-1]
+        R, D = math.prod(sx[:-2]), sx[-1]
         gx = np.zeros((R, T, D), dtype=g.dtype)
         rows = np.arange(R).reshape(R, 1, 1)
         np.add.at(gx, (rows, idx.reshape(R, T, D), np.arange(D)), g.reshape(R, T, D))
-        return (gx.reshape(xd.shape),)
+        return (gx.reshape(sx),)
 
     return Tensor._result(out, (x,), backward)
 
@@ -768,16 +874,23 @@ def causal_depthwise_conv(x, weight) -> Tensor:
     pad_shape = x.shape[:-2] + (K - 1, C)
     xp = np.concatenate([np.zeros(pad_shape, dtype=x.dtype), x.data], axis=-2)
     out = np.zeros(x.shape, dtype=x.dtype)
+    wd = weight.data
     for j in range(K):
-        out += xp[..., j: j + T, :] * weight.data[j]
+        out += xp[..., j: j + T, :] * wd[j]
+    # the input's gradient reads only the weight, the weight's only the padded input
+    need_x = _records(x)
+    xk = xp if _records(weight) else None
+    sxp = xp.shape
 
     def backward(g):
-        gxp = np.zeros(xp.shape, dtype=g.dtype)
-        gw = np.zeros(weight.shape, dtype=g.dtype)
+        gxp = np.zeros(sxp, dtype=g.dtype) if need_x else None
+        gw = np.zeros((K, C), dtype=g.dtype) if xk is not None else None
         for j in range(K):
-            gxp[..., j: j + T, :] += g * weight.data[j]
-            gw[j] = (g * xp[..., j: j + T, :]).reshape(-1, C).sum(axis=0)
-        return gxp[..., K - 1:, :], gw
+            if need_x:
+                gxp[..., j: j + T, :] += g * wd[j]
+            if xk is not None:
+                gw[j] = (g * xk[..., j: j + T, :]).reshape(-1, C).sum(axis=0)
+        return None if gxp is None else gxp[..., K - 1:, :], gw
 
     return Tensor._result(out, (x, weight), backward)
 

@@ -464,6 +464,23 @@ def test_missing_file_exits_one(workdir):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["synth", "sample", "train"])
+def test_out_into_a_missing_directory_names_the_target(paths, workdir, command):
+    target = workdir / "no_such_dir" / f"{command}.out"
+    argv = {
+        "synth": ["synth", "--count", "4"],
+        "sample": ["sample", "--model", paths["ckpt"], "--data", paths["data"],
+                   "--scenarios", "2", "--limit", "2"],
+        "train": ["train", "--data", paths["data"], "--epochs", "1", "--batch-size", "8",
+                  "--context", "4", "--components", "2"],
+    }[command]
+    code, stdout, err = run_cli(*argv, "--out", str(target))
+    assert code == 1
+    assert err.splitlines()[-1] == f"error: [Errno 2] No such file or directory: {str(target)!r}"
+    assert "Traceback" not in err and ".tmp" not in err
+    assert not target.parent.exists()
+
+
 @pytest.mark.parametrize("lr", ["0", "-0.01"])
 def test_train_rejects_a_non_positive_learning_rate(paths, workdir, lr):
     out = workdir / "bad_lr.ckpt"

@@ -1,11 +1,13 @@
 """Autodiff engine: primitives against finite differences and hand oracles."""
 
 import itertools
+import math
 import warnings
 import weakref
 
 import numpy as np
 import pytest
+from scipy import special
 
 from causaltraj import tensor as T
 from causaltraj.errors import CausalTrajError, GradCheckError, GraphReleasedError, ShapeError
@@ -65,7 +67,12 @@ class TestBasics:
 
 
 def mlp_graph():
-    """A two-layer MLP loss; returns (loss, leaves, weakrefs to the interior tensors)."""
+    """A two-layer MLP loss; returns (loss, leaves, weakrefs to interior arrays).
+
+    ``pre`` is the first layer's output, which only GELU reads, and GELU keeps
+    its slope instead; the second layer's weight gradient reads ``hidden``; the
+    squared loss reads ``out``.
+    """
     rng = np.random.default_rng(0)
     x = randt(rng, (4, 3))
     w1, b1, w2 = randt(rng, (3, 5)), randt(rng, (5,)), randt(rng, (5, 2))
@@ -73,17 +80,49 @@ def mlp_graph():
     hidden = T.gelu(pre)
     out = T.linear(hidden, w2)
     loss = (out * out).sum()
-    return loss, [x, w1, b1, w2], [weakref.ref(t) for t in (pre, hidden, out)]
+    arrays = {"pre": pre.data, "hidden": hidden.data, "out": out.data}
+    return loss, [x, w1, b1, w2], {k: weakref.ref(a) for k, a in arrays.items()}
 
 
 class TestTapeRelease:
-    def test_backward_frees_the_interior_tensors(self):
-        loss, leaves, interior = mlp_graph()
-        assert all(ref() is not None for ref in interior)
+    def test_unread_results_are_freed_during_the_forward_pass(self):
+        loss, _, arrays = mlp_graph()
+        assert arrays["pre"]() is None
+        assert arrays["hidden"]() is not None   # the graph is still alive
         loss.backward()
-        assert all(ref() is None for ref in interior)
+
+    def test_read_results_live_until_backward(self):
+        loss, _, arrays = mlp_graph()
+        assert arrays["hidden"]() is not None and arrays["out"]() is not None
+        loss.backward()
+        assert arrays["hidden"]() is None and arrays["out"]() is None
+
+    def test_backward_frees_the_interior_tensors(self):
+        loss, leaves, arrays = mlp_graph()
+        loss.backward()
+        assert all(ref() is None for ref in arrays.values())
         assert loss.data.shape == ()            # the root itself is still held here
         assert all(p.grad is not None for p in leaves)
+
+    @pytest.mark.parametrize("op, const_side", [
+        ("mul", 1), ("div", 1), ("matmul", 1), ("linear", 1),
+        ("mul", 0), ("matmul", 0), ("linear", 0),
+    ])
+    def test_operand_without_grad_costs_nothing(self, op, const_side):
+        # the gradient of the operand that needs none is not computed, and the
+        # array only that gradient would read (the other operand's) is not kept
+        rng = np.random.default_rng(4)
+        const = Tensor(rng.normal(size=(4, 4)))
+        a = randt(rng, (4, 4)) * 2.0            # its own backward reads no array
+        ref = weakref.ref(a.data)
+        operands = [a, a]
+        operands[const_side] = const
+        y = getattr(T, op)(*operands)
+        del a, operands
+        assert ref() is None
+        grads = y._backward(np.ones(y.shape, dtype=y.dtype))
+        assert grads[const_side] is None and grads[1 - const_side] is not None
+
 
     def test_interior_tensors_keep_no_grad(self):
         rng = np.random.default_rng(1)
@@ -386,6 +425,35 @@ def test_lastdim_reductions_equal_numpy_bitwise(dtype, lead):
                           (T._lastdim_sum(x), x.sum(axis=-1, keepdims=True))):
             assert got.dtype == want.dtype and got.shape == want.shape, n
             assert got.tobytes() == want.tobytes(), n
+
+
+class TestGeluSlope:
+    @staticmethod
+    def reference_input_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The input gradient as a backward that recomputes the slope forms it."""
+        cdf = special.erf(x * (1.0 / math.sqrt(2.0)))
+        cdf += 1.0
+        cdf *= 0.5
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        return g * (cdf + x * pdf)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_gradient_is_bit_identical(self, dtype):
+        # a dense grid over [-9, 9], well past the +-4 where the pdf term underflows
+        x = np.linspace(-9.0, 9.0, 360_001).astype(dtype)
+        g = np.random.default_rng(6).normal(size=x.shape).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        T.gelu(xt).backward(g)
+        want = self.reference_input_grad(x, g)
+        assert xt.grad.dtype == want.dtype == dtype
+        assert xt.grad.tobytes() == want.tobytes()
+
+    def test_no_grad_records_no_node(self):
+        x = Tensor(np.linspace(-3.0, 3.0, 7), requires_grad=True)
+        with T.no_grad():
+            y = T.gelu(x)
+        assert not y.requires_grad and y._backward is None
+        assert np.array_equal(y.data, T.gelu(x).data)
 
 
 class TestMatmulOracle:

@@ -1,14 +1,21 @@
 """Optimizer arithmetic, schedule shape, training loop, resume."""
 
 import dataclasses
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import causaltraj
 from causaltraj.errors import ConfigError
 from causaltraj.model import ModelConfig, TrajectoryModel, save_checkpoint
-from causaltraj.data import synth_forking_play
+from causaltraj.data import epoch_batches, synth_forking_play
 from causaltraj.tensor import Tensor
 from causaltraj.trainer import (
     ADAM_EPS,
@@ -254,3 +261,59 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(model, data, probe_cfg())
         model.config.context_frames = 4
+
+
+# Bounds on the traced peak of one training step's forward and backward. The
+# step keeps only the arrays backward reads: 32.6 MB (pointnet) and 55.3 MB
+# (ssm). Keeping every intermediate tensor until backward, as the tape did
+# when its nodes held whole tensors, peaked at 61.5 MB and 99.1 MB.
+STEP_PEAK_MB = {"pointnet": 45.0, "ssm": 75.0}
+
+
+@pytest.mark.parametrize("temporal", sorted(STEP_PEAK_MB))
+def test_training_step_memory_peak(temporal):
+    ts = synth_forking_play(32, frames=24, players=4, seed=0).trajectories
+    model = TrajectoryModel(ModelConfig.small(
+        num_agents=5, num_components=8, context_frames=10, future_frames=14,
+        temporal=temporal, seed=0))
+    positions, categories = next(epoch_batches(ts, 32, 0, 0))
+    tracemalloc.start()
+    try:
+        loss, _ = model.loss(positions, categories)
+        loss.backward()
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < STEP_PEAK_MB[temporal], f"{temporal}: {peak_mb:.2f} MB"
+
+
+# Three one-epoch train() calls; prints the minor faults of each.
+TRAIN_FAULT_PROBE = """
+import json, resource
+from causaltraj import data, model, trainer
+ts = data.synth_forking_play(32, frames=24, players=4, seed=1).trajectories
+m = model.TrajectoryModel(model.ModelConfig.small(
+    num_agents=5, num_components=8, context_frames=10, future_frames=14,
+    temporal="ssm", seed=1))
+cfg = trainer.TrainConfig(epochs=100, batch_size=32, seed=1)
+opt, faults = None, []
+for epoch in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _, opt = trainer.train(m, ts, cfg, start_epoch=epoch, end_epoch=epoch + 1, optimizer=opt)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"faults": faults, "kept": trainer.keep_freed_heap()}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_training_epochs_reuse_freed_heap():
+    # with glibc's default thresholds each later epoch here refaults ~4k pages
+    src = os.path.dirname(os.path.dirname(causaltraj.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", TRAIN_FAULT_PROBE], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["kept"]
+    assert max(report["faults"][1:]) < 1000, report["faults"]

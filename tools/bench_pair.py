@@ -10,8 +10,11 @@ temporary directory, so the working tree and ``.git`` are left alone and
 uncommitted edits never enter a run. For every pair and every workload the
 tool runs that checkout's own ``perfbench/run.py --trace 0`` once per side,
 one process at a time, and alternates which side goes first. The output holds
-each run's end-to-end metrics (the names and directions in ``BENCHMARK.json``),
-per-side medians and quartiles, how many pairs the head side won, the failed
+each run's end-to-end metrics (the names and directions in ``BENCHMARK.json``;
+``scenes_per_s`` is scaled by the host probe), its wall-clock rate
+(``train_scenes_per_s`` or ``sample_scenarios_per_s``) and its set-up
+repetitions (``setup_reps_s``), per-side medians and quartiles of the metrics
+and of the wall-clock rate, how many pairs the head side won, the failed
 counts, both commits, and the ``env`` block of the head's first report.
 """
 
@@ -42,6 +45,10 @@ def export(commit: str, dest: Path) -> None:
                          check=True, stdout=subprocess.PIPE).stdout
     with tarfile.open(fileobj=io.BytesIO(raw)) as tar:
         tar.extractall(dest, filter="data")
+
+
+# The report's unscaled rate, under the name a user reads, per workload kind.
+WALL_RATES = ("train_scenes_per_s", "sample_scenarios_per_s")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -100,6 +107,9 @@ def main(argv=None) -> int:
                         env = report["env"]
                     runs[w][side].append({
                         **{m: result["metrics"][m]["value"] for m in metrics},
+                        **{k: report["named"][k]["value"] for k in WALL_RATES
+                           if k in report["named"]},
+                        "setup_reps_s": report["setup_reps_s"],
                         "failed": result["failed"], "attempted": result["attempted"],
                     })
                     print(f"pair {i + 1}/{args.pairs} {w} {side}: "
@@ -120,6 +130,9 @@ def main(argv=None) -> int:
                 "metrics": {m: summary([r[m] for r in runs[w]["base"]],
                                        [r[m] for r in runs[w]["head"]], better)
                             for m, better in metrics.items()},
+                "wall_clock": {k: summary([r[k] for r in runs[w]["base"]],
+                                          [r[k] for r in runs[w]["head"]], "higher")
+                               for k in WALL_RATES if k in runs[w]["head"][0]},
             }
             for w in workloads
         },
