@@ -361,8 +361,8 @@ def div(a, b) -> Tensor:
     out = a.data / b.data
     sa, sb = a.shape, b.shape
     need_a, need_b = _records(a), _records(b)
-    bd = b.data if need_a or need_b else None
-    ad = a.data if need_b else None
+    bd = b.data
+    ad = a.data if need_b else None    # only the divisor's gradient reads the dividend
 
     def backward(g):
         ga = _reduce_to(g / bd, sa) if need_a else None
@@ -763,20 +763,15 @@ def layer_norm(x, gain, bias) -> Tensor:
     xhat = xc * inv
     gd = gain.data
     out = xhat * gd + bias.data
-    need_x, need_gain, need_bias = _records(x), _records(gain), _records(bias)
 
     def backward(g):
-        gx = ggain = gbias = None
-        if need_x:
-            gx_hat = g * gd
-            # d/dx of (x - mu) * inv with mu, var both functions of x
-            mean_g = gx_hat.mean(axis=-1, keepdims=True)
-            mean_gx = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-            gx = inv * (gx_hat - mean_g - xhat * mean_gx)
-        if need_gain:
-            ggain = (g * xhat).reshape(-1, d).sum(axis=0)
-        if need_bias:
-            gbias = g.reshape(-1, d).sum(axis=0)
+        gx_hat = g * gd
+        # d/dx of (x - mu) * inv with mu, var both functions of x
+        mean_g = gx_hat.mean(axis=-1, keepdims=True)
+        mean_gx = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+        gx = inv * (gx_hat - mean_g - xhat * mean_gx)
+        ggain = (g * xhat).reshape(-1, d).sum(axis=0)
+        gbias = g.reshape(-1, d).sum(axis=0)
         return gx, ggain, gbias
 
     return Tensor._result(out, (x, gain, bias), backward)
@@ -792,16 +787,12 @@ def rms_norm(x, gain) -> Tensor:
     xhat = x.data * inv
     gd = gain.data
     out = xhat * gd
-    need_x, need_gain = _records(x), _records(gain)
 
     def backward(g):
-        gx = ggain = None
-        if need_x:
-            gx_hat = g * gd
-            mean_gx = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-            gx = inv * (gx_hat - xhat * mean_gx)
-        if need_gain:
-            ggain = (g * xhat).reshape(-1, d).sum(axis=0)
+        gx_hat = g * gd
+        mean_gx = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+        gx = inv * (gx_hat - xhat * mean_gx)
+        ggain = (g * xhat).reshape(-1, d).sum(axis=0)
         return gx, ggain
 
     return Tensor._result(out, (x, gain), backward)
@@ -877,20 +868,14 @@ def causal_depthwise_conv(x, weight) -> Tensor:
     wd = weight.data
     for j in range(K):
         out += xp[..., j: j + T, :] * wd[j]
-    # the input's gradient reads only the weight, the weight's only the padded input
-    need_x = _records(x)
-    xk = xp if _records(weight) else None
-    sxp = xp.shape
 
     def backward(g):
-        gxp = np.zeros(sxp, dtype=g.dtype) if need_x else None
-        gw = np.zeros((K, C), dtype=g.dtype) if xk is not None else None
+        gxp = np.zeros(xp.shape, dtype=g.dtype)
+        gw = np.zeros((K, C), dtype=g.dtype)
         for j in range(K):
-            if need_x:
-                gxp[..., j: j + T, :] += g * wd[j]
-            if xk is not None:
-                gw[j] = (g * xk[..., j: j + T, :]).reshape(-1, C).sum(axis=0)
-        return None if gxp is None else gxp[..., K - 1:, :], gw
+            gxp[..., j: j + T, :] += g * wd[j]
+            gw[j] = (g * xp[..., j: j + T, :]).reshape(-1, C).sum(axis=0)
+        return gxp[..., K - 1:, :], gw
 
     return Tensor._result(out, (x, weight), backward)
 

@@ -263,10 +263,10 @@ class TestTrainLoop:
         model.config.context_frames = 4
 
 
-# Bounds on the traced peak of one training step's forward and backward. The
-# step keeps only the arrays backward reads: 32.6 MB (pointnet) and 55.3 MB
-# (ssm). Keeping every intermediate tensor until backward, as the tape did
-# when its nodes held whole tensors, peaked at 61.5 MB and 99.1 MB.
+# Bounds on the traced peak of one training step's forward and backward. Keeping
+# only the arrays backward reads, the step peaks at 32.6 MB (pointnet) and
+# 55.3 MB (ssm); a tape whose nodes hold their parent tensors, and so every
+# intermediate result until backward, peaks at 61.5 MB and 99.1 MB.
 STEP_PEAK_MB = {"pointnet": 45.0, "ssm": 75.0}
 
 
