@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -67,6 +68,9 @@ def _model_config_for(args, ts: data_mod.TrajectorySet) -> ModelConfig:
 
 
 def cmd_train(args) -> int:
+    # the first checkpoint is written after an epoch: fail before training instead
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     ts = data_mod.read_trajectories(args.data)
     if args.resume:
         model, optimizer, cfg, start_epoch = trainer_mod.load_training_checkpoint(args.resume)

@@ -512,7 +512,7 @@ def save_checkpoint(
             f.write(nb)
             f.write(struct.pack("<B", data.ndim))
             f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            f.write(data.tobytes())
+            f.write(data)     # through the buffer protocol, without a bytes copy
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -66,7 +66,8 @@ class Module:
                 raise ConfigError(
                     f"parameter {name}: stored shape {arr.shape} != model shape {p.data.shape}"
                 )
-            p.data = arr.astype(p.data.dtype, copy=False)
+            # a copy: the optimizer updates parameter arrays in place
+            p.data = arr.astype(p.data.dtype, order="C")
 
     def count_parameters(self) -> int:
         return sum(p.size for p in self.parameters())

@@ -454,7 +454,8 @@ def gelu(a) -> Tensor:
 def silu(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    sig = 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):     # exp(-x) = inf for x << 0 gives sig = 0
+        sig = 1.0 / (1.0 + np.exp(-x))
     out = x * sig
 
     def backward(g):
@@ -469,7 +470,8 @@ def softplus(a) -> Tensor:
     out = np.logaddexp(0.0, x).astype(a.dtype, copy=False)
 
     def backward(g):
-        return (g / (1.0 + np.exp(-x)),)
+        with np.errstate(over="ignore"):     # exp(-x) = inf for x << 0 gives a zero slope
+            return (g / (1.0 + np.exp(-x)),)
 
     return Tensor._result(out, (a,), backward)
 
@@ -739,38 +741,57 @@ def softmax_lastdim(a) -> Tensor:
     forward and backward are bit-identical to ``x.max``/``x.sum``.
     """
     a = as_tensor(a)
-    m = _lastdim_max(a.data)
-    e = np.exp(a.data - m)
-    out = e / _lastdim_sum(e)
+    out = a.data - _lastdim_max(a.data)
+    np.exp(out, out=out)
+    out /= _lastdim_sum(out)
 
     def backward(g):
-        inner = _lastdim_sum(g * out)
-        return (out * (g - inner),)
+        gx = g * out
+        inner = _lastdim_sum(gx)
+        np.subtract(g, inner, out=gx)
+        gx *= out
+        return (gx,)
 
     return Tensor._result(out, (a,), backward)
 
 
+def _affine_out(xhat: np.ndarray, scratch: np.ndarray, *affine: np.ndarray) -> np.ndarray:
+    """The array ``xhat * gain (+ bias)`` goes into: ``scratch`` unless the affine widens the dtype."""
+    dtype = np.result_type(xhat, *affine)
+    return scratch if scratch.dtype == dtype else np.empty(xhat.shape, dtype)
+
+
 def layer_norm(x, gain, bias) -> Tensor:
-    """Per-vector standardization over the last dimension, then affine."""
+    """Per-vector standardization over the last dimension, then affine.
+
+    Forward and backward each allocate two full-size arrays and work in them
+    with in-place ufuncs, in the order of the plain expressions in the
+    comments, so every result is bit-identical to them.
+    """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: affine shapes {gain.shape}/{bias.shape} != ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = xc * inv
-    gd = gain.data
-    out = xhat * gd + bias.data
+    gd, bd = gain.data, bias.data
+    # xc = x - mean(x); xhat = xc / sqrt(mean(xc * xc) + eps); out = xhat * gain + bias
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    sq = xhat * xhat
+    inv = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + NORM_EPS)
+    xhat *= inv
+    out = np.multiply(xhat, gd, out=_affine_out(xhat, sq, gd, bd))
+    out += bd
 
     def backward(g):
-        gx_hat = g * gd
-        # d/dx of (x - mu) * inv with mu, var both functions of x
-        mean_g = gx_hat.mean(axis=-1, keepdims=True)
-        mean_gx = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gx_hat - mean_g - xhat * mean_gx)
-        ggain = (g * xhat).reshape(-1, d).sum(axis=0)
+        # gx_hat = g * gain
+        # gx = inv * (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat))
+        gx = g * gd
+        mean_g = gx.mean(axis=-1, keepdims=True)
+        t = gx * xhat
+        mean_gx = t.mean(axis=-1, keepdims=True)
+        gx -= mean_g
+        gx -= np.multiply(xhat, mean_gx, out=t)
+        gx *= inv
+        ggain = np.multiply(g, xhat, out=t).reshape(-1, d).sum(axis=0)
         gbias = g.reshape(-1, d).sum(axis=0)
         return gx, ggain, gbias
 
@@ -778,21 +799,29 @@ def layer_norm(x, gain, bias) -> Tensor:
 
 
 def rms_norm(x, gain) -> Tensor:
+    """Scaling by the root mean square over the last dimension, then a gain.
+
+    Allocates two full-size arrays in each direction, like ``layer_norm``.
+    """
     x, gain = as_tensor(x), as_tensor(gain)
     d = x.shape[-1]
     if gain.shape != (d,):
         raise ShapeError(f"rms_norm: gain shape {gain.shape} != ({d},)")
-    ms = (x.data * x.data).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(ms + NORM_EPS)
-    xhat = x.data * inv
     gd = gain.data
-    out = xhat * gd
+    # xhat = x / sqrt(mean(x * x) + eps); out = xhat * gain
+    sq = x.data * x.data
+    inv = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + NORM_EPS)
+    xhat = x.data * inv
+    out = np.multiply(xhat, gd, out=_affine_out(xhat, sq, gd))
 
     def backward(g):
-        gx_hat = g * gd
-        mean_gx = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gx_hat - xhat * mean_gx)
-        ggain = (g * xhat).reshape(-1, d).sum(axis=0)
+        # gx = inv * (g * gain - xhat * mean(g * gain * xhat))
+        gx = g * gd
+        t = gx * xhat
+        mean_gx = t.mean(axis=-1, keepdims=True)
+        gx -= np.multiply(xhat, mean_gx, out=t)
+        gx *= inv
+        ggain = np.multiply(g, xhat, out=t).reshape(-1, d).sum(axis=0)
         return gx, ggain
 
     return Tensor._result(out, (x, gain), backward)

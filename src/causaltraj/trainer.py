@@ -45,6 +45,9 @@ CLIP_NORM = 1.0
 WARMUP_FRAC = 0.3
 START_DIV = 25.0
 FINAL_DIV = 1e4
+# AdamW updates each parameter in blocks of this many floats through three
+# float32 scratch buffers of this size, so a block's passes run in cache.
+ADAM_BLOCK = 1 << 16
 
 # glibc's mallopt parameters (malloc.h) and the values ``keep_freed_heap`` sets.
 _M_TRIM_THRESHOLD = -1
@@ -114,7 +117,14 @@ def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 
 class AdamW:
-    """Moment state keyed by parameter name; applies updates in place.
+    """Moment state keyed by parameter name; updates parameters and moments in place.
+
+    The optimizer owns its parameters' arrays: ``step`` writes into each
+    ``p.data`` (a C-contiguous float32 array) and into the moments, block by
+    block through three scratch buffers. Apart from the per-gradient
+    temporaries of the non-finite check and the float64 global norm, it makes
+    no full-size array. So no parameter array may be one its caller still
+    reads; ``Module.load_state_arrays`` copies what it is given.
 
     Every optimizer setting is a module constant, so ``cfg`` does not affect
     the updates; it stays in the signature because callers pass the run's
@@ -122,11 +132,15 @@ class AdamW:
     """
 
     def __init__(self, named_params: list[tuple[str, Tensor]], cfg: TrainConfig):
+        for name, p in named_params:
+            if p.data.dtype != np.float32 or not p.data.flags.c_contiguous:
+                raise ConfigError(f"parameter {name} is not a C-contiguous float32 array")
         self.named = named_params
         self.m = {name: np.zeros_like(p.data) for name, p in named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in named_params}
         self.t = 0
         self.skipped = 0
+        self._scratch = np.empty((3, ADAM_BLOCK), dtype=np.float32)
 
     def step(self, lr: float) -> bool:
         """Clip by global norm and update; returns False on a skipped step."""
@@ -141,22 +155,41 @@ class AdamW:
         for g in grads:
             total += float(np.square(g, dtype=np.float64).sum())
         norm = math.sqrt(total)
-        if norm > CLIP_NORM:
-            scale = CLIP_NORM / norm
-            grads = [g * np.float32(scale) for g in grads]
+        scale = np.float32(CLIP_NORM / norm) if norm > CLIP_NORM else None
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
         for (name, p), g in zip(self.named, grads):
-            m = self.m[name]
-            v = self.v[name]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            p.data = p.data - lr * (update + WEIGHT_DECAY * p.data)
+            flat = [a.reshape(-1) for a in (p.data, self.m[name], self.v[name], g)]
+            for lo in range(0, flat[0].size, ADAM_BLOCK):
+                block = [a[lo:lo + ADAM_BLOCK] for a in flat]
+                self._update_block(*block, scale, lr, bc1, bc2)
         return True
+
+    def _update_block(self, p, m, v, g, scale, lr, bc1, bc2) -> None:
+        """One block's clip and AdamW update, in place, in the unfused expression order.
+
+        ``m += (1 - BETA1) * g``, ``v += (1 - BETA2) * (g * g)``, then
+        ``p -= lr * ((m / bc1) / (sqrt(v / bc2) + ADAM_EPS) + WEIGHT_DECAY * p)``,
+        each operation rounded to float32 exactly as the expression rounds it.
+        """
+        a, b, c = (buf[:p.size] for buf in self._scratch)
+        if scale is not None:
+            g = np.multiply(g, scale, out=a)
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=b)
+        v *= BETA2
+        np.multiply(g, g, out=b)
+        b *= 1.0 - BETA2
+        v += b
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        np.divide(m, bc1, out=c)
+        c /= b
+        c += np.multiply(p, WEIGHT_DECAY, out=b)
+        c *= lr
+        p -= c
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}
@@ -175,8 +208,8 @@ class AdamW:
             for key in (mk, vk):
                 if arrays[key].shape != self.m[name].shape:
                     raise ConfigError(f"optimizer moment shape mismatch for {key}")
-            self.m[name] = arrays[mk].astype(np.float32)
-            self.v[name] = arrays[vk].astype(np.float32)
+            self.m[name] = arrays[mk].astype(np.float32, order="C")
+            self.v[name] = arrays[vk].astype(np.float32, order="C")
         self.t = t
 
 

@@ -479,6 +479,8 @@ def test_out_into_a_missing_directory_names_the_target(paths, workdir, command):
     assert err.splitlines()[-1] == f"error: [Errno 2] No such file or directory: {str(target)!r}"
     assert "Traceback" not in err and ".tmp" not in err
     assert not target.parent.exists()
+    # train checks the directory before it trains: no epoch was run and logged
+    assert not any(line.startswith("epoch") for line in err.splitlines())
 
 
 @pytest.mark.parametrize("lr", ["0", "-0.01"])

@@ -1,6 +1,7 @@
 """Full model: shapes, loss framing, rollout semantics, checkpoints."""
 
 import dataclasses
+import json
 import math
 import struct
 
@@ -524,6 +525,32 @@ class TestCheckpoint:
         assert np.array_equal(before, after)
         assert extra == {"epoch": 3}
         np.testing.assert_array_equal(rest["lr"], np.array([0.1, 0.2], dtype=np.float32))
+
+    @staticmethod
+    def serialize_with_copies(model, extra, extra_arrays) -> bytes:
+        """The checkpoint bytes as the layout's reference writer makes them: ``tobytes()`` copies."""
+        meta = {"format": 1, "model": model.config.to_dict(), "extra": extra}
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        arrays = {f"param/{name}": a for name, a in model.state_arrays().items()}
+        arrays.update(extra_arrays)
+        parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(blob)), blob,
+                 struct.pack("<I", len(arrays))]
+        for name in sorted(arrays):
+            data = np.ascontiguousarray(arrays[name], dtype="<f4")
+            nb = name.encode("utf-8")
+            parts += [struct.pack("<H", len(nb)), nb, struct.pack("<B", data.ndim),
+                      struct.pack(f"<{data.ndim}I", *data.shape), data.tobytes()]
+        return b"".join(parts)
+
+    def test_bytes_match_the_copying_writer(self, tmp_path, pointnet_model):
+        # extra arrays that need converting: float64, a transposed view, a 0-d and an empty one
+        grid = np.arange(12.0).reshape(3, 4)
+        extra_arrays = {"f64": grid, "view": grid.astype(np.float32).T,
+                        "scalar": np.array(2.5), "empty": np.zeros((0, 3), dtype=np.float32)}
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, pointnet_model, extra={"epoch": 3}, extra_arrays=extra_arrays)
+        want = self.serialize_with_copies(pointnet_model, {"epoch": 3}, extra_arrays)
+        assert path.read_bytes() == want
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.ckpt"

@@ -456,6 +456,107 @@ class TestGeluSlope:
         assert np.array_equal(y.data, T.gelu(x).data)
 
 
+class TestRowKernelsAgainstUnfused:
+    """layer_norm, rms_norm and softmax_lastdim against their plain-expression forms.
+
+    The kernels work in place in their own arrays; the references below are
+    the expressions they replace, whose temporaries the kernels no longer make.
+    Forward outputs and every gradient must match byte for byte.
+    """
+
+    @staticmethod
+    def layer_norm(x, gd, bd, g):
+        mu = x.mean(axis=-1, keepdims=True)
+        xc = x - mu
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + T.NORM_EPS)
+        xhat = xc * inv
+        out = xhat * gd + bd
+        gx_hat = g * gd
+        mean_g = gx_hat.mean(axis=-1, keepdims=True)
+        mean_gx = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+        gx = inv * (gx_hat - mean_g - xhat * mean_gx)
+        d = x.shape[-1]
+        return out, (gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
+
+    @staticmethod
+    def rms_norm(x, gd, g):
+        ms = (x * x).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(ms + T.NORM_EPS)
+        xhat = x * inv
+        out = xhat * gd
+        gx_hat = g * gd
+        mean_gx = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+        gx = inv * (gx_hat - xhat * mean_gx)
+        return out, (gx, (g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
+
+    @staticmethod
+    def softmax(x, g):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        out = e / e.sum(axis=-1, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
+        return out, (out * (g - inner),)
+
+    @staticmethod
+    def check(op, arrays, g, want_out, want_grads):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        out.backward(g.astype(out.dtype))
+        assert out.dtype == want_out.dtype
+        assert out.data.tobytes() == want_out.tobytes()
+        for leaf, want in zip(leaves, want_grads):
+            want = want.astype(leaf.dtype)   # backward casts each gradient to its leaf's dtype
+            assert leaf.grad.shape == want.shape
+            assert leaf.grad.tobytes() == want.tobytes()
+
+    # (x, gain, bias) dtypes; the mixed ones widen the output beyond x's dtype
+    DTYPES = [(np.float32,) * 3, (np.float64,) * 3, (np.float32, np.float64, np.float32),
+              (np.float32, np.float32, np.float64)]
+
+    @pytest.mark.parametrize("shape", [(3, 7), (4, 5, 24, 32), (2, 6, 128)])
+    @pytest.mark.parametrize("dtypes", DTYPES, ids=lambda d: "-".join(np.dtype(t).name for t in d))
+    def test_norms(self, shape, dtypes):
+        rng = np.random.default_rng(sum(shape))
+        d = shape[-1]
+        x = (rng.normal(size=shape) * 3.0 + 0.5).astype(dtypes[0])
+        gd = rng.normal(1.0, 0.3, size=d).astype(dtypes[1])
+        bd = rng.normal(size=d).astype(dtypes[2])
+        g = rng.normal(size=shape)
+        out_dtype = np.result_type(*dtypes)
+        self.check(T.layer_norm, [x, gd, bd], g,
+                   *self.layer_norm(x, gd, bd, g.astype(out_dtype)))
+        rms_dtype = np.result_type(x, gd)
+        self.check(T.rms_norm, [x, gd], g, *self.rms_norm(x, gd, g.astype(rms_dtype)))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (6, 5), (4, 3, 11), (2, 130)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax(self, shape, dtype):
+        rng = np.random.default_rng(shape[-1])
+        x = (rng.normal(size=shape) * 4.0).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        self.check(T.softmax_lastdim, [x], g, *self.softmax(x, g))
+
+
+class TestExpOverflow:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_silu_and_softplus_far_below_zero_warn_nothing(self, dtype):
+        # exp(-x) overflows to inf for x << 0; the limits sig -> 0 and slope -> 0 are exact
+        x = np.array([-1000.0, -100.0, -1.0, 0.0, 3.0], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = Tensor(x, requires_grad=True)
+            s = T.silu(a)
+            s.backward(np.ones_like(x))
+            b = Tensor(x, requires_grad=True)
+            T.softplus(b).backward(np.ones_like(x))
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-x))
+        assert sig[0] == 0.0
+        assert s.data.tobytes() == (x * sig).tobytes()
+        assert a.grad.tobytes() == (sig * (1.0 + x * (1.0 - sig))).tobytes()
+        assert b.grad.tobytes() == sig.tobytes()    # softplus' slope is the sigmoid
+
+
 class TestMatmulOracle:
     def test_against_triple_loop(self):
         rng = np.random.default_rng(5)
