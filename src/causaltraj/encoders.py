@@ -42,11 +42,10 @@ class PointNetEncoder(Module):
         x = T.as_tensor(x)
         if x.ndim != 3:
             raise ShapeError(f"PointNetEncoder expects [L, T, in_dim], got {x.shape}")
-        Tlen = x.shape[1]
         f1 = self.stage1(x)
-        p1 = T.max_pool_window(f1, window=Tlen)
+        p1 = T.max_pool_window(f1)
         f2 = self.stage2(T.concat([f1, p1], axis=-1))
-        p2 = T.max_pool_window(f2, window=Tlen)
+        p2 = T.max_pool_window(f2)
         return self.stage3(p2)
 
     # incremental interface -------------------------------------------------

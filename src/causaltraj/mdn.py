@@ -15,6 +15,7 @@ All density math runs in float64 regardless of the network dtype.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -164,36 +165,43 @@ def displacements_from_normals(
     return (mu + np.einsum("...ij,...j->...i", Lm, eps)).astype(np.float32)
 
 
-def sample_components(rng: np.random.Generator, logits: np.ndarray) -> np.ndarray:
-    """Categorical draw per leading index; one component shared by all agents."""
-    logits = np.asarray(logits)
-    return components_from_uniforms(logits, rng.random(logits.shape[:-1]))
-
-
 def sample_displacements(
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     logits: np.ndarray,
     means: np.ndarray,
     chol_params: np.ndarray,
-    components: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one joint displacement per leading index.
+    """Draw one joint displacement per leading index, one generator per row.
 
-    Returns (displacements [..., N, 2] float32, components [...]). When
-    ``components`` is given the categorical draw is skipped; otherwise the
-    uniforms are drawn before the normals.
+    Shapes: logits [R, ..., M]; means, chol_params [R, ..., M, N, 2|3];
+    ``rngs`` holds R generators. Generator r fills row r's uniforms first
+    (one per index: the component all agents share), then its standard
+    normals, so a row's draws do not depend on the other rows. Returns
+    (displacements [R, ..., N, 2] float32, components [R, ...]).
     """
-    if components is None:
-        components = sample_components(rng, logits)
-    m = np.asarray(components)
-    eps = rng.standard_normal(m.shape + np.shape(means)[-2:])
+    logits = np.asarray(logits)
+    lead = logits.shape[:-1]
+    if not lead or lead[0] != len(rngs):
+        raise ShapeError(
+            f"need one generator per row of logits {logits.shape}, got {len(rngs)}"
+        )
+    u = np.empty(lead)
+    eps = np.empty(lead + np.shape(means)[-2:])
+    for r, g in enumerate(rngs):
+        g.random(out=u[r: r + 1])
+        g.standard_normal(out=eps[r: r + 1])
+    m = components_from_uniforms(logits, u)
     return displacements_from_normals(means, chol_params, m, eps), m
 
 
-def mode_displacements(logits: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Mean of the highest-weight component, [..., N, 2] float32."""
+def mode_displacements(logits: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of the highest-weight component per leading index.
+
+    Returns (displacements [..., N, 2] float32, components [...]), as
+    ``sample_displacements`` does.
+    """
     m = np.argmax(np.asarray(logits), axis=-1)
     mu = np.take_along_axis(
         np.asarray(means, dtype=np.float64), m[..., None, None, None], axis=-3
     )[..., 0, :, :]
-    return mu.astype(np.float32)
+    return mu.astype(np.float32), m

@@ -338,10 +338,11 @@ class TrajectoryModel(Module):
         contexts [C, N, P, 2]; categories [N] or [C, N]; returns
         C * num_scenarios samples ordered by context then scenario; sample
         ``s`` continues ``contexts[s.context_index]`` without copying it. Each
-        scenario consumes its own RNG substream, so results are independent of
-        batching and of the other scenarios. One component index is drawn per
-        scene per step and shared by all agents. ``mode="mean"`` instead takes
-        the highest-weight component's mean displacement, deterministically.
+        scenario has its own generator, and ``mdn.sample_displacements`` draws
+        from it at every step: one uniform for the component all agents share,
+        then the agents' normals. So results are independent of batching and
+        of the other scenarios. ``mode="mean"`` instead takes the
+        highest-weight component's mean displacement, deterministically.
 
         The scenarios of a context share its prefix and its first step, so the
         encoder runs over the prefix and the head over step 0 once per context;
@@ -398,8 +399,6 @@ class TrajectoryModel(Module):
         out_pos = np.empty((B, horizon, N, 2), dtype=np.float32)
         out_disp = np.empty((B, horizon, N, 2), dtype=np.float32)
         out_comp = np.empty((B, horizon), dtype=np.int64)
-        us = np.empty(B)
-        eps = np.empty((B, N, 2))
 
         for u in range(horizon):
             if u > 0:
@@ -410,15 +409,9 @@ class TrajectoryModel(Module):
                     lat_t = self._last_latent(np.stack(hist, axis=2))
                 lg, mn, ch = self._step_params(lat_t, cur, vel_cur, cat)
             if mode == "mean":
-                dx = mdn.mode_displacements(lg, mn)
-                comp = np.argmax(lg, axis=-1)
+                dx, comp = mdn.mode_displacements(lg, mn)
             else:
-                # per scenario: one uniform for the component, then the normals
-                for b, g in enumerate(rngs):
-                    us[b] = g.random()
-                    g.standard_normal(out=eps[b])
-                comp = mdn.components_from_uniforms(lg, us)
-                dx = mdn.displacements_from_normals(mn, ch, comp, eps)
+                dx, comp = mdn.sample_displacements(rngs, lg, mn, ch)
             new_cur = cur + dx
             finite = np.isfinite(new_cur).all(axis=(1, 2))
             if not finite.all():

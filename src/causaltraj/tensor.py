@@ -135,12 +135,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_err()
-
-    def _item_err(self):
-        raise ShapeError(f"item() requires a single element, got shape {self.shape}")
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
@@ -830,32 +824,28 @@ def rms_norm(x, gain) -> Tensor:
 # -- causal sequence ops -------------------------------------------------------------------
 
 
-def max_pool_window(x, window: int) -> Tensor:
-    """Causal sliding-window channelwise max over the second-to-last axis.
+def max_pool_window(x) -> Tensor:
+    """Causal channelwise max over the second-to-last axis.
 
-    ``out[..., t, :]`` is the max of the in-range frames
-    ``x[..., max(0, t-window+1) : t+1, :]``; frames before 0 take no part.
-    The gradient routes to the lowest-index argmax.
+    ``out[..., t, :]`` is the max of the prefix ``x[..., : t+1, :]``. The
+    gradient routes to the lowest-index argmax, which is computed only when
+    the call records a node.
     """
     x = as_tensor(x)
-    if window < 1:
-        raise ShapeError(f"max_pool_window: window must be >= 1, got {window}")
     if x.ndim < 2:
         raise ShapeError(f"max_pool_window: input must be >= 2-d, got {x.shape}")
-    T = x.shape[-2]
     xd = x.data
-    if window >= T:
-        out, idx = _prefix_max_with_argmax(xd)
-    else:
-        out = np.empty_like(xd)
-        idx = np.empty(xd.shape, dtype=np.int64)
-        for t in range(T):
-            a = max(0, t - window + 1)
-            seg = xd[..., a: t + 1, :]
-            out[..., t, :] = seg.max(axis=-2)
-            idx[..., t, :] = a + seg.argmax(axis=-2)
-
+    out = np.maximum.accumulate(xd, axis=-2)
     sx = xd.shape
+    T = sx[-2]
+    idx = None
+    if _records(x):
+        # frame t > 0 is a candidate where it beats every earlier frame (strict:
+        # ties keep the earlier index); frame 0 always is, as the fill index 0
+        is_new = np.zeros(sx, dtype=bool)
+        is_new[..., 1:, :] = xd[..., 1:, :] > out[..., :-1, :]
+        tgrid = np.arange(T).reshape((1,) * (xd.ndim - 2) + (T, 1))
+        idx = np.maximum.accumulate(np.where(is_new, tgrid, 0), axis=-2)
 
     def backward(g):
         R, D = math.prod(sx[:-2]), sx[-1]
@@ -865,19 +855,6 @@ def max_pool_window(x, window: int) -> Tensor:
         return (gx.reshape(sx),)
 
     return Tensor._result(out, (x,), backward)
-
-
-def _prefix_max_with_argmax(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative max over axis -2 plus lowest-index argmax per position."""
-    out = np.maximum.accumulate(xd, axis=-2)
-    T = xd.shape[-2]
-    # frame t > 0 is a candidate where it beats every earlier frame (strict: ties
-    # keep the earlier index); frame 0 always is, as the fill index 0
-    is_new = np.zeros(xd.shape, dtype=bool)
-    is_new[..., 1:, :] = xd[..., 1:, :] > out[..., :-1, :]
-    tgrid = np.arange(T).reshape((1,) * (xd.ndim - 2) + (T, 1))
-    idx = np.maximum.accumulate(np.where(is_new, tgrid, 0), axis=-2)
-    return out, idx
 
 
 def causal_depthwise_conv(x, weight) -> Tensor:

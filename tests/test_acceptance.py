@@ -174,7 +174,7 @@ def primitive_cases():
     xf, gr = p(3, 6), p(6, lo=0.5, hi=1.5)
     case("rms_norm", [xf, gr], lambda: sq(T.rms_norm(xf, gr)).sum())
     xg = p(2, 7, 3)
-    case("max_pool_window", [xg], lambda: sq(T.max_pool_window(xg, 4)).sum())
+    case("max_pool_window", [xg], lambda: sq(T.max_pool_window(xg)).sum())
     xh, cw = p(2, 6, 3), p(4, 3)
     case("causal_depthwise_conv", [xh, cw],
          lambda: sq(T.causal_depthwise_conv(xh, cw)).sum())
@@ -431,12 +431,12 @@ def test_c06_sampling_statistics(announce):
          [[-0.2, -0.6, 0.3], [0.1, 0.4, -0.3]]]
     )
     draws = 100_000
-    dx, comps = mdn.sample_displacements(
-        rng,
-        np.broadcast_to(logits, (draws, M)),
-        np.broadcast_to(means, (draws, M, N, 2)),
-        np.broadcast_to(chols, (draws, M, N, 3)),
-    )
+    dx, comps = (a[0] for a in mdn.sample_displacements(
+        [rng],
+        np.broadcast_to(logits, (1, draws, M)),
+        np.broadcast_to(means, (1, draws, M, N, 2)),
+        np.broadcast_to(chols, (1, draws, M, N, 3)),
+    ))
     pi = mdn.mixture_weights(logits)
     freq = np.bincount(comps, minlength=M) / draws
     freq_err = np.abs(freq - pi).max()

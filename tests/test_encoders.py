@@ -85,7 +85,7 @@ class TestPointNetSpecifics:
         x = rng.normal(size=(1, 7, 4)).astype(np.float32)
         with T.no_grad():
             f1 = enc.stage1(Tensor(x))
-            p1 = T.max_pool_window(f1, window=7).data
+            p1 = T.max_pool_window(f1).data
         assert (np.diff(p1, axis=1) >= 0).all()
 
     def test_parameter_names_stable(self):

@@ -188,7 +188,13 @@ class TestSampling:
         rng = np.random.default_rng(8)
         logits = np.array([0.3, -0.5, 1.2, 0.0])
         pi = mdn.mixture_weights(logits)
-        draws = mdn.sample_components(rng, np.broadcast_to(logits, (40000, 4)))
+        _, comps = mdn.sample_displacements(
+            [rng],
+            np.broadcast_to(logits, (1, 40000, 4)),
+            np.zeros((1, 40000, 4, 1, 2)),
+            np.zeros((1, 40000, 4, 1, 3)),
+        )
+        draws = comps[0]
         freq = np.bincount(draws, minlength=4) / 40000
         assert np.abs(freq - pi).max() < 0.02
 
@@ -199,10 +205,10 @@ class TestSampling:
         logits = np.array([0.4, -0.4])
         means = rng.normal(size=(M, N, 2))
         chols = rng.normal(0.0, 0.4, size=(M, N, 3))
-        lg = np.broadcast_to(logits, (n_draws, M))
-        mn = np.broadcast_to(means, (n_draws, M, N, 2))
-        ch = np.broadcast_to(chols, (n_draws, M, N, 3))
-        dx, comp = mdn.sample_displacements(rng, lg, mn, ch)
+        lg = np.broadcast_to(logits, (1, n_draws, M))
+        mn = np.broadcast_to(means, (1, n_draws, M, N, 2))
+        ch = np.broadcast_to(chols, (1, n_draws, M, N, 3))
+        dx, comp = (a[0] for a in mdn.sample_displacements([rng], lg, mn, ch))
         want_cov = mdn.covariances(chols)
         for m in range(M):
             sel = dx[comp == m].astype(np.float64)
@@ -219,16 +225,34 @@ class TestSampling:
         chols = np.full((5, 3, 2, 3), -30.0)   # tiny diagonals, zero off-diagonal
         chols[..., 1] = 0.0
         comp = np.array([0, 1, 2, 1, 0])
-        dx, out_comp = mdn.sample_displacements(rng, logits, means, chols, components=comp)
-        assert np.array_equal(out_comp, comp)
+        dx = mdn.displacements_from_normals(means, chols, comp, rng.standard_normal((5, 2, 2)))
         picked = means[np.arange(5), comp]
         assert np.abs(dx - picked).max() < 1e-2
 
     def test_mode_displacements(self):
         logits = np.array([[0.1, 2.0, -1.0]])
         means = np.arange(3 * 2 * 2, dtype=np.float64).reshape(1, 3, 2, 2)
-        out = mdn.mode_displacements(logits, means)
+        out, comp = mdn.mode_displacements(logits, means)
         assert np.array_equal(out[0], means[0, 1].astype(np.float32))
+        assert np.array_equal(comp, [1])
+
+    def test_rows_draw_from_their_own_generator(self):
+        # row r's draws equal a one-row call with generator r alone, so a
+        # rollout's scenarios do not depend on each other or on batching
+        rng = np.random.default_rng(11)
+        R, S, M, N = 4, 3, 3, 2
+        logits, means, chols = random_params(rng, (R, S), M, N)[:3]
+        seeds = [101, 202, 303, 404]
+        dx, comp = mdn.sample_displacements(
+            [np.random.default_rng(s) for s in seeds], logits, means, chols)
+        assert dx.shape == (R, S, N, 2) and comp.shape == (R, S)
+        for r, s in enumerate(seeds):
+            dx_r, comp_r = mdn.sample_displacements(
+                [np.random.default_rng(s)], logits[r: r + 1], means[r: r + 1], chols[r: r + 1])
+            assert np.array_equal(dx_r[0], dx[r])
+            assert np.array_equal(comp_r[0], comp[r])
+        with pytest.raises(ShapeError):
+            mdn.sample_displacements([rng], logits, means, chols)
 
     def test_chol_matrices_structure(self):
         cp = np.array([[0.5, 0.3, -0.2]])

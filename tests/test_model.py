@@ -397,8 +397,7 @@ def reference_rollout(model, contexts, categories, horizon, num_scenarios, seed,
             )
         lg, mn, ch = logits.data[:, 0], means.data[:, 0], chols.data[:, 0]
         if mode == "mean":
-            dx = mdn.mode_displacements(lg, mn)
-            comp = np.argmax(lg, axis=-1)
+            dx, comp = mdn.mode_displacements(lg, mn)
         else:
             us = np.array([rngs[b].random() for b in range(B)])
             eps = np.stack([rngs[b].standard_normal((N, 2)) for b in range(B)])

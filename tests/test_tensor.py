@@ -369,16 +369,10 @@ def _case_rms_norm(rng):
     return lambda: (T.rms_norm(x, g) * w).sum(), [x, g]
 
 
-@primitive("max_pool_full")
-def _case_max_pool_full(rng):
-    x = randt(rng, (2, 7, 3))
-    return lambda: T.max_pool_window(x, 7).sum(), [x]
-
-
 @primitive("max_pool_window")
 def _case_max_pool_window(rng):
     x = randt(rng, (2, 7, 3))
-    return lambda: T.max_pool_window(x, 3).sum(), [x]
+    return lambda: T.max_pool_window(x).sum(), [x]
 
 
 @primitive("depthwise_conv")
@@ -580,32 +574,31 @@ class TestMatmulOracle:
 
 
 class TestMaxPoolOracle:
-    def brute(self, x, window, g):
-        """The max over each window's in-range frames, and the gradient it passes back for ``g``."""
+    def brute(self, x, g):
+        """The max over each prefix, and the gradient it passes back for ``g``."""
         out, gx = np.empty_like(x), np.zeros_like(x)
         for lead in np.ndindex(x.shape[:-2]):
             for t in range(x.shape[-2]):
-                a = max(0, t - window + 1)
                 for d in range(x.shape[-1]):
-                    seg = list(x[lead][a: t + 1, d])
-                    s = a + seg.index(max(seg))     # lowest-index argmax
+                    seg = list(x[lead][: t + 1, d])
+                    s = seg.index(max(seg))         # lowest-index argmax
                     out[lead][t, d] = x[lead][s, d]
                     gx[lead][s, d] += g[lead][t, d]
         return out, gx
 
-    @pytest.mark.parametrize("window", [1, 2, 3, 5, 8, 12])
-    def test_matches_brute_force(self, window):
-        rng = np.random.default_rng(window)
+    @pytest.mark.parametrize("frames", [1, 2, 3, 5, 8, 12])
+    def test_matches_brute_force(self, frames):
+        rng = np.random.default_rng(frames)
         for trial, dtype in itertools.product(range(7), (np.float32, np.float64)):
-            x = rng.normal(size=(2, 8, 3)).astype(dtype)
+            x = rng.normal(size=(2, frames, 3)).astype(dtype)
             if trial >= 5:
                 # frames at -1e31 or -inf still take part in the max
                 x[rng.random(x.shape) < 0.5] = (-1e31, -np.inf)[trial - 5]
             g = rng.normal(size=x.shape).astype(dtype)
             xt = Tensor(x, requires_grad=True)
-            got = T.max_pool_window(xt, window)
+            got = T.max_pool_window(xt)
             got.backward(g)
-            want, want_grad = self.brute(x, window, g)
+            want, want_grad = self.brute(x, g)
             assert np.array_equal(got.data, want)
             assert np.array_equal(xt.grad, want_grad)
 
@@ -613,21 +606,9 @@ class TestMaxPoolOracle:
         x = np.zeros((1, 4, 1), dtype=np.float32)
         x[0, :, 0] = [1.0, 1.0, 0.5, 1.0]
         xt = Tensor(x, requires_grad=True)
-        T.max_pool_window(xt, 4).sum().backward()
+        T.max_pool_window(xt).sum().backward()
         # argmax of each prefix: t=0 -> 0; t=1 tie -> 0; t=2 -> 0; t=3 tie -> 0
         assert np.array_equal(xt.grad[0, :, 0], [4.0, 0.0, 0.0, 0.0])
-
-    def test_window_tie_lowest_inside_window(self):
-        x = np.zeros((1, 3, 1), dtype=np.float32)
-        x[0, :, 0] = [2.0, 1.0, 1.0]
-        xt = Tensor(x, requires_grad=True)
-        T.max_pool_window(xt, 2).sum().backward()
-        # windows: [x0], [x0,x1] -> x0, [x1,x2] tie -> x1
-        assert np.array_equal(xt.grad[0, :, 0], [2.0, 1.0, 0.0])
-
-    def test_invalid_window(self):
-        with pytest.raises(ShapeError):
-            T.max_pool_window(Tensor(np.ones((2, 3, 1))), 0)
 
 
 class TestConvOracle:
