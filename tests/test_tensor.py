@@ -369,6 +369,13 @@ def _case_rms_norm(rng):
     return lambda: (T.rms_norm(x, g) * w).sum(), [x, g]
 
 
+@primitive("max_pool_full")
+def _case_max_pool_full(rng):
+    # the last frame pools the whole sequence: gradient reaches only the argmaxes
+    x = randt(rng, (2, 7, 3))
+    return lambda: T.narrow(T.max_pool_window(x), 1, 6, 1).sum(), [x]
+
+
 @primitive("max_pool_window")
 def _case_max_pool_window(rng):
     x = randt(rng, (2, 7, 3))
