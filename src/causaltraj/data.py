@@ -114,7 +114,7 @@ def write_trajectories(path, ts: TrajectorySet) -> None:
         f.write(struct.pack("<III", S, N, Tlen))
         f.write(ts.categories.astype("<u1").tobytes())
         f.write(struct.pack("<f", ts.frame_rate))
-        f.write(np.ascontiguousarray(ts.positions, dtype="<f4").tobytes())
+        f.write(np.ascontiguousarray(ts.positions, dtype="<f4"))   # no bytes copy
 
 
 def read_trajectories(path) -> TrajectorySet:

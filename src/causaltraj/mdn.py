@@ -150,19 +150,21 @@ def components_from_uniforms(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(m, cum.shape[-1] - 1)
 
 
+def _take_component(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Component m's rows [..., N, c] (float64) of a [..., M, N, c]; m [...]."""
+    return np.take_along_axis(np.asarray(a, np.float64), m[..., None, None, None], -3)[..., 0, :, :]
+
+
 def displacements_from_normals(
     means: np.ndarray, chol_params: np.ndarray, components: np.ndarray, eps: np.ndarray
 ) -> np.ndarray:
     """Joint displacement [..., N, 2] float32: mu_m + L_m eps for component m.
 
-    eps [..., N, 2] holds standard normals; ``components`` [...] picks m.
+    eps [..., N, 2] holds standard normals; ``components`` [...] picks m; only L_m is built.
     """
     m = np.asarray(components)
-    means = np.asarray(means, dtype=np.float64)
-    mu = np.take_along_axis(means, m[..., None, None, None], axis=-3)[..., 0, :, :]
-    L = chol_matrices(chol_params)
-    Lm = np.take_along_axis(L, m[..., None, None, None, None], axis=-4)[..., 0, :, :, :]
-    return (mu + np.einsum("...ij,...j->...i", Lm, eps)).astype(np.float32)
+    L = chol_matrices(_take_component(chol_params, m))
+    return (_take_component(means, m) + np.einsum("...ij,...j->...i", L, eps)).astype(np.float32)
 
 
 def sample_displacements(
@@ -201,7 +203,4 @@ def mode_displacements(logits: np.ndarray, means: np.ndarray) -> tuple[np.ndarra
     ``sample_displacements`` does.
     """
     m = np.argmax(np.asarray(logits), axis=-1)
-    mu = np.take_along_axis(
-        np.asarray(means, dtype=np.float64), m[..., None, None, None], axis=-3
-    )[..., 0, :, :]
-    return mu.astype(np.float32), m
+    return _take_component(means, m).astype(np.float32), m

@@ -26,7 +26,7 @@ from .data import atomic_write
 from .encoders import SSM_BLOCKS, SSM_CONV_WIDTH, SSM_EXPAND, PointNetEncoder, SSMEncoder
 from .errors import ConfigError, DataError, ShapeError, TrajectoryFormatError
 from .nn import Dense, EmbeddingTable, MLP, Module
-from .relation import RelationEncoder
+from .relation import FRAME_DIM, RelationEncoder, frame_features
 from .tensor import Tensor
 
 NUM_CATEGORIES = 3  # ball, team_a, team_b
@@ -174,11 +174,12 @@ class TrajectoryModel(Module):
         cfg = config
         if cfg.temporal == "pointnet":
             self.temporal = PointNetEncoder(
-                rng, 4, hidden=cfg.temporal_hidden, out_dim=cfg.temporal_dim
+                rng, FRAME_DIM, hidden=cfg.temporal_hidden, out_dim=cfg.temporal_dim
             )
         else:
             self.temporal = SSMEncoder(
-                rng, 4, d_model=cfg.relation_dim, state=cfg.ssm_state, headdim=cfg.ssm_headdim
+                rng, FRAME_DIM, d_model=cfg.relation_dim, state=cfg.ssm_state,
+                headdim=cfg.ssm_headdim,
             )
         self.latent_dim = self.temporal.out_dim
         self.category_embed = EmbeddingTable(rng, NUM_CATEGORIES, cfg.category_dim)
@@ -196,7 +197,7 @@ class TrajectoryModel(Module):
             use_mesh=cfg.use_mesh,
         )
         self.agent_proj = Dense(
-            rng, cfg.relation_dim + 4, cfg.agent_channels, activation="gelu"
+            rng, cfg.relation_dim + FRAME_DIM, cfg.agent_channels, activation="gelu"
         )
         scene_in = cfg.num_agents * cfg.agent_channels
         self.scene_mlp = MLP(rng, [scene_in, *cfg.scene_hidden], activate_last=True)
@@ -226,18 +227,12 @@ class TrajectoryModel(Module):
             raise ShapeError("category indices must be in {0, 1, 2}")
         return cat
 
-    @staticmethod
-    def _velocities(pos: np.ndarray) -> np.ndarray:
-        vel = np.zeros_like(pos)
-        vel[:, :, 1:] = pos[:, :, 1:] - pos[:, :, :-1]
-        return vel
+    def _head_params(self, lat: Tensor, geo: np.ndarray, cat: np.ndarray):
+        """Mixture parameters from latents and frame features.
 
-    def _head_params(self, lat: Tensor, pos_tn: np.ndarray, vel_tn: np.ndarray, cat: np.ndarray):
-        """Mixture parameters from latents and frame geometry.
-
-        lat [B, T, N, d_latent]; pos_tn, vel_tn [B, T, N, 2];
-        cat [B, N]. Returns (logits [B,T,M], means [B,T,M,N,2],
-        chol_params [B,T,M,N,3]).
+        lat [B, T, N, d_latent]; geo [B, T, N, FRAME_DIM], the same frames'
+        ``frame_features``; cat [B, N]. Returns (logits [B,T,M],
+        means [B,T,M,N,2], chol_params [B,T,M,N,3]).
         """
         cfg = self.config
         B, Tlen, N, _ = lat.shape
@@ -247,9 +242,8 @@ class TrajectoryModel(Module):
             T.reshape(ce, (B, 1, N, cfg.category_dim)), (B, Tlen, N, cfg.category_dim)
         )
         h = self.relation_input(T.concat([lat, ce], axis=-1))
-        h = self.relation(h, pos_tn, vel_tn)
-        geo = Tensor(np.concatenate([pos_tn, vel_tn], axis=-1).astype(np.float32))
-        a = self.agent_proj(T.concat([h, geo], axis=-1))                 # [B, T, N, ac]
+        h = self.relation(h, geo)
+        a = self.agent_proj(T.concat([h, Tensor(geo)], axis=-1))         # [B, T, N, ac]
         flat = T.reshape(a, (B, Tlen, N * cfg.agent_channels))
         out = self.head(self.scene_mlp(flat))                            # [B, T, M + M*N*5]
         logits = T.narrow(out, -1, 0, M)
@@ -277,17 +271,13 @@ class TrajectoryModel(Module):
         if F < 1:
             raise ShapeError(f"need at least one future frame beyond P={P}, got T={Tlen}")
         cat = self._categories(categories, B)
-        seen = pos[:, :, :-1]                                            # frames 0..T-2
-        vel = self._velocities(seen)
-        feats = np.concatenate([seen, vel], axis=-1)                     # [B, N, T-1, 4]
-        lat = self.temporal(Tensor(feats.reshape(B * N, Tlen - 1, 4)))
+        feats = frame_features(pos[:, :, :-1])                           # frames 0..T-2
+        lat = self.temporal(Tensor(feats.reshape(B * N, Tlen - 1, FRAME_DIM)))
         lat = T.narrow(T.reshape(lat, (B, N, Tlen - 1, self.latent_dim)), 2, P - 1, F)
         lat = T.transpose(lat, (0, 2, 1, 3))                             # [B, F, N, d]
-        pos_tn = np.ascontiguousarray(seen[:, :, P - 1:].transpose(0, 2, 1, 3))
-        vel_tn = np.ascontiguousarray(vel[:, :, P - 1:].transpose(0, 2, 1, 3))
-        targets = pos[:, :, P:] - seen[:, :, P - 1:]
-        targets = np.ascontiguousarray(targets.transpose(0, 2, 1, 3))
-        return (*self._head_params(lat, pos_tn, vel_tn, cat), Tensor(targets))
+        geo = feats[:, :, P - 1:].transpose(0, 2, 1, 3)          # [B, F, N, FRAME_DIM]
+        targets = np.ascontiguousarray((pos[:, :, P:] - pos[:, :, P - 1:-1]).transpose(0, 2, 1, 3))
+        return (*self._head_params(lat, geo, cat), Tensor(targets))
 
     def loss(self, positions, categories):
         """Teacher-forced objective over the future frames; (Tensor, stats)."""
@@ -300,27 +290,22 @@ class TrajectoryModel(Module):
 
     # -- autoregressive rollout -----------------------------------------------------
 
-    def _step_params(self, lat_t: np.ndarray, cur: np.ndarray, vel_cur: np.ndarray,
-                     cat: np.ndarray):
+    def _step_params(self, lat_t: np.ndarray, f_t: np.ndarray, cat: np.ndarray):
         """Mixture parameters of one frame from its latent lat_t [X*N, d].
 
-        cur, vel_cur [X, N, 2]; cat [X, N]. Returns arrays (logits [X, M],
-        means [X, M, N, 2], chol_params [X, M, N, 3]).
+        f_t [X, N, FRAME_DIM] holds the frame's features; cat [X, N]. Returns
+        arrays (logits [X, M], means [X, M, N, 2], chol_params [X, M, N, 3]).
         """
-        X, N, _ = cur.shape
+        X, N, _ = f_t.shape
         with T.no_grad():
-            params = self._head_params(
-                Tensor(lat_t.reshape(X, 1, N, self.latent_dim)),
-                cur[:, None], vel_cur[:, None], cat,
-            )
+            params = self._head_params(Tensor(lat_t.reshape(X, 1, N, -1)), f_t[:, None], cat)
         return tuple(p.data[:, 0] for p in params)
 
     def _last_latent(self, seq: np.ndarray) -> np.ndarray:
         """Latent [X*N, d] of the last frame of seq [X, N, t, 2], from the whole prefix."""
         X, N, t, _ = seq.shape
-        feats = np.concatenate([seq, self._velocities(seq)], axis=-1)
         with T.no_grad():
-            lat = self.temporal(Tensor(feats.reshape(X * N, t, 4)))
+            lat = self.temporal(Tensor(frame_features(seq).reshape(X * N, t, FRAME_DIM)))
         return lat.data[:, -1]
 
     def rollout(
@@ -347,10 +332,12 @@ class TrajectoryModel(Module):
         The scenarios of a context share its prefix and its first step, so the
         encoder runs over the prefix and the head over step 0 once per context;
         the encoder state and step 0's mixture parameters are then repeated
-        per scenario. In ``mode="mean"`` the scenarios of a context are equal,
-        so the whole rollout runs once per context and its outputs are
-        repeated. Raises ``DataError`` at the first step that yields a
-        non-finite position, naming the context, scenario and step.
+        per scenario. The encoder step and the head read each frame as one
+        ``frame_features`` array f_t [B, N, FRAME_DIM]. In ``mode="mean"`` the
+        scenarios of a context are equal, so the whole rollout runs once per
+        context and its outputs are repeated. Raises ``DataError`` at the first
+        step that yields a non-finite position, naming the context, scenario
+        and step.
         """
         cfg = self.config
         if mode not in ("sample", "mean"):
@@ -381,21 +368,19 @@ class TrajectoryModel(Module):
         ] if mode == "sample" else []
 
         # prefix and step 0 once per context [C, ...], then per row [B, ...]
-        vel = self._velocities(ctx)
+        feats = frame_features(ctx)                               # [C, N, P, FRAME_DIM]
         if incremental:
             state = self.temporal.init_state(C * N)
             for t in range(P):
-                f_t = np.concatenate([ctx[:, :, t], vel[:, :, t]], axis=-1)
-                lat_t = self.temporal.step(f_t.reshape(C * N, 4).astype(np.float32), state)
+                lat_t = self.temporal.step(feats[:, :, t].reshape(C * N, FRAME_DIM), state)
             state = _repeat_per_context(state, C, runs)
         else:
             lat_t = self._last_latent(ctx)
             hist = [np.repeat(ctx[:, :, t], runs, axis=0) for t in range(P)]
         lg, mn, ch = (np.repeat(a, runs, axis=0) for a in
-                      self._step_params(lat_t, ctx[:, :, P - 1], vel[:, :, P - 1], ctx_cat))
+                      self._step_params(lat_t, feats[:, :, P - 1], ctx_cat))
 
-        cur = np.repeat(ctx[:, :, P - 1], runs, axis=0)                   # [B, N, 2]
-        vel_cur = np.repeat(vel[:, :, P - 1], runs, axis=0)
+        f_t = np.repeat(feats[:, :, P - 1], runs, axis=0)         # [B, N, FRAME_DIM]
         out_pos = np.empty((B, horizon, N, 2), dtype=np.float32)
         out_disp = np.empty((B, horizon, N, 2), dtype=np.float32)
         out_comp = np.empty((B, horizon), dtype=np.int64)
@@ -403,15 +388,15 @@ class TrajectoryModel(Module):
         for u in range(horizon):
             if u > 0:
                 if incremental:
-                    f_t = np.concatenate([cur, vel_cur], axis=-1).astype(np.float32)
-                    lat_t = self.temporal.step(f_t.reshape(B * N, 4), state)
+                    lat_t = self.temporal.step(f_t.reshape(B * N, FRAME_DIM), state)
                 else:
                     lat_t = self._last_latent(np.stack(hist, axis=2))
-                lg, mn, ch = self._step_params(lat_t, cur, vel_cur, cat)
+                lg, mn, ch = self._step_params(lat_t, f_t, cat)
             if mode == "mean":
                 dx, comp = mdn.mode_displacements(lg, mn)
             else:
                 dx, comp = mdn.sample_displacements(rngs, lg, mn, ch)
+            cur = f_t[..., :2]
             new_cur = cur + dx
             finite = np.isfinite(new_cur).all(axis=(1, 2))
             if not finite.all():
@@ -423,8 +408,8 @@ class TrajectoryModel(Module):
             out_pos[:, u] = new_cur
             out_disp[:, u] = dx
             out_comp[:, u] = comp
-            vel_cur = new_cur - cur
-            cur = new_cur
+            # the velocity is new_cur - cur, which can differ from dx in its last bit
+            f_t = np.concatenate([new_cur, new_cur - cur], axis=-1)
             if not incremental:
                 hist.append(new_cur)
 

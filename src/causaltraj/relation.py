@@ -31,11 +31,24 @@ from .nn import MLP, Dense, LayerNorm, Module
 from .tensor import Tensor
 
 
-def pair_geometry(pos: np.ndarray, vel: np.ndarray) -> Tensor:
-    """Pairwise [B, T, N, N, 4] tensor of position and velocity differences."""
-    pd = pos[:, :, :, None, :] - pos[:, :, None, :, :]
-    vd = vel[:, :, :, None, :] - vel[:, :, None, :, :]
-    return Tensor(np.concatenate([pd, vd], axis=-1).astype(np.float32))
+FRAME_DIM = 4  # a frame's features per agent: [x, y, vx, vy]
+
+
+def frame_features(pos: np.ndarray) -> np.ndarray:
+    """Float32 features [..., T, FRAME_DIM] of positions pos [..., T, 2].
+
+    Channels are [x, y, vx, vy], with velocity pos[t] - pos[t-1], zero at frame 0."""
+    feats = np.zeros((*pos.shape[:-1], FRAME_DIM), dtype=np.float32)
+    feats[..., :2] = pos
+    np.subtract(pos[..., 1:, :], pos[..., :-1, :], out=feats[..., 1:, 2:])
+    return feats
+
+
+def pair_geometry(geo: np.ndarray) -> Tensor:
+    """Pairwise offsets [B, T, N, N, FRAME_DIM] of frame features geo [B, T, N, FRAME_DIM].
+
+    Entry (q, k) is geo_q - geo_k: agent q's position and velocity relative to agent k."""
+    return Tensor(geo[:, :, :, None, :] - geo[:, :, None, :, :])
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int, extra_scores=None):
@@ -85,10 +98,10 @@ class AgentAttentionBlock(Module):
 class PairMeshBlock(Module):
     """Attention whose keys and values are projected from pairwise mesh rows.
 
-    Mesh row (q, k) is ``[geo_qk, z_q, z_k]`` (width 2d+4). ``v_proj`` maps
-    it to d through three row blocks: ``0:4`` (Wv_g) act on the geometry,
-    ``4:4+d`` (Wv_q) on the query agent, ``4+d:4+2d`` (Wv_k) on the key
-    agent. ``k_proj.weight`` is ``[Wk_g; Wk_k]`` (d+4 rows): it has no
+    Mesh row (q, k) is ``[geo_qk, z_q, z_k]`` (width 2d+G, G = FRAME_DIM).
+    ``v_proj`` maps it to d through three row blocks: ``0:G`` (Wv_g) act on
+    the geometry, ``G:G+d`` (Wv_q) on the query agent, ``G+d:G+2d`` (Wv_k) on
+    the key agent. ``k_proj.weight`` is ``[Wk_g; Wk_k]`` (d+G rows): it has no
     query-agent block, because that block cannot affect the output (below).
     Projecting a concatenation is the sum of the blocks' projections, so per
     head h, with q = q_proj(z),
@@ -114,13 +127,13 @@ class PairMeshBlock(Module):
         if dim % heads != 0:
             raise ShapeError(f"dim {dim} not divisible by heads {heads}")
         self.heads = heads
-        mesh_dim = 2 * dim + 4
+        mesh_dim = 2 * dim + FRAME_DIM
         self.norm1 = LayerNorm(dim)
         self.norm2 = LayerNorm(dim)
         self.q_proj = Dense(rng, dim, dim)
         self.k_proj = Dense(rng, mesh_dim, dim, bias=False)
         # drawn at mesh width so the init RNG stream is unchanged; the z_q rows cancel
-        self.k_proj.weight.data = np.delete(self.k_proj.weight.data, np.s_[4:4 + dim], axis=0)
+        self.k_proj.weight.data = np.delete(self.k_proj.weight.data, np.s_[FRAME_DIM:-dim], axis=0)
         self.v_proj = Dense(rng, mesh_dim, dim)
         self.out_proj = Dense(rng, dim, dim)
         self.ff = MLP(rng, [dim, ff_dim, dim], activate_last=False)
@@ -162,6 +175,7 @@ class RelationEncoder(Module):
     With ``use_mesh=False`` the second group is replaced by plain
     agent-attention blocks of the same count and feedforward width, so the
     two variants differ only in how the second half conditions on geometry.
+    ``__call__`` reads h [B, T, N, d] and the same frames' features geo [B, T, N, FRAME_DIM].
     """
 
     def __init__(
@@ -182,8 +196,8 @@ class RelationEncoder(Module):
             second = [AgentAttentionBlock(rng, dim, heads, mesh_ff) for _ in range(mesh_blocks)]
         self.blocks = first + second
 
-    def __call__(self, h: Tensor, pos: np.ndarray, vel: np.ndarray) -> Tensor:
-        geo = pair_geometry(pos, vel)
+    def __call__(self, h: Tensor, geo: np.ndarray) -> Tensor:
+        pairs = pair_geometry(geo)
         for block in self.blocks:
-            h = block(h, geo)
+            h = block(h, pairs)
         return h

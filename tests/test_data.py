@@ -1,5 +1,7 @@
 """Trajectory container IO, synthetic play generator, batching."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,23 @@ class TestContainer:
         assert np.array_equal(back.categories, ts.categories)
         assert back.frame_rate == 5.0
         assert (back.count, back.frames, back.num_agents) == (3, 6, 4)
+
+    def test_bytes_match_the_copying_writer(self, tmp_path):
+        # the payload goes through the buffer protocol; a strided view and an
+        # empty set must write the bytes the tobytes() writer wrote
+        rng = np.random.default_rng(2)
+        agent_major = rng.uniform(0.0, 50.0, (3, 4, 6, 2)).astype(np.float32)   # [S, N, T, 2]
+        cats = np.array([0, 1, 1, 2], dtype=np.uint8)
+        for ts in (small_set(rng), TrajectorySet(agent_major.transpose(0, 2, 1, 3), cats, 5.0),
+                   TrajectorySet(np.zeros((0, 6, 4, 2), dtype=np.float32), cats, 5.0)):
+            p = tmp_path / "t.ctrj"
+            write_trajectories(p, ts)
+            S, Tlen, N, _ = ts.positions.shape
+            want = b"".join([data.MAGIC, struct.pack("<III", S, N, Tlen),
+                             ts.categories.astype("<u1").tobytes(),
+                             struct.pack("<f", ts.frame_rate),
+                             np.ascontiguousarray(ts.positions, dtype="<f4").tobytes()])
+            assert p.read_bytes() == want
 
     def test_bad_magic_offset_zero(self, tmp_path):
         p = tmp_path / "bad.ctrj"

@@ -236,6 +236,32 @@ class TestSampling:
         assert np.array_equal(out[0], means[0, 1].astype(np.float32))
         assert np.array_equal(comp, [1])
 
+    def test_drawn_factor_matches_the_all_component_build(self):
+        # building only the drawn component's factor must give, byte for byte,
+        # what building all M factors and then gathering the drawn one gave
+        rng = np.random.default_rng(12)
+        R, S, M, N = 3, 400, 4, 5
+        means = rng.normal(0.0, 3.0, size=(R, S, M, N, 2)).astype(np.float32)
+        chols = rng.normal(0.0, 6.0, size=(R, S, M, N, 3)).astype(np.float32)
+        chols[0, 0, :, 0] = [-50.0, 0.3, 50.0]          # far outside the clamp
+        assert np.abs(chols[..., [0, 2]]).max() > mdn.CHOL_LOG_CLAMP
+        comp = rng.integers(0, M, size=(R, S))
+        eps = rng.standard_normal((R, S, N, 2))
+        mu = np.take_along_axis(
+            means.astype(np.float64), comp[..., None, None, None], axis=-3)[..., 0, :, :]
+        L = mdn.chol_matrices(chols)
+        Lm = np.take_along_axis(L, comp[..., None, None, None, None], axis=-4)[..., 0, :, :, :]
+        old = (mu + np.einsum("...ij,...j->...i", Lm, eps)).astype(np.float32)
+        new = mdn.displacements_from_normals(means, chols, comp, eps)
+        assert new.dtype == np.float32 and new.tobytes() == old.tobytes()
+
+        logits = rng.normal(size=(R, S, M))
+        dx, m = mdn.mode_displacements(logits, means)
+        old_mode = np.take_along_axis(means.astype(np.float64),
+                                      np.argmax(logits, axis=-1)[..., None, None, None],
+                                      axis=-3)[..., 0, :, :].astype(np.float32)
+        assert dx.tobytes() == old_mode.tobytes()
+
     def test_rows_draw_from_their_own_generator(self):
         # row r's draws equal a one-row call with generator r alone, so a
         # rollout's scenarios do not depend on each other or on batching

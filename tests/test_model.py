@@ -21,6 +21,7 @@ from causaltraj.model import (
     load_model,
     save_checkpoint,
 )
+from causaltraj.relation import frame_features
 from causaltraj.tensor import Tensor
 from causaltraj.trainer import TrainConfig
 
@@ -136,6 +137,17 @@ class TestForward:
         assert np.isfinite(loss.data)
 
 
+def velocities(pos):
+    """Per-frame displacements of pos [X, N, T, 2] along T, zero at frame 0.
+
+    The velocity channels ``frame_features`` builds, written out here so the
+    reference paths below do not share its code.
+    """
+    vel = np.zeros_like(pos)
+    vel[:, :, 1:] = pos[:, :, 1:] - pos[:, :, :-1]
+    return vel
+
+
 def all_frames_params(model, positions, categories):
     """The teacher-forced path ``forward`` replaced: all T frames, then narrowed.
 
@@ -148,13 +160,10 @@ def all_frames_params(model, positions, categories):
     P = model.config.context_frames
     F = Tlen - P
     cat = model._categories(categories, B)
-    vel = model._velocities(pos)
-    feats = np.concatenate([pos, vel], axis=-1)
+    feats = np.concatenate([pos, velocities(pos)], axis=-1)
     lat = model.temporal(Tensor(feats.reshape(B * N, Tlen, 4)))
     lat = T.transpose(T.reshape(lat, (B, N, Tlen, model.latent_dim)), (0, 2, 1, 3))
-    pos_tn = np.ascontiguousarray(pos.transpose(0, 2, 1, 3))
-    vel_tn = np.ascontiguousarray(vel.transpose(0, 2, 1, 3))
-    params = model._head_params(lat, pos_tn, vel_tn, cat)
+    params = model._head_params(lat, np.ascontiguousarray(feats.transpose(0, 2, 1, 3)), cat)
     targets = (pos[:, :, P:] - pos[:, :, P - 1: Tlen - 1]).transpose(0, 2, 1, 3)
     return (*(T.narrow(x, 1, P - 1, F) for x in params),
             Tensor(np.ascontiguousarray(targets)))
@@ -304,8 +313,8 @@ class TestRollout:
         model = rollout_models[kind]
         ctx, cats = self.contexts(np.random.default_rng(11))
         lat = model._last_latent(ctx).reshape(2, 3, -1)
-        cur, vel = ctx[:1, :, -1], model._velocities(ctx)[:1, :, -1]
-        means = [model._step_params(lat[c], cur, vel, cats[None])[1] for c in (0, 1)]
+        f_t = frame_features(ctx)[:1, :, -1]
+        means = [model._step_params(lat[c], f_t, cats[None])[1] for c in (0, 1)]
         assert np.abs(means[0] - means[1]).max() > 1e-4
 
     def test_mean_mode_deterministic_argmax(self, pointnet):
@@ -369,7 +378,7 @@ def reference_rollout(model, contexts, categories, horizon, num_scenarios, seed,
     rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b // k, b % k)))
             for b in range(B)]
     state = model.temporal.init_state(B * N) if incremental else None
-    vel = model._velocities(pos)
+    vel = velocities(pos)
     if incremental:
         for t in range(P):
             f_t = np.concatenate([pos[:, :, t], vel[:, :, t]], axis=-1)
@@ -387,13 +396,13 @@ def reference_rollout(model, contexts, categories, horizon, num_scenarios, seed,
                 lat_t = model.temporal.step(f_t.reshape(B * N, 4), state)
         if not incremental:
             seq = np.stack(hist, axis=2)
-            feats = np.concatenate([seq, model._velocities(seq)], axis=-1)
+            feats = np.concatenate([seq, velocities(seq)], axis=-1)
             with T.no_grad():
                 lat_t = model.temporal(Tensor(feats.reshape(B * N, seq.shape[2], 4))).data[:, -1]
         with T.no_grad():
             logits, means, chols = model._head_params(
                 Tensor(lat_t.reshape(B, 1, N, model.latent_dim)),
-                cur[:, None], vel_cur[:, None], cat,
+                np.concatenate([cur, vel_cur], axis=-1)[:, None], cat,
             )
         lg, mn, ch = logits.data[:, 0], means.data[:, 0], chols.data[:, 0]
         if mode == "mean":

@@ -8,17 +8,20 @@ from causaltraj.errors import ShapeError
 from causaltraj.relation import (
     AgentAttentionBlock,
     PairMeshBlock,
+    FRAME_DIM,
     RelationEncoder,
+    frame_features,
     pair_geometry,
 )
 from causaltraj.tensor import Tensor, grad_check
 
 
 def make_inputs(rng, B=2, Tlen=4, N=3, dim=8):
+    """h [B, T, N, dim] and frame features geo [B, T, N, 4]: positions, then velocities."""
     h = rng.normal(size=(B, Tlen, N, dim)).astype(np.float32)
     pos = rng.normal(size=(B, Tlen, N, 2)).astype(np.float32)
     vel = rng.normal(size=(B, Tlen, N, 2)).astype(np.float32)
-    return h, pos, vel
+    return h, np.concatenate([pos, vel], axis=-1)
 
 
 def make_encoder(seed=0, use_mesh=True, dim=8):
@@ -27,17 +30,40 @@ def make_encoder(seed=0, use_mesh=True, dim=8):
                            use_mesh=use_mesh)
 
 
+def test_frame_features_hand_case():
+    # channels [x, y, vx, vy]; velocity is the step from the previous frame, 0 at frame 0
+    pos = np.array([[[1.0, 2.0], [4.0, 6.0], [3.5, 6.0]]], dtype=np.float32)   # [1, T=3, 2]
+    feats = frame_features(pos)
+    assert feats.shape == (1, 3, FRAME_DIM) and feats.dtype == np.float32
+    np.testing.assert_array_equal(feats[0], [[1.0, 2.0, 0.0, 0.0],
+                                             [4.0, 6.0, 3.0, 4.0],
+                                             [3.5, 6.0, -0.5, 0.0]])
+
+
 def test_pair_geometry_hand_case():
-    pos = np.zeros((1, 1, 2, 2), dtype=np.float32)
-    pos[0, 0, 0] = [1.0, 2.0]
-    pos[0, 0, 1] = [4.0, 6.0]
-    vel = np.zeros((1, 1, 2, 2), dtype=np.float32)
-    vel[0, 0, 0] = [0.5, 0.0]
-    geo = pair_geometry(pos, vel).data
+    geo = np.zeros((1, 1, 2, FRAME_DIM), dtype=np.float32)
+    geo[0, 0, 0] = [1.0, 2.0, 0.5, 0.0]
+    geo[0, 0, 1] = [4.0, 6.0, 0.0, 0.0]
+    geo = pair_geometry(geo).data
     assert geo.shape == (1, 1, 2, 2, 4)
     np.testing.assert_allclose(geo[0, 0, 0, 1], [-3.0, -4.0, 0.5, 0.0])
     np.testing.assert_allclose(geo[0, 0, 1, 0], [3.0, 4.0, -0.5, 0.0])
     assert np.abs(geo[0, 0, 0, 0]).max() == 0.0
+
+
+def test_pair_geometry_matches_separate_differences():
+    # one broadcast difference of [pos, vel] must equal, bit for bit, the
+    # concatenation of separate position and velocity differences it replaced
+    rng = np.random.default_rng(6)
+    _, geo = make_inputs(rng, B=2, Tlen=3, N=5)
+    geo = geo * np.float32(37.0)
+    pos, vel = geo[..., :2], geo[..., 2:]
+    pd = pos[:, :, :, None, :] - pos[:, :, None, :, :]
+    vd = vel[:, :, :, None, :] - vel[:, :, None, :, :]
+    old = np.concatenate([pd, vd], axis=-1).astype(np.float32)
+    new = pair_geometry(geo).data
+    assert new.dtype == np.float32
+    assert new.tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("use_mesh", [True, False])
@@ -45,16 +71,16 @@ def test_per_frame_locality(use_mesh):
     # perturbing one frame of every stream leaves all other frames bit-identical
     enc = make_encoder(use_mesh=use_mesh)
     rng = np.random.default_rng(1)
-    h, pos, vel = make_inputs(rng)
+    h, geo = make_inputs(rng)
     with T.no_grad():
-        base = enc(Tensor(h), pos, vel).data
+        base = enc(Tensor(h), geo).data
     for t in range(4):
-        h2, pos2, vel2 = h.copy(), pos.copy(), vel.copy()
+        h2, geo2 = h.copy(), geo.copy()
         h2[:, t] += 1.0
-        pos2[:, t] -= 2.0
-        vel2[:, t] += 0.5
+        geo2[:, t, :, :2] -= 2.0
+        geo2[:, t, :, 2:] += 0.5
         with T.no_grad():
-            out = enc(Tensor(h2), pos2, vel2).data
+            out = enc(Tensor(h2), geo2).data
         others = [u for u in range(4) if u != t]
         assert np.array_equal(out[:, others], base[:, others]), t
         assert not np.array_equal(out[:, t], base[:, t]), t
@@ -64,11 +90,11 @@ def test_per_frame_locality(use_mesh):
 def test_agent_permutation_equivariance(use_mesh):
     enc = make_encoder(use_mesh=use_mesh)
     rng = np.random.default_rng(2)
-    h, pos, vel = make_inputs(rng, N=4)
+    h, geo = make_inputs(rng, N=4)
     perm = np.array([2, 0, 3, 1])
     with T.no_grad():
-        out = enc(Tensor(h), pos, vel).data
-        out_p = enc(Tensor(h[:, :, perm]), pos[:, :, perm], vel[:, :, perm]).data
+        out = enc(Tensor(h), geo).data
+        out_p = enc(Tensor(h[:, :, perm]), geo[:, :, perm]).data
     np.testing.assert_allclose(out_p, out[:, :, perm], atol=2e-5)
 
 
@@ -76,9 +102,9 @@ def test_agent_permutation_equivariance(use_mesh):
 def test_gradients(use_mesh):
     enc = make_encoder(use_mesh=use_mesh)
     rng = np.random.default_rng(3)
-    h, pos, vel = make_inputs(rng, B=1, Tlen=2, N=3)
+    h, geo = make_inputs(rng, B=1, Tlen=2, N=3)
     ht = Tensor(h, requires_grad=True)
-    err = grad_check(lambda: enc(ht, pos, vel).sum(), enc.parameters() + [ht],
+    err = grad_check(lambda: enc(ht, geo).sum(), enc.parameters() + [ht],
                      max_coords_per_param=20, rng=np.random.default_rng(0))
     assert err < 1e-5
 
@@ -88,22 +114,22 @@ def test_mesh_conditions_on_geometry():
     # hidden features are held fixed so the geometry is the only channel
     enc = make_encoder(use_mesh=True)
     rng = np.random.default_rng(4)
-    h, pos, vel = make_inputs(rng)
-    pos2 = pos.copy()
-    pos2[:, :, 0] += 3.0
+    h, geo = make_inputs(rng)
+    geo2 = geo.copy()
+    geo2[:, :, 0, :2] += 3.0
     with T.no_grad():
-        a = enc(Tensor(h), pos, vel).data
-        b = enc(Tensor(h), pos2, vel).data
+        a = enc(Tensor(h), geo).data
+        b = enc(Tensor(h), geo2).data
     assert not np.array_equal(a, b)
 
 
 def test_plain_variant_ignores_geometry():
     enc = make_encoder(use_mesh=False)
     rng = np.random.default_rng(5)
-    h, pos, vel = make_inputs(rng)
+    h, geo = make_inputs(rng)
     with T.no_grad():
-        a = enc(Tensor(h), pos, vel).data
-        b = enc(Tensor(h), pos + 7.0, vel - 2.0).data
+        a = enc(Tensor(h), geo).data
+        b = enc(Tensor(h), geo + np.float32([7.0, 7.0, -2.0, -2.0])).data
     assert np.array_equal(a, b)
 
 
@@ -170,8 +196,8 @@ def test_factored_mesh_matches_mesh_path():
     rng = np.random.default_rng(7)
     block = PairMeshBlock(np.random.default_rng(8), 128, heads=8, ff_dim=256)
     perturb_biases_and_gains(block, rng)
-    h, pos, vel = make_inputs(rng, B=2, Tlen=3, N=11, dim=128)
-    geo = pair_geometry(pos * 5.0, vel)
+    h, geo = make_inputs(rng, B=2, Tlen=3, N=11, dim=128)
+    geo = pair_geometry(geo * np.float32([5.0, 5.0, 1.0, 1.0]))
     seed = rng.normal(size=h.shape).astype(np.float32)
 
     results = []
@@ -197,8 +223,8 @@ def test_factored_mesh_grad_check():
     rng = np.random.default_rng(9)
     block = PairMeshBlock(np.random.default_rng(10), 8, heads=2, ff_dim=12)
     perturb_biases_and_gains(block, rng)
-    h, pos, vel = make_inputs(rng, B=1, Tlen=2, N=4)
-    geo = pair_geometry(pos, vel)
+    h, geo = make_inputs(rng, B=1, Tlen=2, N=4)
+    geo = pair_geometry(geo)
     ht = Tensor(h, requires_grad=True)
     weights = Tensor(rng.normal(size=h.shape))
     err = grad_check(lambda: (block(ht, geo) * weights).sum(),
