@@ -151,8 +151,9 @@ def components_from_uniforms(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _take_component(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Component m's rows [..., N, c] (float64) of a [..., M, N, c]; m [...]."""
-    return np.take_along_axis(np.asarray(a, np.float64), m[..., None, None, None], -3)[..., 0, :, :]
+    """Component m [...]'s rows [..., N, c] of a [..., M, N, c], gathered, then made float64."""
+    rows = np.take_along_axis(np.asarray(a), m[..., None, None, None], axis=-3)[..., 0, :, :]
+    return rows.astype(np.float64)
 
 
 def displacements_from_normals(

@@ -297,8 +297,9 @@ class TrajectoryModel(Module):
         arrays (logits [X, M], means [X, M, N, 2], chol_params [X, M, N, 3]).
         """
         X, N, _ = f_t.shape
+        lat = Tensor(lat_t.reshape(X, 1, N, self.latent_dim))
         with T.no_grad():
-            params = self._head_params(Tensor(lat_t.reshape(X, 1, N, -1)), f_t[:, None], cat)
+            params = self._head_params(lat, f_t[:, None], cat)
         return tuple(p.data[:, 0] for p in params)
 
     def _last_latent(self, seq: np.ndarray) -> np.ndarray:

@@ -45,9 +45,7 @@ def frame_features(pos: np.ndarray) -> np.ndarray:
 
 
 def pair_geometry(geo: np.ndarray) -> Tensor:
-    """Pairwise offsets [B, T, N, N, FRAME_DIM] of frame features geo [B, T, N, FRAME_DIM].
-
-    Entry (q, k) is geo_q - geo_k: agent q's position and velocity relative to agent k."""
+    """Offsets geo_q - geo_k [B, T, N, N, FRAME_DIM] of frame features geo [B, T, N, FRAME_DIM]."""
     return Tensor(geo[:, :, :, None, :] - geo[:, :, None, :, :])
 
 

@@ -236,13 +236,14 @@ class TestSampling:
         assert np.array_equal(out[0], means[0, 1].astype(np.float32))
         assert np.array_equal(comp, [1])
 
-    def test_drawn_factor_matches_the_all_component_build(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_drawn_factor_matches_the_all_component_build(self, dtype):
         # building only the drawn component's factor must give, byte for byte,
         # what building all M factors and then gathering the drawn one gave
         rng = np.random.default_rng(12)
         R, S, M, N = 3, 400, 4, 5
-        means = rng.normal(0.0, 3.0, size=(R, S, M, N, 2)).astype(np.float32)
-        chols = rng.normal(0.0, 6.0, size=(R, S, M, N, 3)).astype(np.float32)
+        means = rng.normal(0.0, 3.0, size=(R, S, M, N, 2)).astype(dtype)
+        chols = rng.normal(0.0, 6.0, size=(R, S, M, N, 3)).astype(dtype)
         chols[0, 0, :, 0] = [-50.0, 0.3, 50.0]          # far outside the clamp
         assert np.abs(chols[..., [0, 2]]).max() > mdn.CHOL_LOG_CLAMP
         comp = rng.integers(0, M, size=(R, S))
