@@ -275,7 +275,7 @@ class TrajectoryModel(Module):
         lat = self.temporal(Tensor(feats.reshape(B * N, Tlen - 1, FRAME_DIM)))
         lat = T.narrow(T.reshape(lat, (B, N, Tlen - 1, self.latent_dim)), 2, P - 1, F)
         lat = T.transpose(lat, (0, 2, 1, 3))                             # [B, F, N, d]
-        geo = feats[:, :, P - 1:].transpose(0, 2, 1, 3)          # [B, F, N, FRAME_DIM]
+        geo = feats[:, :, P - 1:].transpose(0, 2, 1, 3)                  # [B, F, N, FRAME_DIM]
         targets = np.ascontiguousarray((pos[:, :, P:] - pos[:, :, P - 1:-1]).transpose(0, 2, 1, 3))
         return (*self._head_params(lat, geo, cat), Tensor(targets))
 
@@ -369,7 +369,7 @@ class TrajectoryModel(Module):
         ] if mode == "sample" else []
 
         # prefix and step 0 once per context [C, ...], then per row [B, ...]
-        feats = frame_features(ctx)                               # [C, N, P, FRAME_DIM]
+        feats = frame_features(ctx)                                       # [C, N, P, FRAME_DIM]
         if incremental:
             state = self.temporal.init_state(C * N)
             for t in range(P):
@@ -381,7 +381,7 @@ class TrajectoryModel(Module):
         lg, mn, ch = (np.repeat(a, runs, axis=0) for a in
                       self._step_params(lat_t, feats[:, :, P - 1], ctx_cat))
 
-        f_t = np.repeat(feats[:, :, P - 1], runs, axis=0)         # [B, N, FRAME_DIM]
+        f_t = np.repeat(feats[:, :, P - 1], runs, axis=0)                 # [B, N, FRAME_DIM]
         out_pos = np.empty((B, horizon, N, 2), dtype=np.float32)
         out_disp = np.empty((B, horizon, N, 2), dtype=np.float32)
         out_comp = np.empty((B, horizon), dtype=np.int64)
