@@ -210,6 +210,8 @@ def synth_forking_play(
         raise DataError(f"need at least 11 frames for the pass window, got {frames}")
     if count < 1:
         raise DataError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     N = players + 1
     fork = frames // 2

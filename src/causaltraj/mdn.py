@@ -130,22 +130,13 @@ def chol_matrices(chol_params: np.ndarray) -> np.ndarray:
     return L
 
 
-def covariances(chol_params: np.ndarray) -> np.ndarray:
-    """Per-agent 2x2 covariances Sigma = L @ L.T."""
-    L = chol_matrices(chol_params)
-    return L @ np.swapaxes(L, -1, -2)
-
-
-def mixture_weights(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def components_from_uniforms(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF categorical pick: component index per leading index of u [...]."""
-    cum = np.cumsum(mixture_weights(logits), axis=-1)
+    """Inverse-CDF categorical pick: component index per leading index of u [...].
+
+    The weights are ``softmax_lastdim`` of the logits widened to float64.
+    """
+    weights = T.softmax_lastdim(np.asarray(logits, dtype=np.float64)).data
+    cum = np.cumsum(weights, axis=-1)
     m = (np.asarray(u)[..., None] > cum).sum(axis=-1)
     return np.minimum(m, cum.shape[-1] - 1)
 

@@ -350,13 +350,12 @@ class TrajectoryModel(Module):
                 f"rollout needs horizon >= 1 and num_scenarios >= 1, "
                 f"got {horizon} and {num_scenarios}"
             )
-        ctx = np.asarray(contexts, dtype=np.float32)
-        if (ctx.ndim != 4 or ctx.shape[-1] != 2 or ctx.shape[1] != cfg.num_agents
-                or ctx.shape[0] < 1):
-            raise ShapeError(f"contexts must be [C >= 1, N, P, 2], got {ctx.shape}")
+        if seed < 0:
+            raise ConfigError(f"rollout seed must be >= 0, got {seed}")
+        ctx = self._check_positions(contexts)
         C, N, P, _ = ctx.shape
-        if P < 2:
-            raise ShapeError("rollout needs at least 2 context frames")
+        if C < 1 or P < 2:
+            raise ShapeError(f"rollout needs >= 1 context of >= 2 frames, got {ctx.shape}")
         k = int(num_scenarios)
         runs = k if mode == "sample" else 1                               # rows per context
         B = C * runs
@@ -495,6 +494,12 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a ``save_checkpoint`` file: (header dict, float32 arrays by name).
+
+    The arrays are read-only little-endian views of their own slices of the
+    file's bytes; ``Module.load_state_arrays`` and ``AdamW.load_state_arrays``
+    copy them.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if not raw.startswith(CHECKPOINT_MAGIC):
@@ -543,7 +548,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
         data = np.frombuffer(take(4 * math.prod(shape), f"data for {name}"), dtype="<f4")
         try:
-            arrays[name] = data.reshape(shape).astype(np.float32)
+            arrays[name] = data.reshape(shape)
         except ValueError as e:   # a zero dim lets the other dims pass numpy's size limit
             raise TrajectoryFormatError(f"array {name!r}: bad shape {shape}: {e}",
                                         offset=shape_off) from e

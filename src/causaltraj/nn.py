@@ -23,7 +23,11 @@ def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 class Module:
-    """Base class: children and parameters discovered by attribute walking."""
+    """Base class: children and parameters discovered by attribute walking.
+
+    The walk finds parameters (``Tensor``s with ``requires_grad``) and child
+    modules held as attributes, and child modules held in list attributes.
+    """
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -37,12 +41,10 @@ class Module:
                     found.append((path, value))
             elif isinstance(value, Module):
                 found.extend(value.named_parameters(f"{path}."))
-            elif isinstance(value, (list, tuple)):
+            elif isinstance(value, list):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         found.extend(item.named_parameters(f"{path}.{i}."))
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        found.append((f"{path}.{i}", item))
         return found
 
     def zero_grad(self) -> None:

@@ -252,9 +252,6 @@ class Tensor:
     def transpose(self, axes):
         return transpose(self, axes)
 
-    def cast(self, dtype):
-        return cast(self, dtype)
-
 
 def _accumulate(pending: dict[int, np.ndarray], parents, parent_grads) -> None:
     """Add each parent's gradient, cast to the parent's dtype, into ``pending``."""
@@ -371,20 +368,6 @@ def neg(a) -> Tensor:
     return Tensor._result(-a.data, (a,), lambda g: (-g,))
 
 
-def maximum(a, b) -> Tensor:
-    """Elementwise max; ties route the gradient to the first operand."""
-    a, b = _coerce_pair(a, b, "maximum")
-    ad, bd = a.data, b.data
-    out = np.maximum(ad, bd)
-    sa, sb = a.shape, b.shape
-
-    def backward(g):
-        take_a = ad >= bd
-        return _reduce_to(g * take_a, sa), _reduce_to(g * ~take_a, sb)
-
-    return Tensor._result(out, (a, b), backward)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
@@ -395,12 +378,6 @@ def log(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
     return Tensor._result(np.log(x), (a,), lambda g: (g / x,))
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-    return Tensor._result(out, (a,), lambda g: (g / (2.0 * out),))
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
@@ -548,12 +525,8 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     sa = a.shape
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, sa).astype(g.dtype, copy=False),)
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(ax if ax >= 0 else len(sa) + ax for ax in axes)
-        if not keepdims:
-            g = np.expand_dims(g, axes)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)   # negative axes count from the end of sa
         return (np.broadcast_to(g, sa),)
 
     return Tensor._result(np.asarray(out), (a,), backward)

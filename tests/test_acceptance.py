@@ -116,6 +116,11 @@ def primitive_cases():
     def case(name, params, fn):
         cases.append((name, params, fn))
 
+    def removed(*shape, lo=-1.0, hi=1.0):
+        # an op that is no longer in the engine: keep its input draw, and its
+        # grad_check coordinate picks (fn None), so the later cases' inputs stay
+        cases.append((None, [p(*shape, lo=lo, hi=hi)], None))
+
     a, b = p(3, 4), p(3, 4)
     case("add", [a, b], lambda: (a + b).sum())
     c, d = p(3, 4), p(3, 4)
@@ -130,8 +135,7 @@ def primitive_cases():
     case("exp", [j], lambda: T.exp(j).sum())
     k = p(3, 4, lo=0.5, hi=1.5)
     case("log", [k], lambda: T.log(k).sum())
-    m = p(3, 4, lo=0.5, hi=1.5)
-    case("sqrt", [m], lambda: T.sqrt(m).sum())
+    removed(3, 4, lo=0.5, hi=1.5)   # sqrt
     n = p(3, 4, lo=-2.0, hi=2.0)
     case("clamp", [n], lambda: (T.clamp(n, -0.8, 0.8) * n).sum())
     o = p(3, 4)
@@ -140,8 +144,8 @@ def primitive_cases():
     case("silu", [q], lambda: T.silu(q).sum())
     r = p(3, 4)
     case("softplus", [r], lambda: T.softplus(r).sum())
-    s, t = p(3, 4), p(3, 4)
-    case("maximum", [s, t], lambda: T.maximum(s, t).sum())
+    removed(3, 4)                   # maximum, first operand
+    removed(3, 4)                   # maximum, second operand
     u, v = p(2, 3, 4), p(2, 4, 5)
     case("matmul", [u, v], lambda: T.matmul(u, v).sum())
     w, wt, bs = p(5, 3), p(3, 4), p(4)
@@ -196,6 +200,10 @@ def test_c01_gradient_correctness(announce):
     worst = ("", 0.0)
     rng = np.random.default_rng(0)
     for name, params, fn in primitive_cases():
+        if fn is None:
+            for q in params:
+                rng.choice(q.size, size=6, replace=False)
+            continue
         err = grad_check(fn, params, max_coords_per_param=6, rng=rng)
         if err > worst[1]:
             worst = (name, err)
@@ -437,13 +445,15 @@ def test_c06_sampling_statistics(announce):
         np.broadcast_to(means, (1, draws, M, N, 2)),
         np.broadcast_to(chols, (1, draws, M, N, 3)),
     ))
-    pi = mdn.mixture_weights(logits)
+    e = np.exp(logits - logits.max())
+    pi = e / e.sum()
     freq = np.bincount(comps, minlength=M) / draws
     freq_err = np.abs(freq - pi).max()
     freq_ok = freq_err < 0.01
 
     cov_err = 0.0
-    want_cov = mdn.covariances(chols)
+    L = mdn.chol_matrices(chols)
+    want_cov = L @ np.swapaxes(L, -1, -2)
     for m in range(M):
         sel = dx[comps == m].astype(np.float64)
         for n in range(N):

@@ -98,6 +98,17 @@ def test_synth_rejects_short_frames_and_empty_counts(workdir, flag, value):
     assert not out.exists() and not (workdir / "rejected_synth.ctrj.meta").exists()
 
 
+@pytest.mark.parametrize("command, code", [("synth", 1), ("sample", 2)])
+def test_a_negative_seed_exits_cleanly(paths, workdir, command, code):
+    out = workdir / f"negative_seed_{command}.ctrj"
+    inputs = ("--model", paths["ckpt"], "--data", paths["data"]) if command == "sample" else ()
+    got, stdout, err = run_cli(command, "--out", str(out), *inputs, "--seed", "-1")
+    assert got == code
+    assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+    assert stdout == ""
+    assert not out.exists() and not (workdir / f"{out.name}.meta").exists()
+
+
 def test_train(pipeline):
     code, out, err = pipeline[1]["train"]
     assert code == 0

@@ -256,7 +256,8 @@ class TestSynthForkingPlay:
         with pytest.raises(DataError):
             synth_forking_play(4, players=1)
         # the pass starts at frame 3 or later and needs 8 frames after its start
-        for bad in (dict(frames=6), dict(frames=10), dict(count=0), dict(count=-1)):
+        for bad in (dict(frames=6), dict(frames=10), dict(count=0), dict(count=-1),
+                    dict(seed=-1)):
             with pytest.raises(DataError):
                 synth_forking_play(**{"count": 4, **bad})
         assert synth_forking_play(2, frames=11).trajectories.positions.shape == (2, 11, 5, 2)

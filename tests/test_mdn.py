@@ -187,7 +187,8 @@ class TestSampling:
     def test_component_frequencies(self):
         rng = np.random.default_rng(8)
         logits = np.array([0.3, -0.5, 1.2, 0.0])
-        pi = mdn.mixture_weights(logits)
+        e = np.exp(logits - logits.max())
+        pi = e / e.sum()
         _, comps = mdn.sample_displacements(
             [rng],
             np.broadcast_to(logits, (1, 40000, 4)),
@@ -209,7 +210,8 @@ class TestSampling:
         mn = np.broadcast_to(means, (1, n_draws, M, N, 2))
         ch = np.broadcast_to(chols, (1, n_draws, M, N, 3))
         dx, comp = (a[0] for a in mdn.sample_displacements([rng], lg, mn, ch))
-        want_cov = mdn.covariances(chols)
+        L = mdn.chol_matrices(chols)
+        want_cov = L @ np.swapaxes(L, -1, -2)
         for m in range(M):
             sel = dx[comp == m].astype(np.float64)
             for n in range(N):

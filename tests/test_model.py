@@ -355,7 +355,8 @@ class TestRollout:
             pointnet.rollout(ctx[:, :, :1], cats)
         with pytest.raises(ShapeError):
             pointnet.rollout(ctx[:0], cats)
-        for bad in (dict(num_scenarios=0), dict(num_scenarios=-1), dict(horizon=0)):
+        for bad in (dict(num_scenarios=0), dict(num_scenarios=-1), dict(horizon=0),
+                    dict(seed=-1)):
             with pytest.raises(ConfigError):
                 pointnet.rollout(ctx, cats, **bad)
 
@@ -559,6 +560,17 @@ class TestCheckpoint:
         save_checkpoint(path, pointnet_model, extra={"epoch": 3}, extra_arrays=extra_arrays)
         want = self.serialize_with_copies(pointnet_model, {"epoch": 3}, extra_arrays)
         assert path.read_bytes() == want
+
+    def test_loaded_parameters_are_writable_copies(self, tmp_path, pointnet_model):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, pointnet_model)
+        _, arrays = load_checkpoint(p)
+        assert not any(a.flags.writeable for a in arrays.values())
+        model2, _, _ = load_model(p)
+        for name, q in model2.named_parameters():
+            assert q.data.dtype == np.float32 and q.data.flags.c_contiguous, name
+            assert q.data.flags.writeable and q.data.flags.owndata, name
+            assert np.array_equal(q.data, arrays[f"param/{name}"]), name
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.ckpt"

@@ -4,6 +4,7 @@ import itertools
 import math
 import warnings
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -233,12 +234,6 @@ def _case_neg(rng):
     return lambda: (-a).sum(), [a]
 
 
-@primitive("maximum")
-def _case_maximum(rng):
-    a, b = randt(rng, (4, 4)), randt(rng, (4, 4))
-    return lambda: T.maximum(a, b).sum(), [a, b]
-
-
 @primitive("exp")
 def _case_exp(rng):
     a = randt(rng, (3, 3), scale=0.5)
@@ -249,12 +244,6 @@ def _case_exp(rng):
 def _case_log(rng):
     a = randt(rng, (3, 3))
     return lambda: T.log(a * a + 0.5).sum(), [a]
-
-
-@primitive("sqrt")
-def _case_sqrt(rng):
-    a = randt(rng, (3, 3))
-    return lambda: T.sqrt(a * a + 1.0).sum(), [a]
 
 
 @primitive("clamp")
@@ -332,8 +321,22 @@ def _case_narrow(rng):
 
 @primitive("reduce_sum_axis")
 def _case_reduce_sum(rng):
+    # every axis form: a tuple, None, an int, a negative tuple, and keepdims
     a = randt(rng, (3, 4, 5))
-    return lambda: (a.sum(axis=(0, 2)) * 3.0).sum(), [a]
+    v = randt(rng, (4,), requires_grad=False)
+    w = randt(rng, (3, 1, 5), requires_grad=False)
+
+    def f():
+        s1 = a.sum(axis=1)
+        s_all = a.sum(keepdims=True)
+        return ((a.sum(axis=(0, 2)) * 3.0).sum()
+                + a.sum() * a.sum()
+                + (s1 * s1).sum()
+                + (a.sum(axis=(-1, -3)) * v).sum()
+                + (a.sum(axis=1, keepdims=True) * w).sum()
+                + (s_all * s_all).sum())
+
+    return f, [a]
 
 
 @primitive("reduce_mean")
@@ -401,7 +404,8 @@ def _case_ssm(rng):
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_primitive_gradients(name):
     for trial in range(3):
-        rng = np.random.default_rng(hash(name) % 2**32 + trial)
+        # crc32, not hash(): str hashes are salted per process
+        rng = np.random.default_rng(zlib.crc32(name.encode()) + trial)
         f, params = PRIMITIVES[name](rng)
         assert grad_check(f, params) < 1e-5, f"{name} trial {trial}"
 
