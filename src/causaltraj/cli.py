@@ -20,6 +20,11 @@ from .model import ModelConfig, TrajectoryModel
 from .trainer import keep_freed_heap
 
 
+# The most agent-steps (contexts x scenarios x horizon x agents) one ``sample`` run
+# writes: its arrays hold ~32 bytes per agent-step, so ~3.2 GB at this bound.
+MAX_SAMPLE_AGENT_STEPS = 100_000_000
+
+
 def _print(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -123,6 +128,13 @@ def cmd_sample(args) -> int:
         )
     count = ts.count if args.limit is None else min(args.limit, ts.count)
     horizon = args.horizon if args.horizon is not None else model.config.future_frames
+    agent_steps = count * args.scenarios * horizon * ts.num_agents
+    if agent_steps > MAX_SAMPLE_AGENT_STEPS:
+        raise ConfigError(
+            f"sample would write {agent_steps:,} agent-steps (contexts x scenarios x "
+            f"horizon x agents), over the limit of {MAX_SAMPLE_AGENT_STEPS:,}; "
+            "lower --limit, --scenarios or --horizon"
+        )
     contexts = ts.agent_major()[:count, :, :P]
     samples = model.rollout(
         contexts,

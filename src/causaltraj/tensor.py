@@ -30,7 +30,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import GradCheckError, GraphReleasedError, ShapeError
 
@@ -396,30 +395,130 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# erf from cephes (S. L. Moshier): ndtrf.c in float32, ndtr.c in float64.
+# float32: erf(x) = x T(x^2) for |x| <= 1; beyond, erfc(a) = exp(-a^2) (1/a) P(1/a^2)
+# for a = |x| < 2 and the same with R for a >= 2.
+_ERF_T32 = (7.853861353153693e-05, -8.010193625184903e-04, 5.188327685732524e-03,
+            -2.685381193529856e-02, 1.128358514861418e-01, -3.761262582423300e-01,
+            1.128379165726710e+00)
+_ERFC_P32 = (2.326819970068386e-02, -1.387039388740657e-01, 3.687424674597105e-01,
+             -5.824733027278666e-01, 6.210004621745983e-01, -4.944515323274145e-01,
+             3.404879937665872e-01, -2.741127028184656e-01, 5.638259427386472e-01)
+_ERFC_R32 = (-1.047766399936249e+01, 1.297719955372516e+01, -7.495518717768503e+00,
+             2.921019019210786e+00, -1.015265279202700e+00, 4.218463358204948e-01,
+             -2.820767439740514e-01, 5.641895067754075e-01)
+# float64: erf(x) = x T(x^2) / U(x^2) for |x| <= 1; beyond, erfc(a) = exp(-a^2) P(a) / Q(a).
+# U and Q lead with cephes' implicit 1.
+_ERF_T64 = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+            7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U64 = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+            2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P64 = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+             4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+             9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q64 = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+             9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+             1.65666309194161350182e3, 5.57535340817727675546e2)
+# erf rounds to 1 beyond |x| ~ 3.9 in float32 and ~ 5.9 in float64, so the tail clamps
+# |x| to this before squaring: inf and 3e38 do not overflow, and ndtr.c's R/S series
+# for x >= 8, whose tiny erfc 1 - erfc rounds away, is not needed
+_ERF_CLAMP = 6.0
+# elements per erf/GELU pass: the block and its scratch arrays stay in cache
+_ERF_BLOCK = 1 << 16
+
+
+def _horner(x: np.ndarray, coefs, out: np.ndarray | None = None) -> np.ndarray:
+    """``coefs[0] x^n + ... + coefs[n]`` in cephes' ``polevl`` order, in ``out`` if given."""
+    out = np.multiply(x, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf_tail(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """erf(x) from ``a = |x| > 1`` as ``copysign(1 - erfc(a), x)``."""
+    np.minimum(a, _ERF_CLAMP, out=a)
+    z = a * a
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    if a.dtype == np.float64:
+        z *= _horner(a, _ERFC_P64)
+        z /= _horner(a, _ERFC_Q64)
+    else:
+        q = 1.0 / a
+        z *= q
+        q *= q
+        near = a < 2.0
+        p = np.empty_like(q)
+        p[near] = _horner(q[near], _ERFC_P32)
+        p[~near] = _horner(q[~near], _ERFC_R32)
+        z *= p
+    np.subtract(1.0, z, out=z)
+    return np.copysign(z, x, out=z)
+
+
+def _erf_inplace(z: np.ndarray, s: np.ndarray, t: np.ndarray) -> None:
+    """Overwrite the 1-D float32 or float64 array ``z`` with erf(z).
+
+    ``s`` and ``t`` are scratch arrays of ``z``'s length and dtype. The |z| <= 1
+    majority takes the odd series ``z T(z^2)`` (``/ U(z^2)`` in float64) in place;
+    the rest is gathered, evaluated by ``_erf_tail`` and scattered back, so
+    erf(-z) == -erf(z) bit for bit and +-0 keeps its sign.
+    """
+    np.abs(z, out=s)
+    far = np.flatnonzero(s > 1.0)
+    if far.size:
+        tail = _erf_tail(z[far], s[far])
+        z[far] = 0.0    # keeps the series below from overflowing on huge |z|
+    np.multiply(z, z, out=s)
+    if z.dtype == np.float64:
+        z *= _horner(s, _ERF_T64, t)
+        z /= _horner(s, _ERF_U64, t)
+    else:
+        z *= _horner(s, _ERF_T32, t)
+    if far.size:
+        z[far] = tail
+
 
 def gelu(a) -> Tensor:
     """Exact (erf-based) GELU.
 
-    When the call records a node it also computes the slope
-    ``cdf + x * pdf`` and keeps only that for backward, instead of the input
-    and ``cdf``; under ``no_grad`` it computes nothing extra.
+    Works over blocks of ``_ERF_BLOCK`` elements: per block it forms
+    ``cdf = (erf(x / sqrt 2) + 1) / 2`` in a scratch array, then the output
+    ``x * cdf``, and, when the call records a node, the slope ``cdf + x * pdf``,
+    which is all backward keeps (not the input or ``cdf``). Under ``no_grad`` it
+    computes nothing extra. float64 inputs are computed in float64, others in float32.
     """
     a = as_tensor(a)
     x = a.data
-    cdf = _sp.erf(x * _INV_SQRT2)
-    cdf += 1.0
-    cdf *= 0.5
-    out = x * cdf
-    slope = None
-    if _records(a):
-        # in place, in the order of cdf + x * (exp(-0.5 * x * x) * _INV_SQRT_2PI)
-        slope = x * -0.5
-        slope *= x
-        np.exp(slope, out=slope)
-        slope *= _INV_SQRT_2PI
-        slope *= x
-        slope += cdf
-    return Tensor._result(out.astype(x.dtype, copy=False), (a,), lambda g: (g * slope,))
+    out = np.empty(x.shape, x.dtype)
+    slope = np.empty(x.shape, x.dtype) if _records(a) else None
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    flat_slope = None if slope is None else slope.reshape(-1)
+    n = flat_x.size
+    work = np.float64 if x.dtype == np.float64 else np.float32
+    cdf, s, t = np.empty((3, min(n, _ERF_BLOCK)), work)
+    for lo in range(0, n, _ERF_BLOCK):
+        xb = flat_x[lo:lo + _ERF_BLOCK]
+        m = xb.size
+        c = cdf[:m]
+        np.multiply(xb, _INV_SQRT2, out=c)
+        _erf_inplace(c, s[:m], t[:m])
+        c += 1.0
+        c *= 0.5
+        np.multiply(xb, c, out=flat_out[lo:lo + m])
+        if flat_slope is not None:
+            # in place, in the order of cdf + x * (exp(-0.5 * x * x) * _INV_SQRT_2PI)
+            sb = flat_slope[lo:lo + m]
+            np.multiply(xb, -0.5, out=sb)
+            sb *= xb
+            np.exp(sb, out=sb)
+            sb *= _INV_SQRT_2PI
+            sb *= xb
+            sb += c
+    return Tensor._result(out, (a,), lambda g: (g * slope,))
 
 
 def silu(a) -> Tensor:

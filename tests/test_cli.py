@@ -529,6 +529,40 @@ def test_sample_rejects_counts_below_one(paths, workdir, flag, value):
     assert not (workdir / "rejected.ctrj").exists()
 
 
+def test_sample_refuses_an_output_over_the_size_bound(paths, workdir):
+    # a 100M-step horizon once reserved ~11 GB of output arrays before writing anything
+    out = workdir / "too_long.ctrj"
+    code, stdout, err = run_cli(
+        "sample", "--model", paths["ckpt"], "--data", paths["data"], "--out", str(out),
+        "--limit", "1", "--scenarios", "2", "--horizon", "100000000",
+    )
+    assert code == 2
+    assert err.startswith("error:") and "agent-steps" in err and "Traceback" not in err
+    assert stdout == ""
+    assert not out.exists() and not (workdir / "too_long.ctrj.meta").exists()
+
+
+def test_sample_size_bound_is_inclusive(paths, workdir, monkeypatch):
+    agents = data.read_trajectories(paths["data"]).num_agents
+    monkeypatch.setattr(cli, "MAX_SAMPLE_AGENT_STEPS", 1 * 2 * 3 * agents)
+    for horizon, want in ((3, 0), (4, 2)):
+        out = workdir / f"bound_{horizon}.ctrj"
+        code, _, err = run_cli(
+            "sample", "--model", paths["ckpt"], "--data", paths["data"], "--out", str(out),
+            "--limit", "1", "--scenarios", "2", "--horizon", str(horizon),
+        )
+        assert code == want, err
+        assert out.exists() == (want == 0)
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy is a test-only dependency: importing it costs a process ~0.2 s and ~25 MB
+    proc = run_python("-c", "import sys, causaltraj, causaltraj.cli; print(sorted("
+                      "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def rewrite_header(src, dst, edit):
     """Copy checkpoint ``src`` to ``dst`` with ``edit(meta)`` applied to its JSON header."""
     with open(src, "rb") as f:
