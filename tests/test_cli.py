@@ -530,7 +530,7 @@ def test_sample_rejects_counts_below_one(paths, workdir, flag, value):
 
 
 def test_sample_refuses_an_output_over_the_size_bound(paths, workdir):
-    # a 100M-step horizon once reserved ~11 GB of output arrays before writing anything
+    # unbounded, this would reserve ~11 GB of output arrays before writing anything
     out = workdir / "too_long.ctrj"
     code, stdout, err = run_cli(
         "sample", "--model", paths["ckpt"], "--data", paths["data"], "--out", str(out),
