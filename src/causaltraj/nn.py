@@ -95,8 +95,9 @@ class Dense(Module):
         self.activation = activation
 
     def __call__(self, x) -> Tensor:
-        out = T.linear(x, self.weight, self.bias)
-        return T.gelu(out) if self.activation == "gelu" else out
+        if self.activation == "gelu":
+            return T.linear_gelu(x, self.weight, self.bias)
+        return T.linear(x, self.weight, self.bias)
 
 
 class MLP(Module):

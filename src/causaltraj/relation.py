@@ -16,7 +16,8 @@ Two block types:
 The mesh is never materialised: both block types run one attention core,
 and the mesh block adds a small pairwise geometry term to its scores and
 values (see ``PairMeshBlock``), O(N^2 d + N d^2) work per frame instead of
-the mesh's O(N^2 d^2).
+the mesh's O(N^2 d^2). Each block computes its attention in a method of its
+own, so the attention's temporaries are freed before the feedforward runs.
 """
 
 from __future__ import annotations
@@ -49,26 +50,27 @@ def pair_geometry(geo: np.ndarray) -> Tensor:
     return Tensor(geo[:, :, :, None, :] - geo[:, :, None, :, :])
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int, extra_scores=None):
-    """Multi-head attention over agents; returns (weights, merged output).
+def _split_heads(x: Tensor, heads: int, axes) -> Tensor:
+    """x [B, T, N, d] as [B, T, N, H, d/H], transposed by ``axes``."""
+    B, Tlen, N, d = x.shape
+    return T.transpose(T.reshape(x, (B, Tlen, N, heads, d // heads)), axes)
+
+
+def _attention_weights(q: Tensor, k: Tensor, heads: int, extra_scores=None) -> Tensor:
+    """Softmax attention weights [B, T, H, N, N] of queries q over keys k [B, T, N, d].
 
     ``extra_scores`` [B, T, H, N, N] joins the raw scores before scaling."""
-    B, Tlen, N, d = q.shape
-    split = (B, Tlen, N, heads, d // heads)
-    q, v = (T.transpose(T.reshape(x, split), (0, 1, 3, 2, 4)) for x in (q, v))  # [B,T,H,N,hd]
-    k_t = T.transpose(T.reshape(k, split), (0, 1, 3, 4, 2))                   # [B,T,H,hd,N]
-    scores = T.matmul(q, k_t)
+    scores = T.matmul(_split_heads(q, heads, (0, 1, 3, 2, 4)),     # [B,T,H,N,hd]
+                      _split_heads(k, heads, (0, 1, 3, 4, 2)))     # [B,T,H,hd,N]
     if extra_scores is not None:
         scores = scores + extra_scores
-    attn = T.softmax_lastdim(scores * (1.0 / math.sqrt(d // heads)))
-    out = T.transpose(T.matmul(attn, v), (0, 1, 3, 2, 4))
-    return attn, T.reshape(out, (B, Tlen, N, d))
+    return T.softmax_lastdim(scores * (1.0 / math.sqrt(q.shape[-1] // heads)))
 
 
-def _residual_tail(block: Module, h: Tensor, out: Tensor) -> Tensor:
-    """Output projection and feedforward, each added back to the stream."""
-    h = h + block.out_proj(out)
-    return h + block.ff(block.norm2(h))
+def _merge(attn: Tensor, v: Tensor) -> Tensor:
+    """The heads' attn [B, T, H, N, N]-weighted values v [B, T, N, d], merged to [B, T, N, d]."""
+    out = T.matmul(attn, _split_heads(v, attn.shape[2], (0, 1, 3, 2, 4)))
+    return T.reshape(T.transpose(out, (0, 1, 3, 2, 4)), v.shape)
 
 
 class AgentAttentionBlock(Module):
@@ -88,9 +90,13 @@ class AgentAttentionBlock(Module):
         self.ff = MLP(rng, [dim, ff_dim, dim], activate_last=False)
 
     def __call__(self, h: Tensor, geo: Tensor) -> Tensor:
-        z = self.norm1(h)
-        _, out = _attend(self.q_proj(z), self.k_proj(z), self.v_proj(z), self.heads)
-        return _residual_tail(self, h, out)
+        h = h + self.out_proj(self._attention(self.norm1(h)))
+        return h + self.ff(self.norm2(h))
+
+    def _attention(self, z: Tensor) -> Tensor:
+        """Multi-head self-attention over agents of normed z [B, T, N, d], before out_proj."""
+        attn = _attention_weights(self.q_proj(z), self.k_proj(z), self.heads)
+        return _merge(attn, self.v_proj(z))
 
 
 class PairMeshBlock(Module):
@@ -137,25 +143,33 @@ class PairMeshBlock(Module):
         self.ff = MLP(rng, [dim, ff_dim, dim], activate_last=False)
 
     def __call__(self, h: Tensor, geo: Tensor) -> Tensor:
-        B, Tlen, N, d = h.shape
+        h = h + self.out_proj(self._attention(self.norm1(h), geo))
+        return h + self.ff(self.norm2(h))
+
+    def _attention(self, z: Tensor, geo: Tensor) -> Tensor:
+        """The factored mesh attention of normed z [B, T, N, d], before out_proj."""
+        B, Tlen, N, d = z.shape
         H, G = self.heads, geo.shape[-1]
         wk, wv = self.k_proj.weight, self.v_proj.weight
-        z = self.norm1(h)
         q = self.q_proj(z)                                        # [B, T, N, d]
-
-        # geometry key term: u[.., h, c] = q_h . Wk_g[c, head h]
-        u = T.linear(q, T.transpose(_per_head_rows(T.narrow(wk, 0, 0, G), H), (1, 0)))
-        u = T.reshape(u, (B, Tlen, N, H, G))
-        geo_t = T.transpose(geo, (0, 1, 2, 4, 3))                 # [B, T, N, G, N]
-        geo_scores = T.transpose(T.matmul(u, geo_t), (0, 1, 3, 2, 4))
-        attn, out = _attend(q, T.linear(z, T.narrow(wk, 0, G, d)),
-                            T.linear(z, T.narrow(wv, 0, G + d, d)), H, geo_scores)
+        attn = _attention_weights(q, T.linear(z, T.narrow(wk, 0, G, d)), H,
+                                  self._geo_scores(q, geo))
+        out = _merge(attn, T.linear(z, T.narrow(wv, 0, G + d, d)))
         out = out + T.linear(z, T.narrow(wv, 0, G, d), self.v_proj.bias)
         # per head, the attention-weighted mean geometry through Wv_g
         mean_geo = T.matmul(T.transpose(attn, (0, 1, 3, 2, 4)), geo)   # [B, T, N, H, G]
         mean_geo = T.reshape(mean_geo, (B, Tlen, N, H * G))
-        out = out + T.linear(mean_geo, _per_head_rows(T.narrow(wv, 0, 0, G), H))
-        return _residual_tail(self, h, out)
+        return out + T.linear(mean_geo, _per_head_rows(T.narrow(wv, 0, 0, G), H))
+
+    def _geo_scores(self, q: Tensor, geo: Tensor) -> Tensor:
+        """The geometry key term [B, T, H, N, N]: sum_c geo_qk[c] u_q[c], u_q[c] = q_q . Wk_g[c]."""
+        B, Tlen, N, _ = q.shape
+        H, G = self.heads, geo.shape[-1]
+        wk_g = T.narrow(self.k_proj.weight, 0, 0, G)
+        u = T.linear(q, T.transpose(_per_head_rows(wk_g, H), (1, 0)))
+        u = T.reshape(u, (B, Tlen, N, H, G))
+        geo_t = T.transpose(geo, (0, 1, 2, 4, 3))                 # [B, T, N, G, N]
+        return T.transpose(T.matmul(u, geo_t), (0, 1, 3, 2, 4))
 
 
 def _per_head_rows(w: Tensor, heads: int) -> Tensor:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from causaltraj import tensor as T
 from causaltraj.errors import ConfigError
 from causaltraj.nn import (
     INIT_STD,
@@ -98,6 +99,32 @@ class TestLayers:
             assert y.shape == (5, 3)
         with pytest.raises(ConfigError):
             Dense(np.random.default_rng(0), 4, 3, activation="tanh")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_dense_gelu_is_gelu_of_linear_bit_for_bit(self, dtype, bias):
+        # Dense writes the GELU over the linear's own output; the composition is the reference
+        rng = np.random.default_rng(7)
+        d = Dense(np.random.default_rng(1), 6, 2**16 // 9, activation="gelu", bias=bias)
+        params = [d.weight] + ([d.bias] if bias else [])
+        for p in params:
+            p.data = p.data.astype(dtype)
+        if bias:
+            d.bias.data[:] = rng.normal(size=d.bias.shape)
+        x_arr = (rng.normal(size=(3, 5, 6)) * 40.0).astype(dtype)   # spans both erf branches
+        g = rng.normal(size=(3, 5, d.weight.shape[1])).astype(dtype)
+        results = []
+        for fn in (d, lambda x: T.gelu(T.linear(x, d.weight, d.bias))):
+            with T.no_grad():
+                plain = fn(Tensor(x_arr)).data
+            x = Tensor(x_arr, requires_grad=True)
+            y = fn(x)
+            y.backward(g)
+            results.append([plain, y.data, x.grad] + [p.grad for p in params])
+            for p in params:
+                p.zero_grad()
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_mlp_depth_and_last_activation(self):
         rng = np.random.default_rng(4)

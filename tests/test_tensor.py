@@ -500,6 +500,41 @@ class TestGeluSlope:
         assert np.array_equal(y.data, T.gelu(x).data)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_extremes_give_the_limits_without_a_warning(self, dtype):
+        big = np.finfo(dtype).max
+        x = np.array([-np.inf, np.inf, -3e38, 3e38, -big, big, np.nan], dtype)
+        want_out = np.array([-0.0, np.inf, -0.0, 3e38, -0.0, big, np.nan], dtype)
+        want_slope = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, np.nan], dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with T.no_grad():
+                plain = T.gelu(Tensor(x)).data
+            xt = Tensor(x, requires_grad=True)
+            y = T.gelu(xt)
+            y.backward(np.ones_like(x))
+        for got, want in ((plain, want_out), (y.data, want_out), (xt.grad, want_slope)):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_magnitude_matches_the_unclamped_formula(self, dtype):
+        # the clamp at +-_GELU_CLAMP changes no finite input's output or slope
+        # 400,000 magnitudes evenly spaced in bit pattern: every exponent, up to the max
+        uint = np.uint32 if dtype == np.float32 else np.uint64
+        top = int(np.array(np.inf, dtype).view(uint))
+        mags = np.arange(1, top, top // 400_000, dtype=uint).view(dtype)
+        x = np.concatenate([mags, -mags, np.linspace(-60.0, 60.0, 240_001, dtype=dtype),
+                            np.array([0.0, -0.0], dtype)])
+        xt = Tensor(x, requires_grad=True)
+        y = T.gelu(xt)
+        y.backward(np.ones_like(x))
+        with np.errstate(over="ignore", under="ignore"):
+            want_out = x * self.reference_cdf(x)
+            want_slope = self.reference_input_grad(x, dtype(1.0))
+        assert y.data.tobytes() == want_out.tobytes()
+        assert xt.grad.tobytes() == want_slope.tobytes()
+
+
 class TestErf:
     """The cephes erf kernel against scipy's erf, the test-only oracle.
 
@@ -655,6 +690,23 @@ class TestMatmulOracle:
         got = T.matmul(Tensor(a), Tensor(b)).data
         assert np.allclose(got, want, atol=1e-12)
 
+    # [rows, heads, agents, head dim] of the attention in a small (B=32) and a
+    # full (B=8) training step
+    @pytest.mark.parametrize("shape", [(448, 8, 5, 4), (112, 8, 11, 16)])
+    def test_backward_equals_the_swapaxes_form(self, shape):
+        rng = np.random.default_rng(10)
+        R, H, N, hd = shape
+        q, v = rng.normal(size=(2, R, H, N, hd)).astype(np.float32)
+        k_t = rng.normal(size=(R, H, hd, N)).astype(np.float32)
+        attn = rng.random(size=(R, H, N, N)).astype(np.float32)
+        for a, b in ((q, k_t), (attn, v)):
+            at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+            y = T.matmul(at, bt)
+            g = rng.normal(size=y.shape).astype(np.float32)
+            y.backward(g)
+            assert at.grad.tobytes() == np.matmul(g, np.swapaxes(b, -1, -2)).tobytes()
+            assert bt.grad.tobytes() == np.matmul(np.swapaxes(a, -1, -2), g).tobytes()
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
@@ -662,6 +714,41 @@ class TestMatmulOracle:
             T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
         with pytest.raises(ShapeError):
             T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+
+
+class TestTransposeOracle:
+    """``transpose`` against ``np.ascontiguousarray(x.transpose(axes))``, byte for byte."""
+
+    @staticmethod
+    def payload_array(shape, dtype):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=shape).astype(dtype)
+        bits = x.reshape(-1).view(np.uint32 if dtype == np.float32 else np.uint64)
+        nans = (0x7FC12345, 0xFFA00001) if dtype == np.float32 else \
+            (0x7FF8000000012345, 0xFFF4000000000001)
+        for i, pattern in zip(range(0, bits.size, 7), itertools.cycle(nans)):
+            bits[i] = pattern       # quiet and signalling NaNs, with payloads
+        x.reshape(-1)[3::11] = -0.0
+        return x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, axes", [
+        ((1280, 1, 5, 8, 4), (0, 1, 3, 2, 4)),   # the attention's head split
+        ((3, 4, 5, 6), (2, 0, 1, 3)),
+        ((3, 4, 5, 6), (0, 2, 3, 1)),            # the last axis moves: element copy
+        ((7, 1), (1, 0)),
+        ((2, 3), (0, 1)),
+        ((0, 3, 4), (1, 0, 2)),
+        ((3, 0, 4), (1, 0, 2)),
+        ((3, 4, 0), (1, 0, 2)),
+    ])
+    def test_matches_numpy(self, dtype, shape, axes):
+        x = self.payload_array(shape, dtype)
+        for arr in (x, x[::-1]):                # C-contiguous, then a strided view
+            got = T.transpose(Tensor(arr), axes).data
+            want = np.ascontiguousarray(arr.transpose(axes))
+            assert got.dtype == dtype and got.shape == want.shape
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 class TestMaxPoolOracle:
@@ -692,6 +779,21 @@ class TestMaxPoolOracle:
             want, want_grad = self.brute(x, g)
             assert np.array_equal(got.data, want)
             assert np.array_equal(xt.grad, want_grad)
+
+    @pytest.mark.parametrize("frames, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_kept_index_is_narrow(self, frames, dtype):
+        rng = np.random.default_rng(frames)
+        x = rng.normal(size=(2, frames, 3)).astype(np.float32)
+        x[0, frames // 2:] += 10.0              # a late argmax
+        g = rng.normal(size=x.shape).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        y = T.max_pool_window(xt)
+        kept = [c.cell_contents for c in y._backward.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert [a.dtype for a in kept] == [dtype] and kept[0].shape == x.shape
+        y.backward(g)
+        want, want_grad = self.brute(x, g)
+        assert np.array_equal(y.data, want) and np.array_equal(xt.grad, want_grad)
 
     def test_tie_routes_to_lowest_index(self):
         x = np.zeros((1, 4, 1), dtype=np.float32)
