@@ -20,16 +20,25 @@ from .model import ModelConfig, TrajectoryModel
 from .trainer import keep_freed_heap
 
 
-# The most agent-steps (contexts x scenarios x horizon x agents) one ``sample`` run
-# writes: its arrays hold ~32 bytes per agent-step, so ~3.2 GB at this bound.
-MAX_SAMPLE_AGENT_STEPS = 100_000_000
+# The most agent-steps one ``synth`` or ``sample`` run writes: their arrays hold up to
+# ~32 bytes per agent-step, so ~3.2 GB at this bound.
+MAX_AGENT_STEPS = 100_000_000
 
 
 def _print(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _check_agent_steps(steps: int, what: str, flags: str) -> None:
+    """Refuse an output over ``MAX_AGENT_STEPS`` before anything is allocated."""
+    if steps > MAX_AGENT_STEPS:
+        raise ConfigError(f"{what} would write {steps:,} agent-steps, over the limit "
+                          f"of {MAX_AGENT_STEPS:,}; lower {flags}")
+
+
 def cmd_synth(args) -> int:
+    _check_agent_steps(args.count * args.frames * (args.players + 1),
+                       "synth (count x frames x agents)", "--count, --frames or --players")
     fs = data_mod.synth_forking_play(
         count=args.count,
         frames=args.frames,
@@ -128,13 +137,9 @@ def cmd_sample(args) -> int:
         )
     count = ts.count if args.limit is None else min(args.limit, ts.count)
     horizon = args.horizon if args.horizon is not None else model.config.future_frames
-    agent_steps = count * args.scenarios * horizon * ts.num_agents
-    if agent_steps > MAX_SAMPLE_AGENT_STEPS:
-        raise ConfigError(
-            f"sample would write {agent_steps:,} agent-steps (contexts x scenarios x "
-            f"horizon x agents), over the limit of {MAX_SAMPLE_AGENT_STEPS:,}; "
-            "lower --limit, --scenarios or --horizon"
-        )
+    _check_agent_steps(count * args.scenarios * horizon * ts.num_agents,
+                       "sample (contexts x scenarios x horizon x agents)",
+                       "--limit, --scenarios or --horizon")
     contexts = ts.agent_major()[:count, :, :P]
     samples = model.rollout(
         contexts,
@@ -348,12 +353,9 @@ def entrypoint(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (CausalTrajError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except (CausalTrajError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 2 if isinstance(e, ConfigError) else 1
 
 
 if __name__ == "__main__":

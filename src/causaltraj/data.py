@@ -212,6 +212,8 @@ def synth_forking_play(
         raise DataError(f"count must be >= 1, got {count}")
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
+    if not math.isfinite(turn_deg):
+        raise DataError(f"turn_deg must be finite, got {turn_deg}")
     rng = np.random.default_rng(seed)
     N = players + 1
     fork = frames // 2

@@ -302,11 +302,12 @@ class TrajectoryModel(Module):
             params = self._head_params(lat, f_t[:, None], cat)
         return tuple(p.data[:, 0] for p in params)
 
-    def _last_latent(self, seq: np.ndarray) -> np.ndarray:
-        """Latent [X*N, d] of the last frame of seq [X, N, t, 2], from the whole prefix."""
-        X, N, t, _ = seq.shape
+    def _reencode(self, f_t: np.ndarray, frames: list) -> np.ndarray:
+        """``temporal.step`` by recompute: append f_t [L, FRAME_DIM] to frames, encode them
+        all and return the last latent [L, d]."""
+        frames.append(f_t)
         with T.no_grad():
-            lat = self.temporal(Tensor(frame_features(seq).reshape(X * N, t, FRAME_DIM)))
+            lat = self.temporal(Tensor(np.stack(frames, axis=1)))
         return lat.data[:, -1]
 
     def rollout(
@@ -333,12 +334,14 @@ class TrajectoryModel(Module):
         The scenarios of a context share its prefix and its first step, so the
         encoder runs over the prefix and the head over step 0 once per context;
         the encoder state and step 0's mixture parameters are then repeated
-        per scenario. The encoder step and the head read each frame as one
-        ``frame_features`` array f_t [B, N, FRAME_DIM]. In ``mode="mean"`` the
-        scenarios of a context are equal, so the whole rollout runs once per
-        context and its outputs are repeated. Raises ``DataError`` at the first
-        step that yields a non-finite position, naming the context, scenario
-        and step.
+        per scenario. ``incremental=False`` swaps ``temporal.step`` for
+        ``_reencode``, which re-encodes all frames so far: the reference that
+        only tests and perfbench's rollout consistency check use. The encoder
+        step and the head read each frame as one ``frame_features`` array
+        f_t [B, N, FRAME_DIM]. In ``mode="mean"`` the scenarios of a context
+        are equal, so the whole rollout runs once per context and its outputs
+        are repeated. Raises ``DataError`` at the first step that yields a
+        non-finite position, naming the context, scenario and step.
         """
         cfg = self.config
         if mode not in ("sample", "mean"):
@@ -369,14 +372,11 @@ class TrajectoryModel(Module):
 
         # prefix and step 0 once per context [C, ...], then per row [B, ...]
         feats = frame_features(ctx)                                       # [C, N, P, FRAME_DIM]
-        if incremental:
-            state = self.temporal.init_state(C * N)
-            for t in range(P):
-                lat_t = self.temporal.step(feats[:, :, t].reshape(C * N, FRAME_DIM), state)
-            state = _repeat_per_context(state, C, runs)
-        else:
-            lat_t = self._last_latent(ctx)
-            hist = [np.repeat(ctx[:, :, t], runs, axis=0) for t in range(P)]
+        step, state = ((self.temporal.step, self.temporal.init_state(C * N)) if incremental
+                       else (self._reencode, []))
+        for t in range(P):
+            lat_t = step(feats[:, :, t].reshape(C * N, FRAME_DIM), state)
+        state = _repeat_per_context(state, C, runs)
         lg, mn, ch = (np.repeat(a, runs, axis=0) for a in
                       self._step_params(lat_t, feats[:, :, P - 1], ctx_cat))
 
@@ -387,10 +387,7 @@ class TrajectoryModel(Module):
 
         for u in range(horizon):
             if u > 0:
-                if incremental:
-                    lat_t = self.temporal.step(f_t.reshape(B * N, FRAME_DIM), state)
-                else:
-                    lat_t = self._last_latent(np.stack(hist, axis=2))
+                lat_t = step(f_t.reshape(B * N, FRAME_DIM), state)
                 lg, mn, ch = self._step_params(lat_t, f_t, cat)
             if mode == "mean":
                 dx, comp = mdn.mode_displacements(lg, mn)
@@ -410,8 +407,6 @@ class TrajectoryModel(Module):
             out_comp[:, u] = comp
             # the velocity is new_cur - cur, which can differ from dx in its last bit
             f_t = np.concatenate([new_cur, new_cur - cur], axis=-1)
-            if not incremental:
-                hist.append(new_cur)
 
         if runs != k:
             out_pos, out_disp, out_comp = (np.repeat(a, k, axis=0) for a in

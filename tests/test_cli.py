@@ -9,6 +9,7 @@ import platform
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,32 @@ def test_synth_rejects_short_frames_and_empty_counts(workdir, flag, value):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err and stdout == ""
     assert not out.exists() and not (workdir / "rejected_synth.ctrj.meta").exists()
+
+
+@pytest.mark.parametrize("flag, value, code, reason", [
+    ("--frames", "2000000000", 2, "agent-steps"),
+    ("--count", "4000000000", 2, "agent-steps"),
+    ("--turn-deg", "inf", 1, "turn_deg"),
+])
+def test_synth_refuses_an_oversized_or_non_finite_set(workdir, monkeypatch, flag, value,
+                                                      code, reason):
+    # the oversized sets would need 0.1 TB and more, so the generator must never
+    # see them; it runs for real only on sizes within the bound
+    generate = data.synth_forking_play
+
+    def bounded(**kw):
+        assert kw["count"] * kw["frames"] * (kw["players"] + 1) <= 10**8, "allocated"
+        return generate(**kw)
+
+    monkeypatch.setattr(data, "synth_forking_play", bounded)
+    out = workdir / "refused_synth.ctrj"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, stdout, err = run_cli("synth", "--out", str(out), flag, value)
+    assert got == code
+    assert err.startswith("error:") and reason in err and "Traceback" not in err
+    assert stdout == "" and [str(w.message) for w in caught] == []
+    assert not out.exists() and not (workdir / "refused_synth.ctrj.meta").exists()
 
 
 @pytest.mark.parametrize("command, code", [("synth", 1), ("sample", 2)])
@@ -515,6 +542,20 @@ def test_bad_config_exits_two(paths):
     assert "error:" in err
 
 
+def test_a_model_too_large_to_allocate_exits_cleanly(paths, workdir, monkeypatch):
+    # a real allocation this large can be killed by the OS instead of raising
+    def too_large(config):
+        raise MemoryError("Unable to allocate 8.72 GiB for an array")
+
+    monkeypatch.setattr(cli, "TrajectoryModel", too_large)
+    out = workdir / "too_large.ckpt"
+    code, stdout, err = run_cli("train", "--data", paths["data"], "--out", str(out),
+                                "--epochs", "1", "--preset", "full", "--components", "100000")
+    assert code == 1
+    assert err.startswith("error:") and "8.72 GiB" in err and "Traceback" not in err
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--scenarios", "0"), ("--scenarios", "-1"), ("--limit", "0"), ("--horizon", "0"),
 ])
@@ -544,7 +585,7 @@ def test_sample_refuses_an_output_over_the_size_bound(paths, workdir):
 
 def test_sample_size_bound_is_inclusive(paths, workdir, monkeypatch):
     agents = data.read_trajectories(paths["data"]).num_agents
-    monkeypatch.setattr(cli, "MAX_SAMPLE_AGENT_STEPS", 1 * 2 * 3 * agents)
+    monkeypatch.setattr(cli, "MAX_AGENT_STEPS", 1 * 2 * 3 * agents)
     for horizon, want in ((3, 0), (4, 2)):
         out = workdir / f"bound_{horizon}.ctrj"
         code, _, err = run_cli(

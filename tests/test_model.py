@@ -313,8 +313,11 @@ class TestRollout:
         # latent moves a step's means well beyond its 1e-5 tolerance
         model = rollout_models[kind]
         ctx, cats = self.contexts(np.random.default_rng(11))
-        lat = model._last_latent(ctx).reshape(2, 3, -1)
-        f_t = frame_features(ctx)[:1, :, -1]
+        feats = frame_features(ctx)
+        with T.no_grad():
+            lat = model.temporal(Tensor(feats.reshape(2 * 3, 4, -1))).data[:, -1]
+        lat = lat.reshape(2, 3, -1)
+        f_t = feats[:1, :, -1]
         means = [model._step_params(lat[c], f_t, cats[None])[1] for c in (0, 1)]
         assert np.abs(means[0] - means[1]).max() > 1e-4
 
@@ -340,6 +343,29 @@ class TestRollout:
         for i, s in enumerate(out):
             assert (s.context_index, s.scenario_index) == divmod(i, 3)
             assert np.array_equal(s.positions, out[3 * s.context_index].positions)
+
+    @pytest.mark.parametrize("kind", ["pointnet", "ssm"])
+    def test_recompute_never_steps_the_encoder(self, kind, rollout_models, monkeypatch):
+        # the reference re-encodes the whole sequence: it must not replay the
+        # incremental path it is checked against
+        model = rollout_models[kind]
+        ctx, cats = self.contexts(np.random.default_rng(14))
+        calls = []
+        encode = type(model.temporal).__call__
+        monkeypatch.setattr(type(model.temporal), "__call__",
+                            lambda enc, x: calls.append(x.shape) or encode(enc, x))
+        monkeypatch.setattr(model.temporal, "step", lambda x_t, state: pytest.fail("stepped"))
+        model.rollout(ctx, cats, horizon=5, num_scenarios=2, incremental=False)
+        assert len(calls) >= 5
+
+    @pytest.mark.parametrize("kind", ["pointnet", "ssm"])
+    def test_incremental_never_encodes_a_sequence(self, kind, rollout_models, monkeypatch):
+        model = rollout_models[kind]
+        ctx, cats = self.contexts(np.random.default_rng(14))
+        monkeypatch.setattr(type(model.temporal), "__call__",
+                            lambda enc, x: pytest.fail("encoded a whole sequence"))
+        out = model.rollout(ctx, cats, horizon=5, num_scenarios=2, incremental=True)
+        assert len(out) == 4
 
     def test_shared_component_per_step(self, pointnet):
         ctx, cats = self.contexts(np.random.default_rng(13))
