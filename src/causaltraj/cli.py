@@ -20,8 +20,8 @@ from .model import ModelConfig, TrajectoryModel
 from .trainer import keep_freed_heap
 
 
-# The most agent-steps one ``synth`` or ``sample`` run writes: their arrays hold up to
-# ~32 bytes per agent-step, so ~3.2 GB at this bound.
+# The most agent-steps one ``synth`` or ``sample`` run writes. Both peak at ~26-32 bytes
+# per agent-step, ~3 GB at this bound (~70 for one synth scene over a huge roster).
 MAX_AGENT_STEPS = 100_000_000
 
 
