@@ -21,7 +21,8 @@ from .trainer import keep_freed_heap
 
 
 # The most agent-steps one ``synth`` or ``sample`` run writes. Both peak at ~26-32 bytes
-# per agent-step, ~3 GB at this bound (~70 for one synth scene over a huge roster).
+# per agent-step, ~3 GB at this bound; synth builds one frame at a time, so one scene
+# over a huge roster stays within that too (~27).
 MAX_AGENT_STEPS = 100_000_000
 
 
@@ -352,7 +353,14 @@ def entrypoint(argv=None) -> int:
     keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (``causaltraj info x.ctrj | head -1``): stop quietly,
+        # and point stdout at devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (CausalTrajError, OSError, MemoryError) as e:
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2 if isinstance(e, ConfigError) else 1

@@ -186,6 +186,31 @@ class ForkingSet:
     turn_deg: float
 
 
+def _players_into(p: np.ndarray, rng: np.random.Generator, turn: float, fork: int) -> None:
+    """Draw the players' starts, speeds and velocity noise; write their paths into ``p``.
+
+    ``p`` is one scene's [frames, players, 2] view of the float64 position
+    array. The paths are built one frame at a time: the heading is a
+    [players] row and the AR noise a rolling [players, 2] state, so a huge
+    roster needs no [frames, players] array besides ``p`` itself, and this
+    function's temporaries are gone when it returns.
+    """
+    frames, players = p.shape[0], p.shape[1]
+    start = np.stack(
+        [rng.uniform(8.0, 25.0, players), rng.uniform(15.0, 35.0, players)], axis=-1
+    )
+    speed = rng.uniform(0.8, 1.2, players)
+    p[0] = start
+    noise = np.zeros((players, 2))
+    heading = np.zeros(players)
+    for t in range(1, frames):
+        if t >= fork:
+            heading.fill(turn * min(1.0, (t - fork + 1) / TURN_FRAMES))
+        noise = 0.8 * noise + rng.normal(0.0, 0.05, (players, 2))
+        step = speed[:, None] * np.stack([np.cos(heading), np.sin(heading)], axis=-1)
+        p[t] = p[t - 1] + step + noise
+
+
 def synth_forking_play(
     count: int,
     frames: int = 24,
@@ -231,25 +256,8 @@ def synth_forking_play(
     for s in range(S):
         sign = 1 if rng.random() < 0.5 else -1
         branch[s] = 0 if sign > 0 else 1
-        start = np.stack(
-            [rng.uniform(8.0, 25.0, players), rng.uniform(15.0, 35.0, players)], axis=-1
-        )
-        speed = rng.uniform(0.8, 1.2, players)
-        heading = np.zeros((frames, players))
-        for t in range(fork, frames):
-            ramp = min(1.0, (t - fork + 1) / TURN_FRAMES)
-            heading[t] = sign * theta_turn * ramp
-        noise = np.zeros((frames, players, 2))
-        for t in range(1, frames):
-            noise[t] = 0.8 * noise[t - 1] + rng.normal(0.0, 0.05, (players, 2))
-        p = np.zeros((frames, players, 2))
-        p[0] = start
-        for t in range(1, frames):
-            step = speed[:, None] * np.stack(
-                [np.cos(heading[t]), np.sin(heading[t])], axis=-1
-            )
-            p[t] = p[t - 1] + step + noise[t]
-        pos[s, :, 1:, :] = p
+        p = pos[s, :, 1:, :]
+        _players_into(p, rng, sign * theta_turn, fork)
 
         # ball: carried, one pass, linear blend between the carriers
         c0, c1 = rng.choice(players, size=2, replace=False)

@@ -8,7 +8,8 @@ it needs no gradient). A node never holds its output or whole parent tensors,
 and each closure keeps only the arrays and shapes its backward reads, so an
 intermediate result that no backward reads is freed with its ``Tensor``
 during the forward pass. ``gelu``, for one, keeps its slope rather than its
-input.
+input, and ``linear`` keeps a ``layer_norm``/``rms_norm`` output as a recipe
+that rebuilds it from the norm's own saved ``xhat`` rather than as its array.
 
 ``Tensor.backward`` walks the recorded graph once in reverse topological order
 and accumulates gradients into the ``.grad`` of the leaves (parameters and
@@ -75,7 +76,9 @@ class _Node:
 class Tensor:
     """A dense array participating in reverse-mode gradient computation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
+    # ``_rebuild``: ``None``, or a recipe that recomputes ``data`` bit for bit from
+    # arrays this result's own node already keeps (see ``_with_affine_rebuild``)
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_rebuild", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -87,6 +90,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._node: _Node | None = None
+        self._rebuild: Callable[[], np.ndarray] | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -96,6 +100,7 @@ class Tensor:
         out.data = data
         out.grad = None
         out._node = None
+        out._rebuild = None
         out.requires_grad = False
         if _grad_enabled:
             links = tuple(
@@ -745,14 +750,18 @@ def linear(x, weight, bias=None) -> Tensor:
         need_b = _records(bias)
     else:
         parents = (x, weight)
-    # the input's gradient reads only the weight, the weight's only the input
+    # the input's gradient reads only the weight, the weight's only the input; an
+    # input that can rebuild its array (a norm output) is kept as its recipe
     w = weight.data if _records(x) else None
-    xk = xf if _records(weight) else None
+    need_w = _records(weight)
+    rebuild = x._rebuild if need_w else None
+    xk = xf if need_w and rebuild is None else None
 
     def backward(g):
         gf = g.reshape(-1, d_out)
         gx = None if w is None else np.matmul(gf, w.T).reshape(sx)
-        gw = None if xk is None else np.matmul(xk.T, gf)
+        xw = xk if rebuild is None else rebuild().reshape(-1, d_in)
+        gw = None if xw is None else np.matmul(xw.T, gf)
         if has_bias:
             return gx, gw, gf.sum(axis=0) if need_b else None
         return gx, gw
@@ -870,6 +879,30 @@ def _affine_out(xhat: np.ndarray, scratch: np.ndarray, *affine: np.ndarray) -> n
     return scratch if scratch.dtype == dtype else np.empty(xhat.shape, dtype)
 
 
+def _with_affine_rebuild(out: Tensor, xhat: np.ndarray, gain: np.ndarray,
+                         bias: np.ndarray | None = None) -> Tensor:
+    """Give a recorded norm output ``xhat * gain (+ bias)`` a recipe for its array.
+
+    The norm's node keeps ``xhat`` anyway, so ``linear`` keeps this recipe in
+    place of the output and its backward rebuilds the output with the forward's
+    ufuncs, in its order and dtype: bit-identical, for two elementwise passes.
+    The recipe holds the output's dtype, never the output, so the array is
+    freed with its ``Tensor``.
+    """
+    if out._node is None:
+        return out
+    dtype = out.data.dtype
+
+    def rebuild():
+        y = np.multiply(xhat, gain, out=np.empty(xhat.shape, dtype))
+        if bias is not None:
+            y += bias
+        return y
+
+    out._rebuild = rebuild
+    return out
+
+
 def layer_norm(x, gain, bias) -> Tensor:
     """Per-vector standardization over the last dimension, then affine.
 
@@ -904,7 +937,7 @@ def layer_norm(x, gain, bias) -> Tensor:
         gbias = g.reshape(-1, d).sum(axis=0)
         return gx, ggain, gbias
 
-    return Tensor._result(out, (x, gain, bias), backward)
+    return _with_affine_rebuild(Tensor._result(out, (x, gain, bias), backward), xhat, gd, bd)
 
 
 def rms_norm(x, gain) -> Tensor:
@@ -933,7 +966,7 @@ def rms_norm(x, gain) -> Tensor:
         ggain = np.multiply(g, xhat, out=t).reshape(-1, d).sum(axis=0)
         return gx, ggain
 
-    return Tensor._result(out, (x, gain), backward)
+    return _with_affine_rebuild(Tensor._result(out, (x, gain), backward), xhat, gd)
 
 
 # -- causal sequence ops -------------------------------------------------------------------

@@ -121,10 +121,11 @@ class AdamW:
 
     The optimizer owns its parameters' arrays: ``step`` writes into each
     ``p.data`` (a C-contiguous float32 array) and into the moments, block by
-    block through three scratch buffers. Apart from the per-gradient
-    temporaries of the non-finite check and the float64 global norm, it makes
-    no full-size array. So no parameter array may be one its caller still
-    reads; ``Module.load_state_arrays`` copies what it is given.
+    block through three scratch buffers. Apart from the float64 square of
+    each gradient for the global norm, which also tells whether every
+    gradient is finite, it makes no full-size array. So no parameter array
+    may be one its caller still reads; ``Module.load_state_arrays`` copies
+    what it is given.
 
     Every optimizer setting is a module constant, so ``cfg`` does not affect
     the updates; it stays in the signature because callers pass the run's
@@ -144,16 +145,16 @@ class AdamW:
 
     def step(self, lr: float) -> bool:
         """Clip by global norm and update; returns False on a skipped step."""
-        grads = []
-        for name, p in self.named:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                self.skipped += 1
-                return False
-            grads.append(g.astype(np.float32, copy=False))
+        grads = [(p.grad if p.grad is not None else np.zeros_like(p.data)).astype(
+            np.float32, copy=False) for _, p in self.named]
         total = 0.0
         for g in grads:
             total += float(np.square(g, dtype=np.float64).sum())
+        # float32 squares cannot overflow a float64 sum, so the global norm is
+        # finite exactly when every gradient is, and it alone decides the skip
+        if not math.isfinite(total):
+            self.skipped += 1
+            return False
         norm = math.sqrt(total)
         scale = np.float32(CLIP_NORM / norm) if norm > CLIP_NORM else None
         self.t += 1

@@ -225,13 +225,13 @@ def test_eval(paths):
     assert meters["horizon"] == 4
 
 
-def run_python(*argv):
+def run_python(*argv, stdout=subprocess.PIPE):
     """Run a fresh interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env=env, timeout=120)
+    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=120)
 
 
 # Two in-process sample passes; prints the minor faults of each and how often
@@ -474,6 +474,20 @@ def test_info_closes_the_files_it_reads(paths):
         proc = run_python("-W", "error::ResourceWarning", "-c", probe, "info", path)
         assert proc.returncode == 0, proc.stderr
         assert "ResourceWarning" not in proc.stderr, proc.stderr
+
+
+def test_a_reader_that_closed_the_pipe_ends_the_run_quietly(paths):
+    # ``causaltraj info x.ctrj | head -1``: the write that finds the pipe closed
+    # ends the run with exit 0 and nothing on stderr, not even at interpreter exit
+    probe = "import sys; from causaltraj import cli; sys.exit(cli.entrypoint(sys.argv[1:]))"
+    read_end, write_end = os.pipe()
+    os.close(read_end)                   # closed before the child writes a byte
+    try:
+        proc = run_python("-c", probe, "info", paths["data"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_info_on_both_artifacts(paths):

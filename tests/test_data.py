@@ -1,6 +1,8 @@
 """Trajectory container IO, synthetic play generator, batching."""
 
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,7 +166,74 @@ def fs() -> ForkingSet:
     return synth_forking_play(64, frames=24, players=4, seed=7)
 
 
+def synth_whole_arrays(count, frames, players, seed, turn_deg=35.0):
+    """The generator's positions built with [frames, players] arrays for the heading,
+    the AR noise and each scene's paths: the form ``synth_forking_play`` replaces."""
+    rng = np.random.default_rng(seed)
+    fork = frames // 2
+    pos = np.zeros((count, frames, players + 1, 2))
+    theta_turn = math.radians(turn_deg)
+    for s in range(count):
+        sign = 1 if rng.random() < 0.5 else -1
+        start = np.stack(
+            [rng.uniform(8.0, 25.0, players), rng.uniform(15.0, 35.0, players)], axis=-1)
+        speed = rng.uniform(0.8, 1.2, players)
+        heading = np.zeros((frames, players))
+        for t in range(fork, frames):
+            heading[t] = sign * theta_turn * min(1.0, (t - fork + 1) / data.TURN_FRAMES)
+        noise = np.zeros((frames, players, 2))
+        for t in range(1, frames):
+            noise[t] = 0.8 * noise[t - 1] + rng.normal(0.0, 0.05, (players, 2))
+        p = np.zeros((frames, players, 2))
+        p[0] = start
+        for t in range(1, frames):
+            step = speed[:, None] * np.stack([np.cos(heading[t]), np.sin(heading[t])], axis=-1)
+            p[t] = p[t - 1] + step + noise[t]
+        pos[s, :, 1:, :] = p
+        c0, c1 = rng.choice(players, size=2, replace=False)
+        pass_start = int(rng.integers(3, frames - 7))
+        for t in range(frames):
+            if t < pass_start:
+                pos[s, t, 0] = p[t, c0]
+            elif t < pass_start + 5:
+                pos[s, t, 0] = p[t, c0] + (t - pass_start) / 4 * (p[t, c1] - p[t, c0])
+            else:
+                pos[s, t, 0] = p[t, c1]
+    np.clip(pos[..., 0], 0.0, data.COURT_X, out=pos[..., 0])
+    np.clip(pos[..., 1], 0.0, data.COURT_Y, out=pos[..., 1])
+    return pos.astype(np.float32)
+
+
+# Bytes per agent-step of synth_forking_play's traced peak for one scene over a
+# huge roster. Built one frame at a time it peaks at ~27 (the float64 positions
+# and their float32 copy take 24); with [frames, players] heading, noise and
+# path arrays it peaked at ~70, past the ~32 that cli.MAX_AGENT_STEPS assumes.
+SYNTH_PEAK_BYTES_PER_AGENT_STEP = 32
+
+
 class TestSynthForkingPlay:
+    @pytest.mark.parametrize("count, frames, players, seed, turn_deg", [
+        (1, 11, 2, 0, 35.0), (3, 24, 4, 1, 35.0), (5, 40, 10, 9, -12.5), (2, 13, 300, 3, 80.0),
+    ])
+    def test_positions_equal_the_whole_array_form_bytewise(self, count, frames, players, seed,
+                                                           turn_deg):
+        fs = synth_forking_play(count, frames=frames, players=players, seed=seed,
+                                turn_deg=turn_deg)
+        want = synth_whole_arrays(count, frames, players, seed, turn_deg)
+        assert fs.trajectories.positions.tobytes() == want.tobytes()
+
+    def test_a_huge_roster_peaks_near_the_output_size(self):
+        count, frames, players = 1, 11, 100_000
+        tracemalloc.start()
+        try:
+            fs = synth_forking_play(count, frames=frames, players=players)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fs.trajectories.positions.shape == (count, frames, players + 1, 2)
+        per_step = peak / (count * frames * (players + 1))
+        assert per_step <= SYNTH_PEAK_BYTES_PER_AGENT_STEP, f"{per_step:.1f} B"
+
     def test_shapes_and_roster(self, fs):
         ts = fs.trajectories
         assert ts.positions.shape == (64, 24, 5, 2)

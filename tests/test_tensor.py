@@ -657,6 +657,78 @@ class TestRowKernelsAgainstUnfused:
         self.check(T.softmax_lastdim, [x], g, *self.softmax(x, g))
 
 
+@pytest.mark.parametrize("kind", ["layer_norm", "rms_norm"])
+class TestNormOutputRebuild:
+    """A linear that needs its weight gradient keeps a norm output as a recipe.
+
+    The reference feeds the linears ``norm(x) * 1.0``: a plain copy of the same
+    values, without a recipe, so those linears keep the array itself.
+    """
+
+    @staticmethod
+    def norm(kind, x, gain, bias):
+        return T.layer_norm(x, gain, bias) if kind == "layer_norm" else T.rms_norm(x, gain)
+
+    def test_the_output_array_is_freed_once_only_a_linear_reads_it(self, kind):
+        rng = np.random.default_rng(5)
+        x, gain, bias, w = (randt(rng, s) for s in [(2, 3, 8), (8,), (8,), (8, 4)])
+        z = self.norm(kind, x, gain, bias)
+        ref = weakref.ref(z.data)
+        y = T.linear(z, w)
+        del z
+        assert ref() is None
+        y.backward(np.ones(y.shape, dtype=y.dtype))
+        assert w.grad is not None and x.grad is not None and gain.grad is not None
+
+    def test_no_grad_sets_no_recipe(self, kind):
+        rng = np.random.default_rng(6)
+        x, gain, bias = (randt(rng, s) for s in [(3, 8), (8,), (8,)])
+        with T.no_grad():
+            assert self.norm(kind, x, gain, bias)._rebuild is None
+        assert self.norm(kind, x, gain, bias)._rebuild is not None
+
+    # (x, gain/bias, linear) dtypes; the mixed one widens the norm output to float64
+    DTYPES = [(np.float32,) * 3, (np.float64,) * 3, (np.float32, np.float64, np.float64)]
+
+    @pytest.mark.parametrize("dtypes", DTYPES, ids=lambda d: "-".join(np.dtype(t).name for t in d))
+    @pytest.mark.parametrize("linear_bias", [True, False])
+    @pytest.mark.parametrize("consumers", [1, 3])     # 3: q/k/v share one norm output
+    def test_gradients_are_byte_equal_to_a_plain_copy(self, kind, dtypes, linear_bias, consumers):
+        rng = np.random.default_rng(consumers + 2 * linear_bias)
+        d, d_out = 16, 12
+        arrays = {
+            "x": (rng.normal(size=(3, 5, d)) * 2.0 + 0.3).astype(dtypes[0]),
+            "gain": rng.normal(1.0, 0.3, size=d).astype(dtypes[1]),
+            "bias": rng.normal(size=d).astype(dtypes[1]),
+            **{f"w{i}": rng.normal(size=(d, d_out)).astype(dtypes[2]) for i in range(consumers)},
+            **{f"b{i}": rng.normal(size=d_out).astype(dtypes[2])
+               for i in range(consumers) if linear_bias},
+        }
+        seed = rng.normal(size=(3, 5, consumers * d_out))
+
+        def run(plain):
+            t = {k: Tensor(a.copy(), requires_grad=True) for k, a in arrays.items()}
+            z = self.norm(kind, t["x"], t["gain"], t["bias"])
+            ref = weakref.ref(z.data)
+            src = z * 1.0 if plain else z
+            outs = [T.linear(src, t[f"w{i}"], t.get(f"b{i}")) for i in range(consumers)]
+            del z, src
+            freed = ref() is None
+            out = T.concat(outs, axis=-1)
+            out.backward(seed.astype(out.dtype))
+            grads = {k: v.grad for k, v in t.items() if v.grad is not None}
+            return out.data, grads, freed
+
+        want_out, want, _ = run(plain=True)
+        got_out, got, freed = run(plain=False)
+        assert freed
+        assert got_out.tobytes() == want_out.tobytes()
+        assert got.keys() == want.keys() == arrays.keys() - ({"bias"} if kind == "rms_norm" else set())
+        for k in want:
+            assert got[k].dtype == want[k].dtype
+            assert got[k].tobytes() == want[k].tobytes(), k
+
+
 class TestExpOverflow:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_silu_and_softplus_far_below_zero_warn_nothing(self, dtype):
