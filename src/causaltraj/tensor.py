@@ -73,11 +73,38 @@ class _Node:
         self.parents = parents
 
 
+class _Rebuild:
+    """A recorded result's recipe for its own array, shared by the ops that keep it.
+
+    An op that keeps the recipe in place of the array calls ``keep()`` when it
+    records and ``take()`` once in its backward. The first ``take`` builds the
+    array and the last one drops it, so the readers of one result (the q, k and
+    v projections of one norm output) rebuild it once between them.
+    """
+
+    __slots__ = ("build", "readers", "array")
+
+    def __init__(self, build: Callable[[], np.ndarray]):
+        self.build = build
+        self.readers = 0
+        self.array: np.ndarray | None = None
+
+    def keep(self) -> "_Rebuild":
+        self.readers += 1
+        return self
+
+    def take(self) -> np.ndarray:
+        y = self.build() if self.array is None else self.array
+        self.readers -= 1
+        self.array = y if self.readers > 0 else None
+        return y
+
+
 class Tensor:
     """A dense array participating in reverse-mode gradient computation."""
 
-    # ``_rebuild``: ``None``, or a recipe that recomputes ``data`` bit for bit from
-    # arrays this result's own node already keeps (see ``_with_affine_rebuild``)
+    # ``_rebuild``: ``None``, or a ``_Rebuild`` that recomputes ``data`` bit for bit
+    # from arrays this result's own node already keeps (see ``_with_affine_rebuild``)
     __slots__ = ("data", "requires_grad", "grad", "_node", "_rebuild", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
@@ -90,7 +117,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._node: _Node | None = None
-        self._rebuild: Callable[[], np.ndarray] | None = None
+        self._rebuild: _Rebuild | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -754,13 +781,13 @@ def linear(x, weight, bias=None) -> Tensor:
     # input that can rebuild its array (a norm output) is kept as its recipe
     w = weight.data if _records(x) else None
     need_w = _records(weight)
-    rebuild = x._rebuild if need_w else None
+    rebuild = x._rebuild.keep() if need_w and x._rebuild is not None else None
     xk = xf if need_w and rebuild is None else None
 
     def backward(g):
         gf = g.reshape(-1, d_out)
         gx = None if w is None else np.matmul(gf, w.T).reshape(sx)
-        xw = xk if rebuild is None else rebuild().reshape(-1, d_in)
+        xw = xk if rebuild is None else rebuild.take().reshape(-1, d_in)
         gw = None if xw is None else np.matmul(xw.T, gf)
         if has_bias:
             return gx, gw, gf.sum(axis=0) if need_b else None
@@ -884,22 +911,22 @@ def _with_affine_rebuild(out: Tensor, xhat: np.ndarray, gain: np.ndarray,
     """Give a recorded norm output ``xhat * gain (+ bias)`` a recipe for its array.
 
     The norm's node keeps ``xhat`` anyway, so ``linear`` keeps this recipe in
-    place of the output and its backward rebuilds the output with the forward's
-    ufuncs, in its order and dtype: bit-identical, for two elementwise passes.
-    The recipe holds the output's dtype, never the output, so the array is
-    freed with its ``Tensor``.
+    place of the output, and the first of its readers' backwards rebuilds the
+    output with the forward's ufuncs, in its order and dtype: bit-identical,
+    for two elementwise passes. The recipe holds the output's dtype, never the
+    output, so the array is freed with its ``Tensor``.
     """
     if out._node is None:
         return out
     dtype = out.data.dtype
 
-    def rebuild():
+    def build():
         y = np.multiply(xhat, gain, out=np.empty(xhat.shape, dtype))
         if bias is not None:
             y += bias
         return y
 
-    out._rebuild = rebuild
+    out._rebuild = _Rebuild(build)
     return out
 
 

@@ -680,6 +680,21 @@ class TestNormOutputRebuild:
         y.backward(np.ones(y.shape, dtype=y.dtype))
         assert w.grad is not None and x.grad is not None and gain.grad is not None
 
+    def test_the_readers_of_one_output_rebuild_it_once(self, kind):
+        rng = np.random.default_rng(7)
+        x, gain, bias = (randt(rng, s) for s in [(2, 3, 8), (8,), (8,)])
+        ws = [randt(rng, (8, 4)) for _ in range(3)]
+        z = self.norm(kind, x, gain, bias)
+        recipe, build, builds = z._rebuild, z._rebuild.build, []
+        recipe.build = lambda: builds.append(1) or build()
+        outs = [T.linear(z, w) for w in ws]
+        del z
+        out = T.concat(outs, axis=-1)
+        out.backward(np.ones(out.shape, dtype=out.dtype))
+        assert len(builds) == 1
+        assert recipe.readers == 0 and recipe.array is None   # dropped after the last reader
+        assert all(w.grad is not None for w in ws)
+
     def test_no_grad_sets_no_recipe(self, kind):
         rng = np.random.default_rng(6)
         x, gain, bias = (randt(rng, s) for s in [(3, 8), (8,), (8,)])
