@@ -27,7 +27,18 @@ MAX_AGENT_STEPS = 100_000_000
 
 
 def _print(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    """Write a command's JSON result to stdout, the last thing every command does.
+
+    A reader that stopped early (``causaltraj info x.ctrj | head -1``) ends the run
+    quietly: the work is done, and stdout is pointed at devnull so that the flush
+    at interpreter exit does not fail again.
+    """
+    try:
+        print(json.dumps(obj, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _check_agent_steps(steps: int, what: str, flags: str) -> None:
@@ -353,14 +364,7 @@ def entrypoint(argv=None) -> int:
     keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()      # a closed pipe shows here, not at interpreter exit
-        return code
-    except BrokenPipeError:
-        # the reader went away (``causaltraj info x.ctrj | head -1``): stop quietly,
-        # and point stdout at devnull so the flush at exit does not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        return args.func(args)
     except (CausalTrajError, OSError, MemoryError) as e:
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2 if isinstance(e, ConfigError) else 1
