@@ -8,8 +8,11 @@ it needs no gradient). A node never holds its output or whole parent tensors,
 and each closure keeps only the arrays and shapes its backward reads, so an
 intermediate result that no backward reads is freed with its ``Tensor``
 during the forward pass. ``gelu``, for one, keeps its slope rather than its
-input, and ``linear`` keeps a ``layer_norm``/``rms_norm`` output as a recipe
-that rebuilds it from the norm's own saved ``xhat`` rather than as its array.
+input, and ``silu`` only its input. A result that can be rebuilt bit for bit
+from arrays its own node keeps (a ``layer_norm``/``rms_norm`` output from the
+norm's ``xhat``, a ``silu`` output from its input, a ``mul`` output from its
+operands) carries a recipe, and ``linear``, ``mul`` and ``ssm_scan`` keep that
+recipe rather than the array.
 
 ``Tensor.backward`` walks the recorded graph once in reverse topological order
 and accumulates gradients into the ``.grad`` of the leaves (parameters and
@@ -100,11 +103,22 @@ class _Rebuild:
         return y
 
 
+def _keep(t: "Tensor") -> "np.ndarray | _Rebuild":
+    """What a backward keeps to read ``t``'s array: its recipe if it has one, else the array."""
+    return t.data if t._rebuild is None else t._rebuild.keep()
+
+
+def _take(kept: "np.ndarray | _Rebuild") -> np.ndarray:
+    """The array behind what ``_keep`` returned."""
+    return kept.take() if type(kept) is _Rebuild else kept
+
+
 class Tensor:
     """A dense array participating in reverse-mode gradient computation."""
 
     # ``_rebuild``: ``None``, or a ``_Rebuild`` that recomputes ``data`` bit for bit
-    # from arrays this result's own node already keeps (see ``_with_affine_rebuild``)
+    # from arrays this result's own node already keeps (``_with_affine_rebuild``,
+    # ``silu``, ``mul``)
     __slots__ = ("data", "requires_grad", "grad", "_node", "_rebuild", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
@@ -367,15 +381,19 @@ def mul(a, b) -> Tensor:
     a, b = _coerce_pair(a, b, "mul")
     out = a.data * b.data
     sa, sb = a.shape, b.shape
-    # each operand's gradient reads only the other operand
-    bd = b.data if _records(a) else None
-    ad = a.data if _records(b) else None
+    # each operand's gradient reads only the other operand, kept as its recipe
+    # when it has one
+    bd = _keep(b) if _records(a) else None
+    ad = _keep(a) if _records(b) else None
 
     def backward(g):
-        return (None if bd is None else _reduce_to(g * bd, sa),
-                None if ad is None else _reduce_to(g * ad, sb))
+        return (None if bd is None else _reduce_to(g * _take(bd), sa),
+                None if ad is None else _reduce_to(g * _take(ad), sb))
 
-    return Tensor._result(out, (a, b), backward)
+    out = Tensor._result(out, (a, b), backward)
+    if out._node is not None and all(k is not None and type(k) is not _Rebuild for k in (ad, bd)):
+        out._rebuild = _Rebuild(lambda: ad * bd)    # from the two arrays its node keeps
+    return out
 
 
 def div(a, b) -> Tensor:
@@ -579,17 +597,25 @@ def _gelu_into(a: Tensor, out: np.ndarray) -> Tensor:
     return Tensor._result(out, (a,), lambda g: (g * slope,))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):     # exp(-x) = inf for x << 0 gives sig = 0
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def silu(a) -> Tensor:
+    """``x * sigmoid(x)``; backward keeps only ``x`` and recomputes the sigmoid."""
     a = as_tensor(a)
     x = a.data
-    with np.errstate(over="ignore"):     # exp(-x) = inf for x << 0 gives sig = 0
-        sig = 1.0 / (1.0 + np.exp(-x))
-    out = x * sig
+    out = x * _sigmoid(x)
 
     def backward(g):
+        sig = _sigmoid(x)
         return (g * sig * (1.0 + x * (1.0 - sig)),)
 
-    return Tensor._result(out, (a,), backward)
+    out = Tensor._result(out, (a,), backward)
+    if out._node is not None:
+        out._rebuild = _Rebuild(lambda: x * _sigmoid(x))
+    return out
 
 
 def softplus(a) -> Tensor:
@@ -780,15 +806,12 @@ def linear(x, weight, bias=None) -> Tensor:
     # the input's gradient reads only the weight, the weight's only the input; an
     # input that can rebuild its array (a norm output) is kept as its recipe
     w = weight.data if _records(x) else None
-    need_w = _records(weight)
-    rebuild = x._rebuild.keep() if need_w and x._rebuild is not None else None
-    xk = xf if need_w and rebuild is None else None
+    xk = _keep(x) if _records(weight) else None
 
     def backward(g):
         gf = g.reshape(-1, d_out)
         gx = None if w is None else np.matmul(gf, w.T).reshape(sx)
-        xw = xk if rebuild is None else rebuild.take().reshape(-1, d_in)
-        gw = None if xw is None else np.matmul(xw.T, gf)
+        gw = None if xk is None else np.matmul(_take(xk).reshape(-1, d_in).T, gf)
         if has_bias:
             return gx, gw, gf.sum(axis=0) if need_b else None
         return gx, gw
@@ -1025,10 +1048,26 @@ def max_pool_window(x) -> Tensor:
         idx = np.maximum.accumulate(np.where(is_new, tgrid, 0), axis=-2)
 
     def backward(g):
+        # idx never decreases along t, so the frames whose gradient goes to frame
+        # s form one run, which starts at s (where idx == t) and ends where the
+        # next run starts. A forward scan over t-major rows sums each run in t
+        # order from +0.0, as a scatter-add into zeros would; a reverse scan
+        # carries each run's total back to its start, and writes it there.
         R, D = math.prod(sx[:-2]), sx[-1]
+        gt = g.reshape(R, T, D).transpose(1, 0, 2)
+        start = np.ascontiguousarray(idx.reshape(R, T, D).transpose(1, 0, 2))
+        start = start == np.arange(T, dtype=idx.dtype).reshape(T, 1, 1)
+        run = np.empty((T, R, D), dtype=g.dtype)
+        np.add(gt[0], 0.0, out=run[0])
+        for t in range(1, T):
+            np.add(run[t - 1], gt[t], out=run[t])
+            np.add(gt[t], 0.0, out=run[t], where=start[t])
         gx = np.zeros((R, T, D), dtype=g.dtype)
-        rows = np.arange(R).reshape(R, 1, 1)
-        np.add.at(gx, (rows, idx.reshape(R, T, D), np.arange(D)), g.reshape(R, T, D))
+        total = run[T - 1].copy()
+        for t in range(T - 1, -1, -1):
+            if t < T - 1:
+                np.copyto(total, run[t], where=start[t + 1])
+            np.copyto(gx[:, t], total, where=start[t])
         return (gx.reshape(sx),)
 
     return Tensor._result(out, (x,), backward)
@@ -1090,7 +1129,8 @@ def ssm_scan(log_decay, xdt, b_in, c_out) -> Tensor:
     before ``exp``, and E is cast to the input dtype. The state each
     chunk ends in is carried into the next, adding ``exp(cumsum) * (C . h)``
     to its output; that carry is the only loop. The backward is written out
-    by hand.
+    by hand. It keeps the decays, B, C and ``C B^T`` and rebuilds the rest, and
+    keeps ``xdt``'s recipe rather than its chunks when ``xdt`` has one.
     """
     log_decay, xdt = as_tensor(log_decay), as_tensor(xdt)
     b_in, c_out = as_tensor(b_in), as_tensor(c_out)
@@ -1128,22 +1168,31 @@ def ssm_scan(log_decay, xdt, b_in, c_out) -> Tensor:
     e_all = e_in[:, :, :, Q - 1, None, None]           # [L, nc, H, 1, 1]
 
     G = Cc @ Bc.swapaxes(-1, -2)                       # G[i, j] = C_i . B_j
-    M = G[:, :, None] * E
-    Ce = Cc[:, :, None] * e_in[..., None]              # [L, nc, H, Q, S]
     Be = Bc[:, :-1, None] * e_out                      # [L, nc-1, H, Q, S]
-    # the state each chunk but the last ends in from its own frames, and the
-    # state every chunk starts in, both as [S, P]
-    local = Be.swapaxes(-1, -2) @ X[:, :-1]
-    h_in = np.zeros((L, nc, H, S, P), dtype=dt)
-    for c in range(1, nc):
-        np.multiply(e_all[:, c - 1], h_in[:, c - 1], out=h_in[:, c])
-        h_in[:, c] += local[:, c - 1]
+
+    def chunk_states(X):
+        """The state every chunk starts in, [L, nc, H, S, P]: each chunk's own
+        frames give the state it ends in (``local``), carried into the next."""
+        local = Be.swapaxes(-1, -2) @ X[:, :-1]
+        h_in = np.zeros((L, nc, H, S, P), dtype=dt)
+        for c in range(1, nc):
+            np.multiply(e_all[:, c - 1], h_in[:, c - 1], out=h_in[:, c])
+            h_in[:, c] += local[:, c - 1]
+        return h_in
+
     y = np.empty((L, nc * Q, H, P), dtype=dt)
     Y = by_head(y.reshape(L, nc, Q, H, P))
-    np.matmul(M, X, out=Y)
-    Y += Ce @ h_in
+    np.matmul(G[:, :, None] * E, X, out=Y)
+    Y += (Cc[:, :, None] * e_in[..., None]) @ chunk_states(X)
+    # backward rebuilds M, Ce and the chunk states from what it keeps, and the
+    # chunks of xdt too when xdt has a recipe
+    x_kept = xdt._rebuild.keep() if _records(xdt) and xdt._rebuild is not None else X
 
     def backward(g):
+        X = by_head(chunked(x_kept.take(), dt)) if type(x_kept) is _Rebuild else x_kept
+        M = G[:, :, None] * E
+        Ce = Cc[:, :, None] * e_in[..., None]              # [L, nc, H, Q, S]
+        h_in = chunk_states(X)
         dY = by_head(chunked(g, g.dtype))
         dM = dY @ X.swapaxes(-1, -2)
         dx = np.empty((L, nc * Q, H, P), dtype=g.dtype)
@@ -1157,7 +1206,7 @@ def ssm_scan(log_decay, xdt, b_in, c_out) -> Tensor:
         dB = dG.swapaxes(-1, -2) @ Cc
         dcum = (dCe * Cc[:, :, None]).sum(axis=-1) * e_in   # d/dcumsum of exp(cumsum)
         if nc > 1:
-            dlocal = np.empty_like(local)
+            dlocal = np.empty((L, nc - 1, H, S, P), dtype=dt)
             dlocal[:, nc - 2] = dh_in[:, nc - 1]
             for c in range(nc - 2, 0, -1):
                 dlocal[:, c - 1] = dh_in[:, c] + e_all[:, c] * dlocal[:, c]

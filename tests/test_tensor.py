@@ -744,6 +744,126 @@ class TestNormOutputRebuild:
             assert got[k].tobytes() == want[k].tobytes(), k
 
 
+def kept_arrays(t):
+    """The arrays ``t``'s backward keeps: through its closure, nested functions and recipes."""
+    found, seen = [], set()
+
+    def visit(obj):
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, T._Rebuild):
+            visit(obj.build)
+        elif isinstance(obj, (tuple, list)):
+            for o in obj:
+                visit(o)
+        elif callable(obj) and getattr(obj, "__closure__", None) and id(obj) not in seen:
+            seen.add(id(obj))
+            for cell in obj.__closure__:
+                visit(cell.cell_contents)
+
+    visit(t._node.backward)
+    return found
+
+
+class TestEncoderRecipes:
+    """``silu``, ``mul`` and ``ssm_scan`` keep recipes where they can rebuild an array.
+
+    Each byte-equality reference clears the intermediate's ``_rebuild``, so that
+    its consumer keeps the plain array.
+    """
+
+    def test_silu_keeps_only_its_input(self):
+        x = randt(np.random.default_rng(0), (3, 4))
+        kept = kept_arrays(T.silu(x))
+        assert len(kept) == 1 and kept[0] is x.data
+
+    def test_a_silu_output_is_freed_once_only_a_mul_reads_it(self):
+        rng = np.random.default_rng(1)
+        a, z = randt(rng, (3, 4)), randt(rng, (3, 4))
+        s = T.silu(z)
+        ref = weakref.ref(s.data)
+        y = T.mul(a, s)
+        del s
+        assert ref() is None
+        y.backward(np.ones(y.shape, dtype=y.dtype))
+        assert a.grad is not None and z.grad is not None
+
+    def test_mul_rebuilds_its_output_only_from_two_kept_arrays(self):
+        rng = np.random.default_rng(2)
+        a, b = randt(rng, (3, 4)), randt(rng, (3, 4))
+        assert T.mul(a, b)._rebuild is not None
+        assert T.mul(a, 2.0)._rebuild is None                              # a scalar
+        assert T.mul(a, Tensor(b.data))._rebuild is None                   # no gradient
+        assert T.mul(a, T.silu(b))._rebuild is None                        # a recipe operand
+        with T.no_grad():
+            assert T.mul(a, b)._rebuild is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mul_of_silu_gradients_are_byte_equal_to_plain_arrays(self, dtype):
+        rng = np.random.default_rng(3)
+        # -100 and 100 take silu's saturated ends
+        za = np.concatenate([rng.normal(size=(5, 6)) * 3.0, [[-100.0] * 6, [100.0] * 6]])
+        aa = rng.normal(size=za.shape)
+        seed = rng.normal(size=za.shape).astype(dtype)
+
+        def run(plain):
+            a, z = Tensor(aa.astype(dtype), requires_grad=True), Tensor(za.astype(dtype), requires_grad=True)
+            s = T.silu(z)
+            if plain:
+                s._rebuild = None
+            ref = weakref.ref(s.data)
+            y = T.mul(a, s)
+            del s
+            y.backward(seed)
+            return y.data, a.grad, z.grad, ref() is None
+
+        want = run(plain=True)
+        got = run(plain=False)
+        assert got[3] and not want[3]
+        for w, g in zip(want[:3], got[:3]):
+            assert g.dtype == dtype and g.tobytes() == w.tobytes()
+
+    # 2 full chunks and a ragged one: the carry runs across two boundaries
+    L, TN, H, P, S = 2, 2 * T.SCAN_CHUNK + 3, 2, 3, 4
+    NC = 3
+
+    def scan_of_mul(self, dtype, plain=False):
+        rng = np.random.default_rng(4)
+        la, xh, b, c = (Tensor(a, requires_grad=True)
+                        for a in scan_inputs(rng, self.TN, self.L, self.H, self.P, self.S, dtype))
+        d = Tensor(rng.uniform(0.5, 1.5, xh.shape).astype(dtype), requires_grad=True)
+        xdt = T.mul(xh, d)
+        if plain:
+            xdt._rebuild = None
+        return T.ssm_scan(la, xdt, b, c), (la, xh, b, c, d)
+
+    def test_ssm_scan_of_a_mul_output_keeps_no_chunk_copy_or_chunk_state(self):
+        y, _ = self.scan_of_mul(np.float32)
+        L, nc, H, Q, P, S = self.L, self.NC, self.H, T.SCAN_CHUNK, self.P, self.S
+        shapes = {a.shape for a in kept_arrays(y)}
+        assert (L, nc, H, Q, P) not in shapes                        # the chunks of xdt
+        assert (L, nc - 1, H, S, P) not in shapes                    # local
+        assert (L, nc, H, S, P) not in shapes                        # h_in
+        assert (L, nc, H, Q, S) not in shapes                        # Ce
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ssm_scan_of_mul_gradients_are_byte_equal_to_plain_arrays(self, dtype):
+        seed = np.random.default_rng(5).normal(size=(self.L, self.TN, self.H, self.P)).astype(dtype)
+
+        def run(plain):
+            y, leaves = self.scan_of_mul(dtype, plain)
+            chunks = (self.L, self.NC, self.H, T.SCAN_CHUNK, self.P)
+            copied = any(a.shape == chunks for a in kept_arrays(y))
+            y.backward(seed)
+            return [y.data] + [t.grad for t in leaves], copied
+
+        want, want_copied = run(plain=True)
+        got, got_copied = run(plain=False)
+        assert want_copied and not got_copied
+        for w, g in zip(want, got):
+            assert g.dtype == dtype and g.tobytes() == w.tobytes()
+
+
 class TestExpOverflow:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_silu_and_softplus_far_below_zero_warn_nothing(self, dtype):
@@ -881,6 +1001,31 @@ class TestMaxPoolOracle:
         y.backward(g)
         want, want_grad = self.brute(x, g)
         assert np.array_equal(y.data, want) and np.array_equal(xt.grad, want_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("frames", [1, 2, 9, 23])
+    def test_gradient_bytes_equal_a_scatter_add(self, frames, dtype):
+        # heavy ties, -inf frames, and +-0.0 and +-inf gradients: array_equal
+        # cannot tell -0.0 from +0.0, so compare bytes
+        rng = np.random.default_rng(frames)
+        x = rng.integers(-1, 2, size=(3, 2, frames, 5)).astype(dtype)
+        x[rng.random(x.shape) < 0.2] = -np.inf
+        g = rng.normal(size=x.shape).astype(dtype)
+        pick = rng.random(x.shape)
+        g[pick < 0.2] = -0.0
+        g[(pick >= 0.2) & (pick < 0.3)] = 0.0
+        g[(pick >= 0.3) & (pick < 0.35)] = np.inf
+        g[(pick >= 0.35) & (pick < 0.4)] = -np.inf
+        xt = Tensor(x, requires_grad=True)
+        y = T.max_pool_window(xt)
+        (idx,) = kept_arrays(y)
+        R = 3 * 2
+        want = np.zeros((R, frames, 5), dtype=dtype)
+        with np.errstate(invalid="ignore"):     # inf + -inf in one run is nan either way
+            np.add.at(want, (np.arange(R).reshape(R, 1, 1), idx.reshape(R, frames, 5), np.arange(5)),
+                      g.reshape(R, frames, 5))
+            y.backward(g)
+        assert xt.grad.dtype == dtype and xt.grad.tobytes() == want.tobytes()
 
     def test_tie_routes_to_lowest_index(self):
         x = np.zeros((1, 4, 1), dtype=np.float32)

@@ -406,50 +406,59 @@ class TestTrainLoop:
         model.config.context_frames = 4
 
 
-# Bounds on the traced peak of one training step's forward and backward. Keeping
-# only the arrays backward reads, the step peaks at 32.6 MB (pointnet) and
-# 55.3 MB (ssm); a tape whose nodes hold their parent tensors, and so every
+def traced_step_peak_mb(cfg: ModelConfig, count: int, players: int) -> float:
+    """Traced peak of one training step's forward and backward, on one batch of
+    ``count`` 24-frame scenes."""
+    ts = synth_forking_play(count, frames=24, players=players, seed=0).trajectories
+    model = TrajectoryModel(cfg)
+    positions, categories = next(epoch_batches(ts, count, 0, 0))
+    tracemalloc.start()
+    try:
+        loss, _ = model.loss(positions, categories)
+        loss.backward()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+# Bounds on the traced peak of one small training step. Keeping only the arrays
+# backward reads, the step peaks at 28.7 MB (pointnet) and 39.1 MB (ssm, whose
+# silu, mul and ssm_scan nodes rebuild what they can recompute; 51.2 MB when they
+# keep those arrays); a tape whose nodes hold their parent tensors, and so every
 # intermediate result until backward, peaks at 61.5 MB and 99.1 MB.
-STEP_PEAK_MB = {"pointnet": 45.0, "ssm": 75.0}
+STEP_PEAK_MB = {"pointnet": 45.0, "ssm": 45.0}
 
 
 @pytest.mark.parametrize("temporal", sorted(STEP_PEAK_MB))
 def test_training_step_memory_peak(temporal):
-    ts = synth_forking_play(32, frames=24, players=4, seed=0).trajectories
-    model = TrajectoryModel(ModelConfig.small(
+    peak_mb = traced_step_peak_mb(ModelConfig.small(
         num_agents=5, num_components=8, context_frames=10, future_frames=14,
-        temporal=temporal, seed=0))
-    positions, categories = next(epoch_batches(ts, 32, 0, 0))
-    tracemalloc.start()
-    try:
-        loss, _ = model.loss(positions, categories)
-        loss.backward()
-        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
+        temporal=temporal, seed=0), count=32, players=4)
     assert peak_mb < STEP_PEAK_MB[temporal], f"{temporal}: {peak_mb:.2f} MB"
 
 
-# Bound on the traced peak of one full-preset training step (pointnet, N = 11,
-# batch 8, 24 frames, the train_full benchmark shape). With each linear keeping
+# Bounds on the traced peak of one full-preset training step (N = 11, batch 8,
+# 24 frames, the train_full benchmark shape). pointnet: with each linear keeping
 # a norm output as a recipe that rebuilds it from the norm's xhat, it peaks at
-# 84.8 MB; with the 16 norm outputs kept as arrays, at 94.9 MB.
+# 84.8 MB; with the 16 norm outputs kept as arrays, at 94.9 MB. ssm: 110.9 MB,
+# and 144.1 MB when silu, mul and ssm_scan keep what they can rebuild.
 FULL_STEP_PEAK_MB = 89.5
+FULL_SSM_STEP_PEAK_MB = 127.0
+
+
+def full_config(temporal: str) -> ModelConfig:
+    return ModelConfig(num_agents=11, num_components=8, context_frames=10, future_frames=14,
+                       temporal=temporal, seed=0)
 
 
 def test_full_training_step_memory_peak():
-    ts = synth_forking_play(8, frames=24, players=10, seed=0).trajectories
-    model = TrajectoryModel(ModelConfig(
-        num_agents=11, num_components=8, context_frames=10, future_frames=14, seed=0))
-    positions, categories = next(epoch_batches(ts, 8, 0, 0))
-    tracemalloc.start()
-    try:
-        loss, _ = model.loss(positions, categories)
-        loss.backward()
-        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
+    peak_mb = traced_step_peak_mb(full_config("pointnet"), count=8, players=10)
     assert peak_mb < FULL_STEP_PEAK_MB, f"{peak_mb:.2f} MB"
+
+
+def test_full_ssm_training_step_memory_peak():
+    peak_mb = traced_step_peak_mb(full_config("ssm"), count=8, players=10)
+    assert peak_mb < FULL_SSM_STEP_PEAK_MB, f"{peak_mb:.2f} MB"
 
 
 # Three one-epoch train() calls; prints the minor faults of each.
