@@ -103,12 +103,12 @@ class _Rebuild:
         return y
 
 
-def _keep(t: "Tensor") -> "np.ndarray | _Rebuild":
+def _keep(t: Tensor) -> np.ndarray | _Rebuild:
     """What a backward keeps to read ``t``'s array: its recipe if it has one, else the array."""
     return t.data if t._rebuild is None else t._rebuild.keep()
 
 
-def _take(kept: "np.ndarray | _Rebuild") -> np.ndarray:
+def _take(kept: np.ndarray | _Rebuild) -> np.ndarray:
     """The array behind what ``_keep`` returned."""
     return kept.take() if type(kept) is _Rebuild else kept
 

@@ -41,14 +41,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 TOOLS = Path(__file__).resolve().parent
 ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def digest(*parts) -> str:
     """SHA-256 over arrays (dtype, shape and bytes), bytes and strings, in order."""
-    import numpy as np
-
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, (bytes, str)):
@@ -62,8 +62,6 @@ def digest(*parts) -> str:
 
 def grid(tiny: bool = False) -> dict[str, str]:
     """Run the grid with the importable ``causaltraj``; returns {entry: sha256}."""
-    import numpy as np
-
     from causaltraj import cli, data, model as model_mod, tensor as T, trainer
 
     out: dict[str, str] = {}
