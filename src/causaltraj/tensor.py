@@ -1048,26 +1048,10 @@ def max_pool_window(x) -> Tensor:
         idx = np.maximum.accumulate(np.where(is_new, tgrid, 0), axis=-2)
 
     def backward(g):
-        # idx never decreases along t, so the frames whose gradient goes to frame
-        # s form one run, which starts at s (where idx == t) and ends where the
-        # next run starts. A forward scan over t-major rows sums each run in t
-        # order from +0.0, as a scatter-add into zeros would; a reverse scan
-        # carries each run's total back to its start, and writes it there.
         R, D = math.prod(sx[:-2]), sx[-1]
-        gt = g.reshape(R, T, D).transpose(1, 0, 2)
-        start = np.ascontiguousarray(idx.reshape(R, T, D).transpose(1, 0, 2))
-        start = start == np.arange(T, dtype=idx.dtype).reshape(T, 1, 1)
-        run = np.empty((T, R, D), dtype=g.dtype)
-        np.add(gt[0], 0.0, out=run[0])
-        for t in range(1, T):
-            np.add(run[t - 1], gt[t], out=run[t])
-            np.add(gt[t], 0.0, out=run[t], where=start[t])
         gx = np.zeros((R, T, D), dtype=g.dtype)
-        total = run[T - 1].copy()
-        for t in range(T - 1, -1, -1):
-            if t < T - 1:
-                np.copyto(total, run[t], where=start[t + 1])
-            np.copyto(gx[:, t], total, where=start[t])
+        rows = np.arange(R).reshape(R, 1, 1)
+        np.add.at(gx, (rows, idx.reshape(R, T, D), np.arange(D)), g.reshape(R, T, D))
         return (gx.reshape(sx),)
 
     return Tensor._result(out, (x,), backward)
@@ -1129,8 +1113,8 @@ def ssm_scan(log_decay, xdt, b_in, c_out) -> Tensor:
     before ``exp``, and E is cast to the input dtype. The state each
     chunk ends in is carried into the next, adding ``exp(cumsum) * (C . h)``
     to its output; that carry is the only loop. The backward is written out
-    by hand. It keeps the decays, B, C and ``C B^T`` and rebuilds the rest, and
-    keeps ``xdt``'s recipe rather than its chunks when ``xdt`` has one.
+    by hand. It keeps the decays, B, C, ``C B^T`` and ``xdt``'s recipe (its
+    array when it has none), and rebuilds the rest.
     """
     log_decay, xdt = as_tensor(log_decay), as_tensor(xdt)
     b_in, c_out = as_tensor(b_in), as_tensor(c_out)
@@ -1184,12 +1168,12 @@ def ssm_scan(log_decay, xdt, b_in, c_out) -> Tensor:
     Y = by_head(y.reshape(L, nc, Q, H, P))
     np.matmul(G[:, :, None] * E, X, out=Y)
     Y += (Cc[:, :, None] * e_in[..., None]) @ chunk_states(X)
-    # backward rebuilds M, Ce and the chunk states from what it keeps, and the
-    # chunks of xdt too when xdt has a recipe
-    x_kept = xdt._rebuild.keep() if _records(xdt) and xdt._rebuild is not None else X
+    # backward rebuilds the chunks of xdt, M, Ce and the chunk states from what
+    # it keeps: xdt's recipe when it has one, else xdt's unpadded array
+    x_kept = _keep(xdt)
 
     def backward(g):
-        X = by_head(chunked(x_kept.take(), dt)) if type(x_kept) is _Rebuild else x_kept
+        X = by_head(chunked(_take(x_kept), dt))
         M = G[:, :, None] * E
         Ce = Cc[:, :, None] * e_in[..., None]              # [L, nc, H, Q, S]
         h_in = chunk_states(X)
