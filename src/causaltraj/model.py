@@ -325,11 +325,15 @@ class TrajectoryModel(Module):
         contexts [C, N, P, 2]; categories [N] or [C, N]; returns
         C * num_scenarios samples ordered by context then scenario; sample
         ``s`` continues ``contexts[s.context_index]`` without copying it. Each
-        scenario has its own generator, and ``mdn.sample_displacements`` draws
-        from it at every step: one uniform for the component all agents share,
-        then the agents' normals. So results are independent of batching and
-        of the other scenarios. ``mode="mean"`` instead takes the
-        highest-weight component's mean displacement, deterministically.
+        scenario has its own generator, keyed by its context and scenario
+        index, and ``mdn.sample_displacements`` draws from it at every step:
+        one uniform for the component all agents share, then the agents'
+        normals. So a scenario's draws do not depend on the other scenarios or
+        on how many contexts the call holds. Its floating-point results can
+        still differ in the last bits with the number of contexts in the call,
+        because BLAS picks its kernels by row count. ``mode="mean"`` instead
+        takes the highest-weight component's mean displacement,
+        deterministically.
 
         The scenarios of a context share its prefix and its first step, so the
         encoder runs over the prefix and the head over step 0 once per context;

@@ -13,12 +13,18 @@ INIT_STD = 0.02
 
 
 def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Normal(0, INIT_STD) samples with values beyond two deviations redrawn."""
+    """Normal(0, INIT_STD) samples with values beyond two deviations redrawn.
+
+    Each round redraws the entries still out of range, in index order, and
+    tests only those redraws again.
+    """
     out = rng.normal(0.0, INIT_STD, size=shape)
-    bad = np.abs(out) > 2.0 * INIT_STD
-    while np.any(bad):
-        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * INIT_STD
+    flat = out.reshape(-1)
+    idx = np.flatnonzero(np.abs(flat) > 2.0 * INIT_STD)
+    while idx.size:
+        vals = rng.normal(0.0, INIT_STD, size=idx.size)
+        flat[idx] = vals
+        idx = idx[np.abs(vals) > 2.0 * INIT_STD]
     return out.astype(np.float32)
 
 

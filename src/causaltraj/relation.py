@@ -62,9 +62,7 @@ def _attention_weights(q: Tensor, k: Tensor, heads: int, extra_scores=None) -> T
     ``extra_scores`` [B, T, H, N, N] joins the raw scores before scaling."""
     scores = T.matmul(_split_heads(q, heads, (0, 1, 3, 2, 4)),     # [B,T,H,N,hd]
                       _split_heads(k, heads, (0, 1, 3, 4, 2)))     # [B,T,H,hd,N]
-    if extra_scores is not None:
-        scores = scores + extra_scores
-    return T.softmax_lastdim(scores * (1.0 / math.sqrt(q.shape[-1] // heads)))
+    return T.softmax_lastdim(scores, extra_scores, 1.0 / math.sqrt(q.shape[-1] // heads))
 
 
 def _merge(attn: Tensor, v: Tensor) -> Tensor:

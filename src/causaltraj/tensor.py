@@ -9,10 +9,13 @@ and each closure keeps only the arrays and shapes its backward reads, so an
 intermediate result that no backward reads is freed with its ``Tensor``
 during the forward pass. ``gelu``, for one, keeps its slope rather than its
 input, and ``silu`` only its input. A result that can be rebuilt bit for bit
-from arrays its own node keeps (a ``layer_norm``/``rms_norm`` output from the
-norm's ``xhat``, a ``silu`` output from its input, a ``mul`` output from its
-operands) carries a recipe, and ``linear``, ``mul`` and ``ssm_scan`` keep that
-recipe rather than the array.
+from what its own node keeps (a ``layer_norm``/``rms_norm`` output from the
+norm's ``xhat``, a ``linear`` output from its input, a ``silu`` output from its
+input, a ``mul`` output from its operands, a ``narrow`` or ``reshape`` of a
+result that has a recipe from that recipe) carries a recipe, and ``linear``,
+``mul``, ``silu``, ``causal_depthwise_conv`` and ``ssm_scan`` keep that recipe
+rather than the array. A recipe may read other recipes, so the slices of one
+``linear`` output are rebuilt from that linear's input.
 
 ``Tensor.backward`` walks the recorded graph once in reverse topological order
 and accumulates gradients into the ``.grad`` of the leaves (parameters and
@@ -79,25 +82,34 @@ class _Node:
 class _Rebuild:
     """A recorded result's recipe for its own array, shared by the ops that keep it.
 
-    An op that keeps the recipe in place of the array calls ``keep()`` when it
-    records and ``take()`` once in its backward. The first ``take`` builds the
-    array and the last one drops it, so the readers of one result (the q, k and
-    v projections of one norm output) rebuild it once between them.
+    ``build`` maps the arrays behind ``sources`` to the result's array; a source
+    is an array or another recipe, so a recipe can read a result that is itself
+    rebuilt (a slice of a ``linear`` output). An op that keeps the recipe in
+    place of the array calls ``keep()`` when it records and ``take()`` once in
+    its backward. The first ``take`` builds the array and the last one drops it,
+    so the readers of one result (the q, k and v projections of one norm output)
+    rebuild it once between them. A recipe keeps its source recipes from its own
+    first ``keep`` on and takes each once, when it builds.
     """
 
-    __slots__ = ("build", "readers", "array")
+    __slots__ = ("build", "sources", "readers", "array")
 
-    def __init__(self, build: Callable[[], np.ndarray]):
+    def __init__(self, build: Callable[..., np.ndarray], *sources: "np.ndarray | _Rebuild"):
         self.build = build
+        self.sources = sources
         self.readers = 0
         self.array: np.ndarray | None = None
 
     def keep(self) -> "_Rebuild":
+        if self.readers == 0:
+            for s in self.sources:
+                if type(s) is _Rebuild:
+                    s.keep()
         self.readers += 1
         return self
 
     def take(self) -> np.ndarray:
-        y = self.build() if self.array is None else self.array
+        y = self.build(*map(_take, self.sources)) if self.array is None else self.array
         self.readers -= 1
         self.array = y if self.readers > 0 else None
         return y
@@ -117,8 +129,8 @@ class Tensor:
     """A dense array participating in reverse-mode gradient computation."""
 
     # ``_rebuild``: ``None``, or a ``_Rebuild`` that recomputes ``data`` bit for bit
-    # from arrays this result's own node already keeps (``_with_affine_rebuild``,
-    # ``silu``, ``mul``)
+    # from what this result's own node already keeps (``_with_affine_rebuild``,
+    # ``linear``, ``silu``, ``mul``, ``narrow``, ``reshape``)
     __slots__ = ("data", "requires_grad", "grad", "_node", "_rebuild", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
@@ -391,8 +403,8 @@ def mul(a, b) -> Tensor:
                 None if ad is None else _reduce_to(g * _take(ad), sb))
 
     out = Tensor._result(out, (a, b), backward)
-    if out._node is not None and all(k is not None and type(k) is not _Rebuild for k in (ad, bd)):
-        out._rebuild = _Rebuild(lambda: ad * bd)    # from the two arrays its node keeps
+    if out._node is not None and ad is not None and bd is not None:
+        out._rebuild = _Rebuild(np.multiply, ad, bd)    # from the two operands its node keeps
     return out
 
 
@@ -560,6 +572,7 @@ def linear_gelu(x, weight, bias=None) -> Tensor:
     are bit-identical to it.
     """
     pre = linear(x, weight, bias)
+    pre._rebuild = None     # its array becomes the GELU's output
     return _gelu_into(pre, pre.data)
 
 
@@ -598,23 +611,42 @@ def _gelu_into(a: Tensor, out: np.ndarray) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1.0 / (1.0 + np.exp(-x))``, bit for bit, in one array."""
+    s = np.negative(x, out=np.empty(x.shape, x.dtype))
     with np.errstate(over="ignore"):     # exp(-x) = inf for x << 0 gives sig = 0
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def silu(a) -> Tensor:
-    """``x * sigmoid(x)``; backward keeps only ``x`` and recomputes the sigmoid."""
+    """``x * sigmoid(x)``; backward keeps only ``x`` (its recipe when it has one).
+
+    The sigmoid is a recipe of its own, read by the backward and by the
+    output's recipe ``x * sigmoid(x)``, so a backward that rebuilds the output
+    too computes the sigmoid once.
+    """
     a = as_tensor(a)
     x = a.data
-    out = x * _sigmoid(x)
+    s = _sigmoid(x)
+    out = np.multiply(x, s, out=s)
+    if not _records(a):
+        return Tensor._result(out, (a,), None)
+    xk = _keep(a)
+    sig = _Rebuild(_sigmoid, xk).keep()
 
     def backward(g):
-        sig = _sigmoid(x)
-        return (g * sig * (1.0 + x * (1.0 - sig)),)
+        # g * s * (1.0 + x * (1.0 - s)), in two arrays
+        x, s = _take(xk), sig.take()
+        slope = np.subtract(1.0, s)
+        slope *= x
+        slope += 1.0
+        gx = g * s
+        gx *= slope
+        return (gx,)
 
     out = Tensor._result(out, (a,), backward)
-    if out._node is not None:
-        out._rebuild = _Rebuild(lambda: x * _sigmoid(x))
+    out._rebuild = _Rebuild(np.multiply, xk, sig)
     return out
 
 
@@ -638,7 +670,10 @@ def reshape(a, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     out = a.data.reshape(shape)
     sa = a.shape
-    return Tensor._result(out, (a,), lambda g: (g.reshape(sa),))
+    out = Tensor._result(out, (a,), lambda g: (g.reshape(sa),))
+    if out._node is not None and a._rebuild is not None:
+        out._rebuild = _Rebuild(lambda y: y.reshape(shape), a._rebuild)
+    return out
 
 
 def transpose(a, axes) -> Tensor:
@@ -713,7 +748,10 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
         full[idx] = g
         return (full,)
 
-    return Tensor._result(out, (a,), backward)
+    out = Tensor._result(out, (a,), backward)
+    if out._node is not None and a._rebuild is not None:
+        out._rebuild = _Rebuild(lambda y: np.ascontiguousarray(y[idx]), a._rebuild)
+    return out
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -785,12 +823,9 @@ def linear(x, weight, bias=None) -> Tensor:
         raise ShapeError(f"linear: weight must be 2-d, got {weight.shape}")
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear: input dim {x.shape} incompatible with weight {weight.shape}")
-    # one 2-D GEMM over all leading rows, not one small GEMM per batch entry
     d_in, d_out = weight.shape
     sx = x.shape
     out_shape = sx[:-1] + (d_out,)
-    xf = x.data.reshape(-1, d_in)
-    out = np.matmul(xf, weight.data)
     parents: tuple[Tensor, ...]
     has_bias = bias is not None
     need_b = False
@@ -798,14 +833,23 @@ def linear(x, weight, bias=None) -> Tensor:
         bias = as_tensor(bias)
         if bias.shape != (d_out,):
             raise ShapeError(f"linear: bias shape {bias.shape} != ({d_out},)")
-        out += bias.data
         parents = (x, weight, bias)
         need_b = _records(bias)
     else:
         parents = (x, weight)
+    wd, bd = weight.data, bias.data if has_bias else None
+
+    def affine(xa):
+        # one 2-D GEMM over all leading rows, not one small GEMM per batch entry
+        y = np.matmul(xa.reshape(-1, d_in), wd)
+        if bd is not None:
+            y += bd
+        return y.reshape(out_shape)
+
+    out = affine(x.data)
     # the input's gradient reads only the weight, the weight's only the input; an
     # input that can rebuild its array (a norm output) is kept as its recipe
-    w = weight.data if _records(x) else None
+    w = wd if _records(x) else None
     xk = _keep(x) if _records(weight) else None
 
     def backward(g):
@@ -816,7 +860,13 @@ def linear(x, weight, bias=None) -> Tensor:
             return gx, gw, gf.sum(axis=0) if need_b else None
         return gx, gw
 
-    return Tensor._result(out.reshape(out_shape), parents, backward)
+    out = Tensor._result(out, parents, backward)
+    # from the input its node keeps and a weight and bias that outlive the graph
+    # (parameters: leaves, which no node records)
+    if (out._node is not None and xk is not None and weight._node is None
+            and (bias is None or bias._node is None)):
+        out._rebuild = _Rebuild(affine, xk)
+    return out
 
 
 def embedding_lookup(table, indices) -> Tensor:
@@ -899,28 +949,49 @@ def logsumexp_lastdim(a) -> Tensor:
     return Tensor._result(np.asarray(out), (a,), backward)
 
 
-def softmax_lastdim(a) -> Tensor:
-    """Softmax over the last dimension.
+def softmax_lastdim(a, extra=None, scale: float | None = None) -> Tensor:
+    """Softmax over the last dimension, of ``(a + extra) * scale`` when those are given.
 
     Attention over 5-11 agents gives rows of 5-11 scores; numpy's ``max``/``sum``
     make one inner-loop call per row, which on rows of 5 costs ~30x one
     elementwise ufunc per slice, so this reduces over the axis's slices
     instead (``_lastdim_max``/``_lastdim_sum``). The sum keeps numpy's order, so
     forward and backward are bit-identical to ``x.max``/``x.sum``.
+
+    ``extra`` and ``scale`` are attention's extra score term and its
+    ``1 / sqrt(head dim)``. The sum, the scaling and the softmax all happen in
+    one buffer, where ``add``, ``mul`` and ``softmax_lastdim`` one after the
+    other would hold three arrays of scores; the output and the gradients are
+    bit-identical to that composition (``scale`` is cast to the scores' dtype,
+    as ``mul`` casts a Python scalar). The backward is the softmax's, times
+    ``scale``, handed to both ``a`` and ``extra``.
     """
     a = as_tensor(a)
-    out = a.data - _lastdim_max(a.data)
+    parents: tuple[Tensor, ...] = (a,)
+    out = a.data
+    if extra is not None:
+        a, extra = _coerce_pair(a, extra, "softmax_lastdim")
+        parents = (a, extra)
+        out = a.data + extra.data
+    if scale is not None:
+        scale = np.asarray(scale, dtype=out.dtype)
+        out = out * scale if out is a.data else np.multiply(out, scale, out=out)
+    m = _lastdim_max(out)
+    out = out - m if out is a.data else np.subtract(out, m, out=out)
     np.exp(out, out=out)
     out /= _lastdim_sum(out)
+    shapes = tuple(p.shape for p in parents)
 
     def backward(g):
         gx = g * out
         inner = _lastdim_sum(gx)
         np.subtract(g, inner, out=gx)
         gx *= out
-        return (gx,)
+        if scale is not None:
+            gx *= scale
+        return tuple(_reduce_to(gx, s) for s in shapes)
 
-    return Tensor._result(out, (a,), backward)
+    return Tensor._result(out, parents, backward)
 
 
 def _affine_out(xhat: np.ndarray, scratch: np.ndarray, *affine: np.ndarray) -> np.ndarray:
@@ -1069,19 +1140,33 @@ def causal_depthwise_conv(x, weight) -> Tensor:
         raise ShapeError(f"causal_depthwise_conv: channels {x.shape} vs weight {weight.shape}")
     T = x.shape[-2]
     pad_shape = x.shape[:-2] + (K - 1, C)
-    xp = np.concatenate([np.zeros(pad_shape, dtype=x.dtype), x.data], axis=-2)
-    out = np.zeros(x.shape, dtype=x.dtype)
     wd = weight.data
+
+    def padded(xa):
+        return np.concatenate([np.zeros(pad_shape, dtype=xa.dtype), xa], axis=-2)
+
+    xpad = padded(x.data)
+    out = np.zeros(x.shape, dtype=x.dtype)
     for j in range(K):
-        out += xp[..., j: j + T, :] * wd[j]
+        out += xpad[..., j: j + T, :] * wd[j]
+    # the input's gradient reads only the weight; the weight's reads the padded
+    # input, which backward pads again from the input (or the input's recipe)
+    need_x = _records(x)
+    xk = _keep(x) if _records(weight) else None
 
     def backward(g):
-        gxp = np.zeros(xp.shape, dtype=g.dtype)
-        gw = np.zeros((K, C), dtype=g.dtype)
-        for j in range(K):
-            gxp[..., j: j + T, :] += g * wd[j]
-            gw[j] = (g * xp[..., j: j + T, :]).reshape(-1, C).sum(axis=0)
-        return gxp[..., K - 1:, :], gw
+        gx = gw = None
+        if need_x:
+            gxp = np.zeros(pad_shape[:-2] + (T + K - 1, C), dtype=g.dtype)
+            for j in range(K):
+                gxp[..., j: j + T, :] += g * wd[j]
+            gx = gxp[..., K - 1:, :]
+        if xk is not None:
+            xp = padded(_take(xk))
+            gw = np.zeros((K, C), dtype=g.dtype)
+            for j in range(K):
+                gw[j] = (g * xp[..., j: j + T, :]).reshape(-1, C).sum(axis=0)
+        return gx, gw
 
     return Tensor._result(out, (x, weight), backward)
 

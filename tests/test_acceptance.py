@@ -3,6 +3,9 @@ metrics, sampling, scan equivalence, desk-scale training, ablation direction,
 parameter budget, and determinism. Each test prints one PASS/FAIL line."""
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -44,16 +47,38 @@ def probe_train_config():
     return TrainConfig(epochs=10, batch_size=32, lr_max=2e-3, seed=11)
 
 
+def train_probe_model(overrides: dict, trajectories: np.ndarray):
+    """One probe model trained on ``trajectories``: (model, history). Runs in a worker."""
+    model = TrajectoryModel(ModelConfig.small(seed=3, **overrides))
+    hist, _ = train(model, trajectories, probe_train_config())
+    return model, hist
+
+
+# A worker's training takes ~20 s on a 2-vCPU VM; this bounds a hung worker.
+PROBE_TIMEOUT_S = 900
+# The variables the common BLAS builds read their thread count from at start-up.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS")
+
+
 @pytest.fixture(scope="session")
 def probe():
     train_fs = synth_forking_play(512, frames=24, players=4, seed=7)
     held = synth_forking_play(64, frames=24, players=4, seed=1007).trajectories
-    cfg = probe_train_config()
 
-    full = TrajectoryModel(ModelConfig.small(seed=3))
-    hist_full, _ = train(full, train_fs.trajectories, cfg)
-    m1 = TrajectoryModel(ModelConfig.small(num_components=1, seed=3))
-    hist_m1, _ = train(m1, train_fs.trajectories, cfg)
+    # The small model and its M = 1 twin train side by side, one process each.
+    # Spawn, the macOS default, starts the workers alike on every platform. Each
+    # worker gets half the CPUs for its BLAS: two workers that each start a
+    # thread per CPU take ~3x as long on 2 vCPUs as two single-threaded ones.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with pytest.MonkeyPatch.context() as env:
+        for var in BLAS_THREAD_VARS:
+            env.setenv(var, str(max(1, (cpus or 1) // 2)))
+        with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+            jobs = [pool.submit(train_probe_model, overrides, train_fs.trajectories)
+                    for overrides in ({}, {"num_components": 1})]
+            (full, hist_full), (m1, hist_m1) = (job.result(timeout=PROBE_TIMEOUT_S)
+                                                for job in jobs)
 
     P = full.config.context_frames
     F = full.config.future_frames

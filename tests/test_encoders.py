@@ -1,5 +1,8 @@
 """Temporal encoders: causality, incremental parity, gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -138,3 +141,65 @@ class TestSSMSpecifics:
         names = [n for n, _ in enc.named_parameters()]
         assert not any(n.endswith("in_proj.bias") or n.endswith("out_proj.bias")
                        for n in names)
+
+
+class TestSSMBlockTape:
+    """The block's slices of ``in_proj``'s output and the conv's padded input are
+    rebuilt in backward, from the block input ``in_proj`` keeps anyway."""
+
+    @staticmethod
+    def run():
+        enc = SSMEncoder(np.random.default_rng(3), 4, d_model=12, state=4, headdim=6)
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(3, 2 * T.SCAN_CHUNK + 3, 4)).astype(np.float32),
+                   requires_grad=True)
+        out = enc(x)
+        out.backward(rng.normal(size=out.shape).astype(np.float32))
+        return [out.data, x.grad] + [p.grad for p in enc.parameters()]
+
+    def test_output_and_gradients_are_byte_equal_to_kept_arrays(self, monkeypatch):
+        got = self.run()
+        # the reference clears every recipe: each op keeps the array it reads
+        monkeypatch.setattr(T, "_keep", lambda t: t.data)
+        want = self.run()
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_slices_are_freed_during_the_forward_pass(self, monkeypatch):
+        refs = []
+        narrow = T.narrow
+
+        def recording(*args):
+            out = narrow(*args)
+            refs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, "narrow", recording)
+        blk = SSMBlock(np.random.default_rng(5), 8, state=4, headdim=4)
+        x = Tensor(np.random.default_rng(6).normal(size=(2, 7, 8)).astype(np.float32),
+                   requires_grad=True)
+        out = blk(x)
+        gc.collect()
+        # z, the conv input, dt and the x, B and C parts of the conv stream
+        assert len(refs) == 6 and all(r() is None for r in refs)
+        out.backward(np.ones(out.shape, dtype=out.dtype))
+        assert blk.conv_weight.grad is not None and x.grad is not None
+
+    def test_one_sigmoid_per_silu_in_a_training_backward(self, monkeypatch):
+        from causaltraj.data import synth_forking_play
+        from causaltraj.model import ModelConfig, TrajectoryModel
+        from causaltraj.trainer import epoch_batches
+
+        calls = []
+        sigmoid = T._sigmoid
+        monkeypatch.setattr(T, "_sigmoid", lambda x: calls.append(1) or sigmoid(x))
+        model = TrajectoryModel(ModelConfig.small(temporal="ssm", seed=0))
+        ts = synth_forking_play(2, frames=24, players=4, seed=0).trajectories
+        positions, categories = next(epoch_batches(ts, 2, 0, 0))
+        loss, _ = model.loss(positions, categories)
+        silus = len(calls)          # the forward pass computes each silu's sigmoid once
+        assert silus == 2 * len(model.temporal.blocks)
+        calls.clear()
+        loss.backward()
+        assert len(calls) == silus

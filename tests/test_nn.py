@@ -84,6 +84,26 @@ class TestInit:
         # truncation at two deviations shrinks the std to ~0.88 sigma
         assert abs(w.std() - 0.88 * INIT_STD) < 0.1 * INIT_STD
 
+    @staticmethod
+    def trunc_normal_full_retest(rng, shape):
+        """The earlier loop: redraw every out-of-range entry, then test the whole array again."""
+        out = rng.normal(0.0, INIT_STD, size=shape)
+        bad = np.abs(out) > 2.0 * INIT_STD
+        while np.any(bad):
+            out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+            bad = np.abs(out) > 2.0 * INIT_STD
+        return out.astype(np.float32)
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (64, 48), (2, 3, 4), 11])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_trunc_normal_matches_the_full_retest_loop(self, shape, seed):
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = trunc_normal(rng_new, shape)
+        want = self.trunc_normal_full_retest(rng_old, shape)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # the same number of draws: the two generators continue alike
+        assert rng_new.random() == rng_old.random()
+
     def test_dense_bias_zero(self):
         d = Dense(np.random.default_rng(0), 4, 4)
         assert np.array_equal(d.bias.data, np.zeros(4, dtype=np.float32))

@@ -72,7 +72,8 @@ def mlp_graph():
 
     ``pre`` is the first layer's output, which only GELU reads, and GELU keeps
     its slope instead; the second layer's weight gradient reads ``hidden``; the
-    squared loss reads ``out``.
+    squared loss reads ``out`` through its recipe, which rebuilds it from
+    ``hidden``.
     """
     rng = np.random.default_rng(0)
     x = randt(rng, (4, 3))
@@ -94,7 +95,7 @@ class TestTapeRelease:
 
     def test_read_results_live_until_backward(self):
         loss, _, arrays = mlp_graph()
-        assert arrays["hidden"]() is not None and arrays["out"]() is not None
+        assert arrays["hidden"]() is not None and arrays["out"]() is None
         loss.backward()
         assert arrays["hidden"]() is None and arrays["out"]() is None
 
@@ -657,6 +658,42 @@ class TestRowKernelsAgainstUnfused:
         self.check(T.softmax_lastdim, [x], g, *self.softmax(x, g))
 
 
+class TestScaledSoftmax:
+    """``softmax_lastdim(a, extra, scale)`` against ``softmax_lastdim((a + extra) * scale)``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_extra", [True, False])
+    @pytest.mark.parametrize("scale", [1.0 / math.sqrt(3.0), 0.5])
+    def test_bytes_equal_the_add_mul_softmax_composition(self, dtype, with_extra, scale):
+        rng = np.random.default_rng(11)
+        shape = (2, 3, 4, 5, 5)
+        arrays = [rng.normal(size=shape) * 3.0 for _ in range(2 if with_extra else 1)]
+        seed = rng.normal(size=shape).astype(dtype)
+
+        def run(fused):
+            ts = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+            extra = ts[1] if with_extra else None
+            if fused:
+                y = T.softmax_lastdim(ts[0], extra, scale)
+            else:
+                s = ts[0] + extra if with_extra else ts[0]
+                y = T.softmax_lastdim(s * scale)
+            y.backward(seed)
+            return [y.data] + [t.grad for t in ts]
+
+        want, got = run(fused=False), run(fused=True)
+        for w, g in zip(want, got):
+            assert g.dtype == w.dtype == dtype
+            assert g.tobytes() == w.tobytes()
+
+    def test_keeps_only_its_output(self):
+        rng = np.random.default_rng(12)
+        a, extra = randt(rng, (3, 4, 4)), randt(rng, (3, 4, 4))
+        y = T.softmax_lastdim(a, extra, 0.25)
+        kept = [k for k in kept_arrays(y) if k.ndim]     # and the 0-d scale
+        assert len(kept) == 1 and kept[0] is y.data
+
+
 @pytest.mark.parametrize("kind", ["layer_norm", "rms_norm"])
 class TestNormOutputRebuild:
     """A linear that needs its weight gradient keeps a norm output as a recipe.
@@ -753,6 +790,7 @@ def kept_arrays(t):
             found.append(obj)
         elif isinstance(obj, T._Rebuild):
             visit(obj.build)
+            visit(obj.sources)
         elif isinstance(obj, (tuple, list)):
             for o in obj:
                 visit(o)
@@ -774,8 +812,8 @@ class TestEncoderRecipes:
 
     def test_silu_keeps_only_its_input(self):
         x = randt(np.random.default_rng(0), (3, 4))
-        kept = kept_arrays(T.silu(x))
-        assert len(kept) == 1 and kept[0] is x.data
+        kept = kept_arrays(T.silu(x))       # directly and through the sigmoid's recipe
+        assert kept and all(k is x.data for k in kept)
 
     def test_a_silu_output_is_freed_once_only_a_mul_reads_it(self):
         rng = np.random.default_rng(1)
@@ -794,7 +832,8 @@ class TestEncoderRecipes:
         assert T.mul(a, b)._rebuild is not None
         assert T.mul(a, 2.0)._rebuild is None                              # a scalar
         assert T.mul(a, Tensor(b.data))._rebuild is None                   # no gradient
-        assert T.mul(a, T.silu(b))._rebuild is None                        # a recipe operand
+        s = T.silu(b)
+        assert T.mul(a, s)._rebuild.sources[1] is s._rebuild               # a recipe operand
         with T.no_grad():
             assert T.mul(a, b)._rebuild is None
 
@@ -862,6 +901,56 @@ class TestEncoderRecipes:
         assert want_kept and not got_kept
         for w, g in zip(want, got):
             assert g.dtype == dtype and g.tobytes() == w.tobytes()
+
+
+class TestRecipeChains:
+    """Recipes that read recipes: slices and reshapes of a ``linear`` output.
+
+    The reference clears every recipe (``_keep`` hands each op the array), so
+    each op keeps the arrays it reads.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_gradients_are_byte_equal_to_kept_arrays(self, dtype, bias, monkeypatch):
+        rng = np.random.default_rng(6)
+        arrays = {"x": rng.normal(size=(3, 5, 6)), "w": rng.normal(size=(6, 10)),
+                  "b": rng.normal(size=10), "cw": rng.normal(size=(4, 4))}
+        seed = rng.normal(size=(3, 5, 8)).astype(dtype)
+
+        def run():
+            t = {k: Tensor(a.astype(dtype), requires_grad=True) for k, a in arrays.items()}
+            u = T.linear(t["x"], t["w"], t["b"] if bias else None)
+            parts = [T.narrow(u, -1, lo, 4) for lo in (0, 4, 6)]
+            refs = [weakref.ref(a.data) for a in [u, *parts]]
+            z, xs, cin = parts
+            xs = T.reshape(T.reshape(xs, (3, 5, 2, 2)), (3, 5, 4))
+            y = T.concat([T.silu(z) * xs, T.causal_depthwise_conv(cin, t["cw"]) * xs], axis=-1)
+            del u, parts, z, xs, cin
+            freed = [r() is None for r in refs]
+            y.backward(seed)
+            return [y.data] + [v.grad for v in t.values() if v.grad is not None], freed
+
+        got, got_freed = run()
+        with monkeypatch.context() as m:
+            m.setattr(T, "_keep", lambda t: t.data)
+            want, want_freed = run()
+        assert all(got_freed) and not any(want_freed[1:])
+        assert len(got) == len(want) == (5 if bias else 4)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes()
+
+    def test_a_recipe_holds_its_sources_from_its_first_keep_to_its_build(self):
+        rng = np.random.default_rng(7)
+        x, w = randt(rng, (4, 3)), randt(rng, (3, 6))
+        u = T.linear(x, w)
+        z = T.narrow(u, -1, 0, 2)
+        assert u._rebuild.readers == 0                  # nothing keeps z yet
+        y = T.silu(z)
+        assert z._rebuild.readers == 2 and u._rebuild.readers == 1
+        y.backward(np.ones(y.shape))
+        assert z._rebuild.readers == u._rebuild.readers == 0
+        assert z._rebuild.array is None and u._rebuild.array is None
 
 
 class TestExpOverflow:

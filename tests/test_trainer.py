@@ -422,11 +422,13 @@ def traced_step_peak_mb(cfg: ModelConfig, count: int, players: int) -> float:
 
 
 # Bounds on the traced peak of one small training step. Keeping only the arrays
-# backward reads, the step peaks at 28.7 MB (pointnet) and 39.1 MB (ssm, whose
-# silu, mul and ssm_scan nodes rebuild what they can recompute; 51.2 MB when they
-# keep those arrays); a tape whose nodes hold their parent tensors, and so every
-# intermediate result until backward, peaks at 61.5 MB and 99.1 MB.
-STEP_PEAK_MB = {"pointnet": 45.0, "ssm": 45.0}
+# backward reads, the step peaks at 28.2 MB (pointnet) and 31.6 MB (ssm, whose
+# blocks rebuild the slices of their input projection and the conv's padded
+# input as well as what silu, mul and ssm_scan can recompute; 39.1 MB when they
+# keep the slices and the padded input, 51.2 MB when they also keep the rest); a
+# tape whose nodes hold their parent tensors, and so every intermediate result
+# until backward, peaks at 61.5 MB and 99.1 MB.
+STEP_PEAK_MB = {"pointnet": 45.0, "ssm": 37.5}
 
 
 @pytest.mark.parametrize("temporal", sorted(STEP_PEAK_MB))
@@ -440,10 +442,12 @@ def test_training_step_memory_peak(temporal):
 # Bounds on the traced peak of one full-preset training step (N = 11, batch 8,
 # 24 frames, the train_full benchmark shape). pointnet: with each linear keeping
 # a norm output as a recipe that rebuilds it from the norm's xhat, it peaks at
-# 84.8 MB; with the 16 norm outputs kept as arrays, at 94.9 MB. ssm: 110.9 MB,
-# and 144.1 MB when silu, mul and ssm_scan keep what they can rebuild.
+# 82.2 MB; with the 16 norm outputs kept as arrays, at 94.9 MB. ssm: 93.8 MB,
+# 110.9 MB when the blocks keep the slices of their input projection and the
+# conv's padded input, and 144.1 MB when silu, mul and ssm_scan also keep what
+# they can rebuild.
 FULL_STEP_PEAK_MB = 89.5
-FULL_SSM_STEP_PEAK_MB = 127.0
+FULL_SSM_STEP_PEAK_MB = 109.9
 
 
 def full_config(temporal: str) -> ModelConfig:
