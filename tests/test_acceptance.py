@@ -54,8 +54,6 @@ def train_probe_model(overrides: dict, trajectories: np.ndarray):
     return model, hist
 
 
-# A worker's training takes ~20 s on a 2-vCPU VM; this bounds a hung worker.
-PROBE_TIMEOUT_S = 900
 # The variables the common BLAS builds read their thread count from at start-up.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "VECLIB_MAXIMUM_THREADS")
@@ -68,17 +66,19 @@ def probe():
 
     # The small model and its M = 1 twin train side by side, one process each.
     # Spawn, the macOS default, starts the workers alike on every platform. Each
-    # worker gets half the CPUs for its BLAS: two workers that each start a
-    # thread per CPU take ~3x as long on 2 vCPUs as two single-threaded ones.
+    # worker gets half the CPUs for its BLAS, unless one of the BLAS variables
+    # is set already (OpenBLAS reads its own before OMP_NUM_THREADS, so setting
+    # only the unset ones could override the one given): two workers that each
+    # start a thread per CPU take ~3x as long on 2 vCPUs as two single-threaded ones.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with pytest.MonkeyPatch.context() as env:
-        for var in BLAS_THREAD_VARS:
-            env.setenv(var, str(max(1, (cpus or 1) // 2)))
+        if not any(var in os.environ for var in BLAS_THREAD_VARS):
+            for var in BLAS_THREAD_VARS:
+                env.setenv(var, str(max(1, (cpus or 1) // 2)))
         with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
             jobs = [pool.submit(train_probe_model, overrides, train_fs.trajectories)
                     for overrides in ({}, {"num_components": 1})]
-            (full, hist_full), (m1, hist_m1) = (job.result(timeout=PROBE_TIMEOUT_S)
-                                                for job in jobs)
+            (full, hist_full), (m1, hist_m1) = (job.result() for job in jobs)
 
     P = full.config.context_frames
     F = full.config.future_frames

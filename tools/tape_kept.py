@@ -3,18 +3,19 @@
 Run from the repository root, on one training step of a preset and encoder:
 
     python3 tools/tape_kept.py --preset small --temporal ssm
-    python3 tools/tape_kept.py --preset full --temporal pointnet --players 10 --batch 8
+    python3 tools/tape_kept.py --preset full --temporal pointnet
 
-The default shape is the ``train_small_ssm`` benchmark's (N = 5, batch 32,
-24 frames, context 10, M = 8). The tool runs the step's forward pass, then
-walks the graph from the loss without running backward. A node keeps the
-arrays its backward closure reaches: through closure cells, nested functions,
-tuples and lists, and ``tensor._Rebuild`` recipes (their build function and
-their sources), so an array behind a chain of recipes is found too. A kept
-view counts as the array that owns its memory. The model's parameters are
-excluded. Each array is credited once to every op that holds it, so the op
-totals can add up to more than the graph's total, which counts each array
-once.
+Each preset runs at its training benchmark's shape: ``small`` at
+``train_small_ssm``'s (N = 5, batch 32), ``full`` at ``train_full``'s (N = 11,
+batch 8), both with 24 frames, context 10, M = 8 and seed 0. The tool runs the
+step's forward pass, then walks the graph from the loss without running
+backward. A node keeps the arrays its backward closure reaches: through closure
+cells, nested functions, tuples and lists, and ``tensor._Rebuild`` recipes
+(their build function and their sources), so an array behind a chain of
+recipes is found too. A kept view counts as the array that owns its memory.
+The model's parameters are excluded. Each array is credited once to every op
+that holds it, so the op totals can add up to more than the graph's total,
+which counts each array once.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from causaltraj.model import ModelConfig, TrajectoryModel   # noqa: E402
 from causaltraj.trainer import epoch_batches                # noqa: E402
 
 MIB = float(1 << 20)
+TOP = 25                        # largest arrays listed
 
 
 def owner(a: np.ndarray) -> np.ndarray:
@@ -64,7 +66,7 @@ def node_arrays(node: T._Node) -> list[np.ndarray]:
         elif isinstance(obj, T._Rebuild):
             seen.add(id(obj))
             stack.append(obj.build)
-            stack.extend(getattr(obj, "sources", ()))
+            stack.extend(obj.sources)
         elif isinstance(obj, (tuple, list)):
             stack.extend(obj)
         elif callable(obj) and getattr(obj, "__closure__", None):
@@ -104,13 +106,13 @@ def mib(arrays: dict, ids) -> float:
     return sum(arrays[i].nbytes for i in ids) / MIB
 
 
-def report(result: dict, top: int = 25) -> str:
+def report(result: dict) -> str:
     arrays, ops, holders = result["arrays"], result["ops"], result["holders"]
     lines = [f"kept {mib(arrays, arrays):.2f} MiB in {len(arrays)} arrays", "", "per op (MiB):"]
     for name, ids in sorted(ops.items(), key=lambda kv: -mib(arrays, kv[1])):
         lines.append(f"  {name:<20} {mib(arrays, ids):8.2f}  ({len(ids)} arrays)")
     lines += ["", f"largest arrays (of {len(arrays)}):"]
-    for i in sorted(arrays, key=lambda i: -arrays[i].nbytes)[:top]:
+    for i in sorted(arrays, key=lambda i: -arrays[i].nbytes)[:TOP]:
         a = arrays[i]
         held = ", ".join(f"{op} x{n}" if n > 1 else op for op, n in sorted(holders[i].items()))
         shape = "[" + ", ".join(map(str, a.shape)) + "]"
@@ -118,14 +120,19 @@ def report(result: dict, top: int = 25) -> str:
     return "\n".join(lines)
 
 
-def training_step(preset: str, temporal: str, players: int, batch: int, frames: int,
-                  context: int, components: int, seed: int):
+# (players, batch) of each preset's training benchmark; the rest of the shape is shared
+SHAPES = {"small": (4, 32), "full": (10, 8)}
+FRAMES, CONTEXT, COMPONENTS, SEED = 24, 10, 8, 0
+
+
+def training_step(preset: str, temporal: str):
     """The model and the loss of one recorded training step (forward only)."""
-    common = dict(num_agents=players + 1, num_components=components, context_frames=context,
-                  future_frames=frames - context, temporal=temporal, seed=seed)
+    players, batch = SHAPES[preset]
+    common = dict(num_agents=players + 1, num_components=COMPONENTS, context_frames=CONTEXT,
+                  future_frames=FRAMES - CONTEXT, temporal=temporal, seed=SEED)
     cfg = ModelConfig.small(**common) if preset == "small" else ModelConfig(**common)
     model = TrajectoryModel(cfg)
-    ts = synth_forking_play(batch, frames=frames, players=players, seed=seed).trajectories
+    ts = synth_forking_play(batch, frames=FRAMES, players=players, seed=SEED).trajectories
     positions, categories = next(epoch_batches(ts, batch, 0, 0))
     loss, _ = model.loss(positions, categories)
     return model, loss
@@ -133,21 +140,14 @@ def training_step(preset: str, temporal: str, players: int, batch: int, frames: 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--preset", choices=("small", "full"), default="small")
+    ap.add_argument("--preset", choices=tuple(SHAPES), default="small")
     ap.add_argument("--temporal", choices=("pointnet", "ssm"), default="ssm")
-    ap.add_argument("--players", type=int, default=4)
-    ap.add_argument("--batch", type=int, default=32)
-    ap.add_argument("--frames", type=int, default=24)
-    ap.add_argument("--context", type=int, default=10)
-    ap.add_argument("--components", type=int, default=8)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--top", type=int, default=25, help="arrays to list")
     a = ap.parse_args(argv)
-    model, loss = training_step(a.preset, a.temporal, a.players, a.batch, a.frames,
-                                a.context, a.components, a.seed)
-    print(f"{a.preset} {a.temporal}: N = {a.players + 1}, batch {a.batch}, "
-          f"{a.frames} frames, context {a.context}, M = {a.components}")
-    print(report(kept(loss, model.parameters()), a.top))
+    model, loss = training_step(a.preset, a.temporal)
+    players, batch = SHAPES[a.preset]
+    print(f"{a.preset} {a.temporal}: N = {players + 1}, batch {batch}, "
+          f"{FRAMES} frames, context {CONTEXT}, M = {COMPONENTS}")
+    print(report(kept(loss, model.parameters())))
     return 0
 
 
