@@ -152,7 +152,7 @@ def cmd_sample(args) -> int:
     _check_agent_steps(count * args.scenarios * horizon * ts.num_agents,
                        "sample (contexts x scenarios x horizon x agents)",
                        "--limit, --scenarios or --horizon")
-    contexts = ts.agent_major()[:count, :, :P]
+    contexts = ts.positions[:count, :P].transpose(0, 2, 1, 3)     # a view of the sampled contexts
     samples = model.rollout(
         contexts,
         ts.categories.astype(np.int64),

@@ -118,31 +118,39 @@ def write_trajectories(path, ts: TrajectorySet) -> None:
 
 
 def read_trajectories(path) -> TrajectorySet:
+    """Read a container, its payload straight into the positions array.
+
+    Each section's length is checked against the file's size before it is
+    read, so a corrupt count fails before anything is allocated for it.
+    """
     with open(path, "rb") as f:
-        raw = f.read()
-    if not raw.startswith(MAGIC):
-        raise TrajectoryFormatError("bad trajectory magic", offset=0)
-    off = len(MAGIC)
-    if len(raw) < off + 12:
-        raise TrajectoryFormatError("truncated header", offset=off)
-    S, N, Tlen = struct.unpack_from("<III", raw, off)
-    off += 12
-    if len(raw) < off + N:
-        raise TrajectoryFormatError("truncated categories", offset=off)
-    cats = np.frombuffer(raw, dtype="<u1", count=N, offset=off).copy()
-    off += N
-    if len(raw) < off + 4:
-        raise TrajectoryFormatError("truncated frame rate", offset=off)
-    (frame_rate,) = struct.unpack_from("<f", raw, off)
-    off += 4
-    n_vals = S * Tlen * N * 2
-    if len(raw) != off + 4 * n_vals:
-        raise TrajectoryFormatError(
-            f"payload length {len(raw) - off} != expected {4 * n_vals}", offset=off
-        )
-    pos = np.frombuffer(raw, dtype="<f4", count=n_vals, offset=off).reshape(S, Tlen, N, 2)
+        size = os.fstat(f.fileno()).st_size
+        if f.read(len(MAGIC)) != MAGIC:
+            raise TrajectoryFormatError("bad trajectory magic", offset=0)
+        off = len(MAGIC)
+        if size < off + 12:
+            raise TrajectoryFormatError("truncated header", offset=off)
+        S, N, Tlen = struct.unpack("<III", f.read(12))
+        off += 12
+        if size < off + N:
+            raise TrajectoryFormatError("truncated categories", offset=off)
+        cats = np.frombuffer(f.read(N), dtype="<u1").copy()
+        off += N
+        if size < off + 4:
+            raise TrajectoryFormatError("truncated frame rate", offset=off)
+        (frame_rate,) = struct.unpack("<f", f.read(4))
+        off += 4
+        n_vals = S * Tlen * N * 2
+        payload = size - off
+        if payload == 4 * n_vals:
+            pos = np.empty(n_vals, dtype="<f4")
+            payload = f.readinto(pos)       # short only if the file shrank meanwhile
+        if payload != 4 * n_vals:
+            raise TrajectoryFormatError(
+                f"payload length {payload} != expected {4 * n_vals}", offset=off
+            )
     try:
-        return TrajectorySet(pos.copy(), cats, frame_rate)
+        return TrajectorySet(pos.reshape(S, Tlen, N, 2), cats, frame_rate)
     except DataError as e:
         raise TrajectoryFormatError(str(e)) from e
 
@@ -307,7 +315,7 @@ def epoch_batches(
     if batch_size < 1:
         raise DataError("batch_size must be >= 1")
     order = np.random.default_rng([seed, epoch]).permutation(ts.count)
-    agent_major = ts.agent_major()
     for lo in range(0, ts.count, batch_size):
         idx = order[lo: lo + batch_size]
-        yield np.ascontiguousarray(agent_major[idx]), ts.categories.astype(np.int64)
+        batch = np.ascontiguousarray(ts.positions[idx].transpose(0, 2, 1, 3))
+        yield batch, ts.categories.astype(np.int64)

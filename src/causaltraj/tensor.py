@@ -8,14 +8,9 @@ it needs no gradient). A node never holds its output or whole parent tensors,
 and each closure keeps only the arrays and shapes its backward reads, so an
 intermediate result that no backward reads is freed with its ``Tensor``
 during the forward pass. ``gelu``, for one, keeps its slope rather than its
-input, and ``silu`` only its input. A result that can be rebuilt bit for bit
-from what its own node keeps (a ``layer_norm``/``rms_norm`` output from the
-norm's ``xhat``, a ``linear`` output from its input, a ``silu`` output from its
-input, a ``mul`` output from its operands, a ``narrow`` or ``reshape`` of a
-result that has a recipe from that recipe) carries a recipe, and ``linear``,
-``mul``, ``silu``, ``causal_depthwise_conv`` and ``ssm_scan`` keep that recipe
-rather than the array. A recipe may read other recipes, so the slices of one
-``linear`` output are rebuilt from that linear's input.
+input, and ``silu`` only its input. A recorded result may carry a recipe that
+rebuilds its array (see ``Tensor._result``); a backward that reads such a
+result keeps the recipe rather than the array (``_keep``).
 
 ``Tensor.backward`` walks the recorded graph once in reverse topological order
 and accumulates gradients into the ``.grad`` of the leaves (parameters and
@@ -128,9 +123,7 @@ def _take(kept: np.ndarray | _Rebuild) -> np.ndarray:
 class Tensor:
     """A dense array participating in reverse-mode gradient computation."""
 
-    # ``_rebuild``: ``None``, or a ``_Rebuild`` that recomputes ``data`` bit for bit
-    # from what this result's own node already keeps (``_with_affine_rebuild``,
-    # ``linear``, ``silu``, ``mul``, ``narrow``, ``reshape``)
+    # ``_rebuild``: ``None``, or the ``_Rebuild`` that ``_result`` attached
     __slots__ = ("data", "requires_grad", "grad", "_node", "_rebuild", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
@@ -148,7 +141,16 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _result(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
+    def _result(data: np.ndarray, parents: tuple["Tensor", ...], backward,
+                rebuild: tuple | None = None) -> "Tensor":
+        """The op result ``data``, with a node when any of ``parents`` records.
+
+        ``rebuild`` is ``(build, *sources)`` for a ``_Rebuild`` of ``data``,
+        attached only when the node is recorded. An op passes one when its
+        array can be rebuilt bit for bit from arrays its own node keeps and
+        from leaf arrays (parameters, which outlive the graph), so a source is
+        such an array or the recipe a kept operand carries.
+        """
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
@@ -163,6 +165,8 @@ class Tensor:
             if links.count(None) < len(links):
                 out.requires_grad = True
                 out._node = _Node(backward, data.dtype, links)
+                if rebuild is not None:
+                    out._rebuild = _Rebuild(*rebuild)
         return out
 
     @property
@@ -402,10 +406,8 @@ def mul(a, b) -> Tensor:
         return (None if bd is None else _reduce_to(g * _take(bd), sa),
                 None if ad is None else _reduce_to(g * _take(ad), sb))
 
-    out = Tensor._result(out, (a, b), backward)
-    if out._node is not None and ad is not None and bd is not None:
-        out._rebuild = _Rebuild(np.multiply, ad, bd)    # from the two operands its node keeps
-    return out
+    both = ad is not None and bd is not None
+    return Tensor._result(out, (a, b), backward, (np.multiply, ad, bd) if both else None)
 
 
 def div(a, b) -> Tensor:
@@ -572,7 +574,6 @@ def linear_gelu(x, weight, bias=None) -> Tensor:
     are bit-identical to it.
     """
     pre = linear(x, weight, bias)
-    pre._rebuild = None     # its array becomes the GELU's output
     return _gelu_into(pre, pre.data)
 
 
@@ -645,9 +646,7 @@ def silu(a) -> Tensor:
         gx *= slope
         return (gx,)
 
-    out = Tensor._result(out, (a,), backward)
-    out._rebuild = _Rebuild(np.multiply, xk, sig)
-    return out
+    return Tensor._result(out, (a,), backward, (np.multiply, xk, sig))
 
 
 def softplus(a) -> Tensor:
@@ -670,10 +669,8 @@ def reshape(a, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     out = a.data.reshape(shape)
     sa = a.shape
-    out = Tensor._result(out, (a,), lambda g: (g.reshape(sa),))
-    if out._node is not None and a._rebuild is not None:
-        out._rebuild = _Rebuild(lambda y: y.reshape(shape), a._rebuild)
-    return out
+    recipe = None if a._rebuild is None else (lambda y: y.reshape(shape), a._rebuild)
+    return Tensor._result(out, (a,), lambda g: (g.reshape(sa),), recipe)
 
 
 def transpose(a, axes) -> Tensor:
@@ -748,10 +745,8 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
         full[idx] = g
         return (full,)
 
-    out = Tensor._result(out, (a,), backward)
-    if out._node is not None and a._rebuild is not None:
-        out._rebuild = _Rebuild(lambda y: np.ascontiguousarray(y[idx]), a._rebuild)
-    return out
+    recipe = None if a._rebuild is None else (lambda y: np.ascontiguousarray(y[idx]), a._rebuild)
+    return Tensor._result(out, (a,), backward, recipe)
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -860,13 +855,9 @@ def linear(x, weight, bias=None) -> Tensor:
             return gx, gw, gf.sum(axis=0) if need_b else None
         return gx, gw
 
-    out = Tensor._result(out, parents, backward)
-    # from the input its node keeps and a weight and bias that outlive the graph
-    # (parameters: leaves, which no node records)
-    if (out._node is not None and xk is not None and weight._node is None
-            and (bias is None or bias._node is None)):
-        out._rebuild = _Rebuild(affine, xk)
-    return out
+    leaves = weight._node is None and (bias is None or bias._node is None)
+    return Tensor._result(out, parents, backward,
+                          (affine, xk) if xk is not None and leaves else None)
 
 
 def embedding_lookup(table, indices) -> Tensor:
@@ -994,33 +985,21 @@ def softmax_lastdim(a, extra=None, scale: float | None = None) -> Tensor:
     return Tensor._result(out, parents, backward)
 
 
-def _affine_out(xhat: np.ndarray, scratch: np.ndarray, *affine: np.ndarray) -> np.ndarray:
-    """The array ``xhat * gain (+ bias)`` goes into: ``scratch`` unless the affine widens the dtype."""
-    dtype = np.result_type(xhat, *affine)
-    return scratch if scratch.dtype == dtype else np.empty(xhat.shape, dtype)
+def _affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """A norm's ``xhat * gain (+ bias)``, in ``out`` unless the affine widens the dtype.
 
-
-def _with_affine_rebuild(out: Tensor, xhat: np.ndarray, gain: np.ndarray,
-                         bias: np.ndarray | None = None) -> Tensor:
-    """Give a recorded norm output ``xhat * gain (+ bias)`` a recipe for its array.
-
-    The norm's node keeps ``xhat`` anyway, so ``linear`` keeps this recipe in
-    place of the output, and the first of its readers' backwards rebuilds the
-    output with the forward's ufuncs, in its order and dtype: bit-identical,
-    for two elementwise passes. The recipe holds the output's dtype, never the
-    output, so the array is freed with its ``Tensor``.
+    The forward writes into its scratch array; a norm output's recipe calls it
+    again on the ``xhat`` the norm's node keeps, so the rebuilt array has the
+    forward's ufuncs, order and dtype (float64 when grad_check promotes the
+    gain and bias of a float32 input).
     """
-    if out._node is None:
-        return out
-    dtype = out.data.dtype
-
-    def build():
-        y = np.multiply(xhat, gain, out=np.empty(xhat.shape, dtype))
-        if bias is not None:
-            y += bias
-        return y
-
-    out._rebuild = _Rebuild(build)
+    dtype = np.result_type(xhat, gain) if bias is None else np.result_type(xhat, gain, bias)
+    if out is None or out.dtype != dtype:
+        out = np.empty(xhat.shape, dtype)
+    np.multiply(xhat, gain, out=out)
+    if bias is not None:
+        out += bias
     return out
 
 
@@ -1041,8 +1020,7 @@ def layer_norm(x, gain, bias) -> Tensor:
     sq = xhat * xhat
     inv = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + NORM_EPS)
     xhat *= inv
-    out = np.multiply(xhat, gd, out=_affine_out(xhat, sq, gd, bd))
-    out += bd
+    out = _affine(xhat, gd, bd, out=sq)
 
     def backward(g):
         # gx_hat = g * gain
@@ -1058,7 +1036,7 @@ def layer_norm(x, gain, bias) -> Tensor:
         gbias = g.reshape(-1, d).sum(axis=0)
         return gx, ggain, gbias
 
-    return _with_affine_rebuild(Tensor._result(out, (x, gain, bias), backward), xhat, gd, bd)
+    return Tensor._result(out, (x, gain, bias), backward, (_affine, xhat, gd, bd))
 
 
 def rms_norm(x, gain) -> Tensor:
@@ -1075,7 +1053,7 @@ def rms_norm(x, gain) -> Tensor:
     sq = x.data * x.data
     inv = 1.0 / np.sqrt(sq.mean(axis=-1, keepdims=True) + NORM_EPS)
     xhat = x.data * inv
-    out = np.multiply(xhat, gd, out=_affine_out(xhat, sq, gd))
+    out = _affine(xhat, gd, out=sq)
 
     def backward(g):
         # gx = inv * (g * gain - xhat * mean(g * gain * xhat))
@@ -1087,7 +1065,7 @@ def rms_norm(x, gain) -> Tensor:
         ggain = np.multiply(g, xhat, out=t).reshape(-1, d).sum(axis=0)
         return gx, ggain
 
-    return _with_affine_rebuild(Tensor._result(out, (x, gain), backward), xhat, gd)
+    return Tensor._result(out, (x, gain), backward, (_affine, xhat, gd))
 
 
 # -- causal sequence ops -------------------------------------------------------------------

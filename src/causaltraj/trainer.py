@@ -271,7 +271,7 @@ def train(
         if log is not None:
             log(
                 f"epoch {epoch + 1}/{stop} "
-                f"loss {float(np.mean(epoch_losses)):.4f} "
+                f"loss {float(np.mean(epoch_losses)):g} "
                 f"lr {lr:.2e} ({time.time() - t0:.1f}s)"
             )
         if checkpoint_path is not None:

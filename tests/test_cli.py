@@ -9,6 +9,7 @@ import platform
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -204,6 +205,30 @@ def test_sample(pipeline):
     np.testing.assert_array_equal(            # each context's k rows, in order
         pred.positions[:, :4], np.repeat(gt.positions[:8, :4], 3, axis=0)
     )
+
+
+def test_sample_of_one_context_peaks_near_the_container_payload(paths, workdir):
+    # a container whose payload dwarfs the model: reading it takes the payload
+    # once, and only the sampled context is transposed, not every scene
+    gt = data.read_trajectories(paths["data"])
+    rng = np.random.default_rng(4)
+    big = data.TrajectorySet(rng.uniform(0.0, 50.0, (30_000,) + gt.positions.shape[1:])
+                             .astype(np.float32), gt.categories, gt.frame_rate)
+    src, out = workdir / "big.ctrj", workdir / "big-pred.ctrj"
+    data.write_trajectories(src, big)
+    payload = big.positions.nbytes
+    del big
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli("sample", "--model", paths["ckpt"], "--data", str(src),
+                               "--out", str(out), "--scenarios", "3", "--seed", "9",
+                               "--limit", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert data.read_trajectories(out).count == 3
+    assert peak < 1.5 * payload, f"{peak / payload:.2f}x the payload"
 
 
 def test_eval(paths):

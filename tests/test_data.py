@@ -85,6 +85,41 @@ class TestContainer:
         with pytest.raises(TrajectoryFormatError):
             read_trajectories(p)
 
+    def test_a_read_peaks_near_the_payload_size(self, tmp_path):
+        # the payload is read once, into the positions array; the bytes of the
+        # whole file and a copy of them would take 2x
+        ts = small_set(np.random.default_rng(5), S=4000, Tlen=24, N=5)
+        p = tmp_path / "t.ctrj"
+        write_trajectories(p, ts)
+        payload = ts.positions.nbytes
+        tracemalloc.start()
+        try:
+            back = read_trajectories(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.positions.tobytes() == ts.positions.tobytes()
+        assert peak < 1.5 * payload, f"{peak / payload:.2f}x the payload"
+
+    def test_a_corrupt_count_fails_before_it_allocates(self, tmp_path):
+        ts = small_set(np.random.default_rng(6))
+        p = tmp_path / "t.ctrj"
+        write_trajectories(p, ts)
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<I", raw, len(data.MAGIC), 0xFFFF_FFFF)      # scenes: 4e9
+        p.write_bytes(bytes(raw))
+        expected = 4 * 0xFFFF_FFFF * 6 * 4 * 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(TrajectoryFormatError, match=rf"^payload length {3 * 6 * 4 * 2 * 4} "
+                               rf"!= expected {expected}") as e:
+                read_trajectories(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e.value.offset == len(data.MAGIC) + 12 + 4 + 4
+        assert peak < len(raw) + (1 << 16)
+
     def test_failed_write_keeps_old_file(self, tmp_path):
         class Unwritable:
             shape = (3, 6, 4, 2)
@@ -361,6 +396,21 @@ class TestEpochBatches:
         assert pos.shape[1:] == (4, 6, 2)
         assert cats.dtype == np.int64
         assert np.array_equal(cats, ts.categories)
+
+    @pytest.mark.parametrize("seed, epoch, batch_size", [(0, 0, 1), (1, 3, 4), (7, 2, 5), (3, 1, 16)])
+    def test_batches_are_byte_equal_to_slices_of_the_agent_major_copy(self, seed, epoch,
+                                                                     batch_size):
+        ts = small_set(np.random.default_rng(13), S=13)
+        # the reference: one agent-major copy of the whole set, indexed per batch
+        order = np.random.default_rng([seed, epoch]).permutation(ts.count)
+        agent_major = ts.agent_major()
+        want = [np.ascontiguousarray(agent_major[order[lo: lo + batch_size]])
+                for lo in range(0, ts.count, batch_size)]
+        got = [pos for pos, _ in epoch_batches(ts, batch_size, seed=seed, epoch=epoch)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.flags.c_contiguous and g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
     def test_rejects_bad_batch_size(self):
         ts = small_set(np.random.default_rng(12))

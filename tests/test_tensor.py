@@ -723,7 +723,7 @@ class TestNormOutputRebuild:
         ws = [randt(rng, (8, 4)) for _ in range(3)]
         z = self.norm(kind, x, gain, bias)
         recipe, build, builds = z._rebuild, z._rebuild.build, []
-        recipe.build = lambda: builds.append(1) or build()
+        recipe.build = lambda *args: builds.append(1) or build(*args)
         outs = [T.linear(z, w) for w in ws]
         del z
         out = T.concat(outs, axis=-1)
@@ -951,6 +951,52 @@ class TestRecipeChains:
         y.backward(np.ones(y.shape))
         assert z._rebuild.readers == u._rebuild.readers == 0
         assert z._rebuild.array is None and u._rebuild.array is None
+
+
+class TestRecipeRule:
+    """Every op that can carry a recipe: a recorded result carries one that
+    rebuilds its array bit for bit; an unrecorded result carries none."""
+
+    OPS = {
+        "mul": lambda t: T.mul(t(3, 4), t(3, 4)),
+        "silu": lambda t: T.silu(t(3, 4)),
+        "linear": lambda t: T.linear(t(2, 3, 8), t(8, 6), t(6)),
+        "reshape": lambda t: T.reshape(T.linear(t(2, 3, 8), t(8, 6)), (6, 6)),
+        "narrow": lambda t: T.narrow(T.linear(t(2, 3, 8), t(8, 6)), -1, 1, 3),
+        "layer_norm": lambda t: T.layer_norm(t(2, 3, 8), t(8), t(8)),
+        "rms_norm": lambda t: T.rms_norm(t(2, 3, 8), t(8)),
+    }
+
+    @staticmethod
+    def maker(dtype=np.float32, requires_grad=True):
+        rng = np.random.default_rng(8)
+        return lambda *shape: Tensor(rng.normal(size=shape).astype(dtype), requires_grad=requires_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", OPS)
+    def test_a_recorded_result_carries_a_recipe_for_its_array(self, op, dtype):
+        y = self.OPS[op](self.maker(dtype))
+        assert y._node is not None and y._rebuild is not None
+        rebuilt = y._rebuild.keep().take()
+        assert rebuilt.dtype == y.dtype and rebuilt.tobytes() == y.data.tobytes()
+        assert y._rebuild.readers == 0 and y._rebuild.array is None
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_an_unrecorded_result_carries_none(self, op):
+        with T.no_grad():
+            assert self.OPS[op](self.maker())._rebuild is None
+        y = self.OPS[op](self.maker(requires_grad=False))       # no operand records
+        assert y._node is None and y._rebuild is None
+
+    def test_a_recorded_result_its_node_cannot_rebuild_carries_none(self):
+        t = self.maker()
+        x = t(2, 3, 8)
+        assert T.reshape(x, (6, 8))._rebuild is None                  # a leaf has no recipe
+        assert T.narrow(x, -1, 0, 4)._rebuild is None
+        assert T.linear(x, T.mul(t(8, 6), 1.0))._rebuild is None      # a weight no leaf
+        assert T.linear(x, t(8, 6), T.mul(t(6), 1.0))._rebuild is None
+        assert T.linear(x, Tensor(t(8, 6).data))._rebuild is None     # the input is not kept
+        assert T.mul(x, Tensor(x.data))._rebuild is None              # one operand kept
 
 
 class TestExpOverflow:

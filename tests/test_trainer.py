@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import causaltraj
+from causaltraj import tensor as T
 from causaltraj.errors import ConfigError
 from causaltraj.model import ModelConfig, TrajectoryModel, save_checkpoint
 from causaltraj.data import epoch_batches, synth_forking_play
@@ -404,6 +405,22 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(model, data, probe_cfg())
         model.config.context_frames = 4
+
+    def test_the_epoch_log_prints_a_diverged_loss_in_short_form(self, monkeypatch):
+        data = synth_forking_play(8, frames=12, players=2, seed=0).trajectories
+        model = tiny_model()
+        loss_of = model.loss
+
+        def diverged(positions, categories):     # the gradients stay finite
+            loss, stats = loss_of(positions, categories)
+            return T.cast(loss, np.float64) + 1e136, stats
+
+        monkeypatch.setattr(model, "loss", diverged)
+        lines = []
+        history, _ = train(model, data, probe_cfg(epochs=1), log=lines.append)
+        mean = float(np.mean([rec["loss"] for rec in history]))
+        assert mean == 1e136 and len(lines) == 1
+        assert lines[0].split(" loss ")[1].split()[0] == "1e+136"
 
 
 def traced_step_peak_mb(cfg: ModelConfig, count: int, players: int) -> float:

@@ -21,7 +21,8 @@ The grid, one definition for every comparison:
 - history, parameters, AdamW moments and checkpoint bytes after a 2-epoch
   ``train()``;
 - sample-mode and mean-mode rollouts;
-- the CLI's synth, train, sample (both modes) and eval outputs;
+- the CLI's synth, train, sample (both modes), eval and render (with
+  ``--pred``) outputs, and ``info`` on the container and on each checkpoint;
 - several ``synth_forking_play`` sets.
 
 Every entry whose model runs the SSM encoder has ``ssm`` in its name.
@@ -175,6 +176,12 @@ def grid(tiny: bool = False) -> dict[str, str]:
                     pred, file_digest(f"{pred}.meta"), printed)
                 out[f"cli/{temporal}/eval-{mode}"] = digest(
                     run_cli("eval", "--pred", pred, "--gt", d / "s.ctrj"))
+                svg = d / f"cli-{temporal}-{mode}.svg"
+                printed = run_cli("render", "--data", d / "s.ctrj", "--out", svg, "--index", 1,
+                                  "--context", 8, "--pred", pred)
+                out[f"cli/{temporal}/render-{mode}"] = file_digest(svg, printed)
+            out[f"cli/{temporal}/info"] = digest(run_cli("info", ckpt))
+        out["cli/info"] = digest(run_cli("info", d / "s.ctrj"))
 
     # synthetic sets
     for count, frames, players, seed in ((4, 12, 4, 0), (3, 24, 10, 1), (2, 30, 2, 16)):
