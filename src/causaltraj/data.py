@@ -9,6 +9,7 @@ one file share the roster and length.
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import os
 import struct
@@ -125,6 +126,9 @@ def read_trajectories(path) -> TrajectorySet:
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
+        if not f.seekable():        # a pipe reports no size: read it whole
+            raw = f.read()
+            f, size = io.BytesIO(raw), len(raw)
         if f.read(len(MAGIC)) != MAGIC:
             raise TrajectoryFormatError("bad trajectory magic", offset=0)
         off = len(MAGIC)

@@ -1,7 +1,9 @@
 """Trajectory container IO, synthetic play generator, batching."""
 
 import math
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -100,6 +102,25 @@ class TestContainer:
             tracemalloc.stop()
         assert back.positions.tobytes() == ts.positions.tobytes()
         assert peak < 1.5 * payload, f"{peak / payload:.2f}x the payload"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("cut", [None, 20])
+    def test_a_pipe_reads_like_a_file(self, tmp_path, cut):
+        ts = small_set(np.random.default_rng(7))
+        p, pipe = tmp_path / "t.ctrj", tmp_path / "pipe"
+        write_trajectories(p, ts)
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(p.read_bytes()[:cut],))
+        writer.start()
+        try:
+            if cut is None:
+                assert read_trajectories(pipe).positions.tobytes() == ts.positions.tobytes()
+            else:
+                with pytest.raises(TrajectoryFormatError, match="truncated categories") as e:
+                    read_trajectories(pipe)
+                assert e.value.offset == len(data.MAGIC) + 12
+        finally:
+            writer.join()
 
     def test_a_corrupt_count_fails_before_it_allocates(self, tmp_path):
         ts = small_set(np.random.default_rng(6))
