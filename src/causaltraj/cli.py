@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import io
 import json
 import os
 import sys
@@ -20,9 +21,12 @@ from .model import ModelConfig, TrajectoryModel
 from .trainer import keep_freed_heap
 
 
-# The most agent-steps one ``synth`` or ``sample`` run writes. Both peak at ~26-32 bytes
-# per agent-step, ~3 GB at this bound; synth builds one frame at a time, so one scene
-# over a huge roster stays within that too (~27).
+# The most agent-steps one ``synth`` or ``sample`` run writes. synth peaks at ~27 bytes
+# per agent-step, ~3 GB at this bound; it builds one frame at a time, so one scene over
+# a huge roster stays within that too. sample peaks at ~40 (traced, N = 5, 10 context and
+# 14 future frames), ~4 GB at this bound: the rollout's positions, displacements and
+# components, a ScenarioSample per row and the output array. Its rollout runs in chunks
+# of scenario rows, so the working set besides these does not grow with the run.
 MAX_AGENT_STEPS = 100_000_000
 
 
@@ -161,8 +165,11 @@ def cmd_sample(args) -> int:
         seed=args.seed,
         mode=args.mode,
     )
-    prefixes = np.repeat(ts.positions[:count, :P], args.scenarios, axis=0)
-    full = np.concatenate([prefixes, np.stack([s.positions for s in samples])], axis=1)
+    k = args.scenarios
+    full = np.empty((count * k, P + horizon, ts.num_agents, 2), dtype=np.float32)
+    full.reshape(count, k, *full.shape[1:])[:, :, :P] = ts.positions[:count, None, :P]
+    for row, s in zip(full, samples):
+        row[P:] = s.positions
     out_ts = data_mod.TrajectorySet(full, ts.categories, ts.frame_rate)
     data_mod.write_trajectories(args.out, out_ts)
     data_mod.write_sidecar(
@@ -282,16 +289,22 @@ def cmd_render(args) -> int:
 
 
 def cmd_info(args) -> int:
+    # one open: a named pipe yields its bytes to the first reader only
     with open(args.path, "rb") as f:
-        raw = f.read(8)
-    if raw.startswith(data_mod.MAGIC):
-        _print(data_mod.read_trajectories(args.path).describe())
-    elif raw.startswith(model_mod.CHECKPOINT_MAGIC):
-        meta, arrays = model_mod.load_checkpoint(args.path)
-        params = sum(int(np.prod(a.shape)) for n, a in arrays.items() if n.startswith("param/"))
-        _print({"model": meta["model"], "extra": meta["extra"], "parameters": params})
-    else:
-        raise DataError(f"{args.path} is neither a trajectory set nor a checkpoint")
+        if not f.seekable():
+            f = io.BytesIO(f.read())
+        magic = f.read(8)
+        f.seek(0)
+        if magic.startswith(data_mod.MAGIC):
+            result = data_mod.read_trajectories(f).describe()
+        elif magic.startswith(model_mod.CHECKPOINT_MAGIC):
+            meta, arrays = model_mod.load_checkpoint(f)
+            params = sum(int(np.prod(a.shape)) for n, a in arrays.items()
+                         if n.startswith("param/"))
+            result = {"model": meta["model"], "extra": meta["extra"], "parameters": params}
+        else:
+            raise DataError(f"{args.path} is neither a trajectory set nor a checkpoint")
+    _print(result)
     return 0
 
 

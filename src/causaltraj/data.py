@@ -49,7 +49,8 @@ class TrajectorySet:
             raise DataError(f"categories {cats.shape} do not match agent count {pos.shape[2]}")
         if cats.max(initial=0) > CATEGORY_TEAM_B:
             raise DataError("category bytes must be 0 (ball), 1 (team_a), or 2 (team_b)")
-        if not np.isfinite(pos).all():
+        # min and max carry any NaN or inf through, without a temporary of pos's size
+        if not (np.isfinite(pos.min(initial=0.0)) and np.isfinite(pos.max(initial=0.0))):
             raise DataError("positions contain non-finite values")
         rate = float(self.frame_rate)
         if not (math.isfinite(rate) and rate > 0.0):
@@ -118,17 +119,27 @@ def write_trajectories(path, ts: TrajectorySet) -> None:
         f.write(np.ascontiguousarray(ts.positions, dtype="<f4"))   # no bytes copy
 
 
-def read_trajectories(path) -> TrajectorySet:
+def open_binary(source):
+    """A context manager for reading ``source``, a path or an open binary file.
+
+    A path is opened here and closed on exit; a file is used as it is and left
+    open, so a caller can sniff a file's magic and hand on the same handle.
+    """
+    return contextlib.nullcontext(source) if hasattr(source, "read") else open(source, "rb")
+
+
+def read_trajectories(source) -> TrajectorySet:
     """Read a container, its payload straight into the positions array.
 
-    Each section's length is checked against the file's size before it is
-    read, so a corrupt count fails before anything is allocated for it.
+    ``source`` is a path or a binary file, read from its first byte. Each
+    section's length is checked against the file's size before it is read, so
+    a corrupt count fails before anything is allocated for it.
     """
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
+    with open_binary(source) as f:
         if not f.seekable():        # a pipe reports no size: read it whole
-            raw = f.read()
-            f, size = io.BytesIO(raw), len(raw)
+            f = io.BytesIO(f.read())
+        size = f.seek(0, os.SEEK_END)
+        f.seek(0)
         if f.read(len(MAGIC)) != MAGIC:
             raise TrajectoryFormatError("bad trajectory magic", offset=0)
         off = len(MAGIC)

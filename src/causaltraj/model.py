@@ -22,7 +22,7 @@ import numpy as np
 
 from . import mdn
 from . import tensor as T
-from .data import atomic_write
+from .data import atomic_write, open_binary
 from .encoders import SSM_BLOCKS, SSM_CONV_WIDTH, SSM_EXPAND, PointNetEncoder, SSMEncoder
 from .errors import ConfigError, DataError, ShapeError, TrajectoryFormatError
 from .nn import Dense, EmbeddingTable, MLP, Module
@@ -154,6 +154,14 @@ class ModelConfig:
         )
         base.update(overrides)
         return cls(**base)
+
+
+# Scenario rows per chunk of the rollout's horizon loop. Chunks split a call's
+# contexts evenly, so no chunk holds much fewer than half this many rows unless
+# one context has more scenarios. At 640 a small-preset `sample` of 64 contexts
+# x 20 scenarios runs in two chunks at the single batch's speed; at 320 it is
+# ~10% slower, and chunks of 20-60 rows changed the last bits of some scenarios.
+ROLLOUT_ROWS = 640
 
 
 @dataclass
@@ -336,15 +344,25 @@ class TrajectoryModel(Module):
         deterministically.
 
         The scenarios of a context share its prefix and its first step, so the
-        encoder runs over the prefix and the head over step 0 once per context;
-        the encoder state and step 0's mixture parameters are then repeated
-        per scenario. ``incremental=False`` swaps ``temporal.step`` for
-        ``_reencode``, which re-encodes all frames so far: the reference that
-        only tests and perfbench's rollout consistency check use. The encoder
-        step and the head read each frame as one ``frame_features`` array
+        encoder runs over the prefix and the head over step 0 once per context,
+        for all C contexts of the call at once. The steps after that run in
+        chunks of whole contexts, about ``ROLLOUT_ROWS`` scenario rows each, so
+        the working set stops growing with C * k: each chunk repeats only its
+        own contexts' encoder state and step 0's mixture parameters per
+        scenario, builds its own scenarios' generators and writes its rows of
+        the output. A call of at most ``ROLLOUT_ROWS`` rows is one chunk. A
+        chunk never changes a scenario's bits: a step's ops treat each scene
+        row on its own, and a chunk keeps enough rows that BLAS takes the
+        kernels it takes for the whole batch (tests compare chunked and
+        single-batch calls byte for byte).
+        ``incremental=False`` swaps ``temporal.step`` for ``_reencode``, which
+        re-encodes all frames so far: the reference that only tests and
+        perfbench's rollout consistency check use. The encoder step and the
+        head read each frame as one ``frame_features`` array
         f_t [B, N, FRAME_DIM]. In ``mode="mean"`` the scenarios of a context
-        are equal, so the whole rollout runs once per context and its outputs
-        are repeated. Raises ``DataError`` at the first step that yields a
+        are equal, so the whole rollout runs once per context (a chunk holds
+        about ``ROLLOUT_ROWS`` contexts) and its outputs are repeated. Raises
+        ``DataError`` at the first step that yields a
         non-finite position, naming the context, scenario and step.
         """
         cfg = self.config
@@ -365,52 +383,54 @@ class TrajectoryModel(Module):
             raise ShapeError(f"rollout needs >= 1 context of >= 2 frames, got {ctx.shape}")
         k = int(num_scenarios)
         runs = k if mode == "sample" else 1                               # rows per context
-        B = C * runs
         ctx_cat = self._categories(categories, C)
-        cat = np.repeat(ctx_cat, runs, axis=0)                            # [B, N]
 
-        rngs = [
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b // k, b % k)))
-            for b in range(B)
-        ] if mode == "sample" else []
-
-        # prefix and step 0 once per context [C, ...], then per row [B, ...]
+        # prefix and step 0 once per context [C, ...]; the horizon loop per chunk
         feats = frame_features(ctx)                                       # [C, N, P, FRAME_DIM]
         step, state = ((self.temporal.step, self.temporal.init_state(C * N)) if incremental
                        else (self._reencode, []))
         for t in range(P):
             lat_t = step(feats[:, :, t].reshape(C * N, FRAME_DIM), state)
-        state = _repeat_per_context(state, C, runs)
-        lg, mn, ch = (np.repeat(a, runs, axis=0) for a in
-                      self._step_params(lat_t, feats[:, :, P - 1], ctx_cat))
+        step0 = self._step_params(lat_t, feats[:, :, P - 1], ctx_cat)
 
-        f_t = np.repeat(feats[:, :, P - 1], runs, axis=0)                 # [B, N, FRAME_DIM]
-        out_pos = np.empty((B, horizon, N, 2), dtype=np.float32)
-        out_disp = np.empty((B, horizon, N, 2), dtype=np.float32)
-        out_comp = np.empty((B, horizon), dtype=np.int64)
-
-        for u in range(horizon):
-            if u > 0:
-                lat_t = step(f_t.reshape(B * N, FRAME_DIM), state)
-                lg, mn, ch = self._step_params(lat_t, f_t, cat)
-            if mode == "mean":
-                dx, comp = mdn.mode_displacements(lg, mn)
-            else:
-                dx, comp = mdn.sample_displacements(rngs, lg, mn, ch)
-            cur = f_t[..., :2]
-            new_cur = cur + dx
-            finite = np.isfinite(new_cur).all(axis=(1, 2))
-            if not finite.all():
-                ci, si = divmod(int(np.argmin(finite)), runs)
-                raise DataError(
-                    f"rollout produced non-finite positions at context {ci}, "
-                    f"scenario {si}, step {u}"
-                )
-            out_pos[:, u] = new_cur
-            out_disp[:, u] = dx
-            out_comp[:, u] = comp
-            # the velocity is new_cur - cur, which can differ from dx in its last bit
-            f_t = np.concatenate([new_cur, new_cur - cur], axis=-1)
+        out_pos = np.empty((C * runs, horizon, N, 2), dtype=np.float32)
+        out_disp = np.empty((C * runs, horizon, N, 2), dtype=np.float32)
+        out_comp = np.empty((C * runs, horizon), dtype=np.int64)
+        chunks = min(C, -(-C * runs // ROLLOUT_ROWS))
+        for i in range(chunks):
+            lo, hi = C * i // chunks, C * (i + 1) // chunks               # this chunk's contexts
+            rows = slice(lo * runs, hi * runs)
+            B = (hi - lo) * runs
+            rngs = [
+                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=divmod(b, k)))
+                for b in range(rows.start, rows.stop)
+            ] if mode == "sample" else []
+            chunk_state = _repeat_per_context(state, C, runs, slice(lo, hi))
+            lg, mn, ch = (np.repeat(a[lo:hi], runs, axis=0) for a in step0)
+            cat = np.repeat(ctx_cat[lo:hi], runs, axis=0)                 # [B, N]
+            f_t = np.repeat(feats[lo:hi, :, P - 1], runs, axis=0)        # [B, N, FRAME_DIM]
+            for u in range(horizon):
+                if u > 0:
+                    lat_t = step(f_t.reshape(B * N, FRAME_DIM), chunk_state)
+                    lg, mn, ch = self._step_params(lat_t, f_t, cat)
+                if mode == "mean":
+                    dx, comp = mdn.mode_displacements(lg, mn)
+                else:
+                    dx, comp = mdn.sample_displacements(rngs, lg, mn, ch)
+                cur = f_t[..., :2]
+                new_cur = cur + dx
+                finite = np.isfinite(new_cur).all(axis=(1, 2))
+                if not finite.all():
+                    ci, si = divmod(int(np.argmin(finite)), runs)
+                    raise DataError(
+                        f"rollout produced non-finite positions at context {lo + ci}, "
+                        f"scenario {si}, step {u}"
+                    )
+                out_pos[rows, u] = new_cur
+                out_disp[rows, u] = dx
+                out_comp[rows, u] = comp
+                # the velocity is new_cur - cur, which can differ from dx in its last bit
+                f_t = np.concatenate([new_cur, new_cur - cur], axis=-1)
 
         if runs != k:
             out_pos, out_disp, out_comp = (np.repeat(a, k, axis=0) for a in
@@ -427,18 +447,18 @@ class TrajectoryModel(Module):
         ]
 
 
-def _repeat_per_context(state, contexts: int, k: int):
-    """Repeat each context's rows k times in an encoder state.
+def _repeat_per_context(state, contexts: int, k: int, chunk: slice):
+    """Repeat the rows of the contexts in ``chunk`` k times in an encoder state.
 
     ``state`` nests dicts and lists around arrays [contexts * N, ...] whose rows
     are ordered by context, then agent; the result is ordered by context,
-    scenario, agent, as the rollout's B = contexts * k scenes are.
+    scenario, agent, as a rollout chunk's scene rows are.
     """
     if isinstance(state, dict):
-        return {key: _repeat_per_context(v, contexts, k) for key, v in state.items()}
+        return {key: _repeat_per_context(v, contexts, k, chunk) for key, v in state.items()}
     if isinstance(state, list):
-        return [_repeat_per_context(v, contexts, k) for v in state]
-    rows = state.reshape(contexts, -1, *state.shape[1:])
+        return [_repeat_per_context(v, contexts, k, chunk) for v in state]
+    rows = state.reshape(contexts, -1, *state.shape[1:])[chunk]
     return np.repeat(rows, k, axis=0).reshape(-1, *state.shape[1:])
 
 
@@ -492,14 +512,15 @@ def save_checkpoint(
             f.write(data)     # through the buffer protocol, without a bytes copy
 
 
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+def load_checkpoint(source) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a ``save_checkpoint`` file: (header dict, float32 arrays by name).
 
-    The arrays are read-only little-endian views of their own slices of the
-    file's bytes; ``Module.load_state_arrays`` and ``AdamW.load_state_arrays``
-    copy them.
+    ``source`` is a path or a binary file standing at its first byte. The
+    arrays are read-only little-endian views of their own slices of the file's
+    bytes; ``Module.load_state_arrays`` and ``AdamW.load_state_arrays`` copy
+    them.
     """
-    with open(path, "rb") as f:
+    with open_binary(source) as f:
         raw = f.read()
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise TrajectoryFormatError("bad checkpoint magic", offset=0)

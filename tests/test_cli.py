@@ -9,6 +9,7 @@ import platform
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -231,6 +232,28 @@ def test_sample_of_one_context_peaks_near_the_container_payload(paths, workdir):
     assert peak < 1.5 * payload, f"{peak / payload:.2f}x the payload"
 
 
+# Bound on the traced peak of `sample` per agent-step written, at 24 contexts x
+# 100 scenarios x 8 steps x 3 agents (4 context frames). It reads ~115 B: the
+# rollout's outputs, one ScenarioSample per row, the output array and one chunk's
+# working set. With the rollout in one batch of 2,400 rows and the output built by
+# repeat, stack and concatenate, it read ~294 B.
+SAMPLE_PEAK_BYTES_PER_AGENT_STEP = 150
+
+
+def test_sample_peaks_with_its_output_not_its_rows(paths, workdir):
+    out = workdir / "many-pred.ctrj"
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli("sample", "--model", paths["ckpt"], "--data", paths["data"],
+                               "--out", str(out), "--scenarios", "100", "--seed", "9")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    per_step = peak / (24 * 100 * 8 * 3)
+    assert per_step <= SAMPLE_PEAK_BYTES_PER_AGENT_STEP, f"{per_step:.1f} B"
+
+
 def test_eval(paths):
     code, out, _ = run_cli("eval", "--pred", paths["pred"], "--gt", paths["data"])
     assert code == 0
@@ -250,13 +273,13 @@ def test_eval(paths):
     assert meters["horizon"] == 4
 
 
-def run_python(*argv, stdout=subprocess.PIPE):
+def run_python(*argv, stdout=subprocess.PIPE, timeout=120):
     """Run a fresh interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=timeout)
 
 
 # Two in-process sample passes; prints the minor faults of each and how often
@@ -524,6 +547,26 @@ def test_info_on_both_artifacts(paths):
     info = json.loads(out)
     assert info["model"]["num_agents"] == 3
     assert info["parameters"] > 0
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("artifact", ["data", "ckpt"])
+def test_info_reads_a_named_pipe_like_the_file(paths, tmp_path, artifact):
+    # info opens its input once: a second open of a named pipe would wait for a
+    # writer that has already gone
+    probe = "import sys; from causaltraj import cli; sys.exit(cli.entrypoint(sys.argv[1:]))"
+    want = run_python("-c", probe, "info", paths[artifact])
+    assert want.returncode == 0, want.stderr
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=(pathlib.Path(paths[artifact]).read_bytes(),), daemon=True)
+    writer.start()
+    got = run_python("-c", probe, "info", str(fifo), timeout=20)
+    writer.join(timeout=20)
+    assert not writer.is_alive()
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == want.stdout
 
 
 def test_info_on_a_checkpoint_without_extra(paths, workdir):

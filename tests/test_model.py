@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from causaltraj import mdn
+from causaltraj import model as model_mod
 from causaltraj import tensor as T
 from causaltraj.errors import ConfigError, DataError, ShapeError, TrajectoryFormatError
 from causaltraj.model import (
@@ -450,24 +451,59 @@ def reference_rollout(model, contexts, categories, horizon, num_scenarios, seed,
     return out_pos, out_disp, out_comp
 
 
+def count_chunks(monkeypatch, rows: int) -> list:
+    """Set ``ROLLOUT_ROWS`` to rows; returns a list that gains each rollout chunk's contexts.
+
+    Each chunk repeats its slice of the encoder state, through nested calls
+    that all see the same slice; consecutive chunks' slices differ.
+    """
+    chunks = []
+    repeat = model_mod._repeat_per_context
+
+    def spy(state, contexts, k, chunk):
+        if not chunks or chunks[-1] != chunk:
+            chunks.append(chunk)
+        return repeat(state, contexts, k, chunk)
+
+    monkeypatch.setattr(model_mod, "ROLLOUT_ROWS", rows)
+    monkeypatch.setattr(model_mod, "_repeat_per_context", spy)
+    return chunks
+
+
+# 2 rows: 3 contexts x 1 row split 1 + 2, x 4 rows one context per chunk;
+# 7 rows: 3 x 1 in one chunk, 3 x 4 split 1 + 2
+@pytest.mark.parametrize("rows", [model_mod.ROLLOUT_ROWS, 2, 7])
 @pytest.mark.parametrize("mode", ["sample", "mean"])
 @pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "recompute"])
 @pytest.mark.parametrize("kind", ["pointnet", "ssm"])
-def test_rollout_matches_per_scene_reference(kind, incremental, mode):
-    # the prefix and step 0 run once per context and are repeated per scenario;
-    # every output byte must equal the loop that ran them per scene row
+def test_rollout_matches_per_scene_reference(kind, incremental, mode, rows, monkeypatch):
+    # the prefix and step 0 run once per context and are repeated per scenario,
+    # and the later steps run in chunks of contexts; every output byte must equal
+    # the loop that ran them all per scene row, in one batch
     model = state_dependent(TrajectoryModel(tiny_config(temporal=kind)))
     rng = np.random.default_rng(23)
     ctx, cats = scenes(rng, B=3, N=3, Tlen=4)
     per_context = rng.integers(0, 3, size=(3, 3))
+    chunks = count_chunks(monkeypatch, rows)
     for categories in (cats, per_context):
         for k in (1, 4):
+            chunks.clear()
             got = model.rollout(ctx, categories, horizon=5, num_scenarios=k, seed=8,
                                 mode=mode, incremental=incremental)
+            runs = k if mode == "sample" else 1
+            assert len(chunks) == min(3, -(-3 * runs // rows))
             want = reference_rollout(model, ctx, categories, 5, k, 8, mode, incremental)
             for field, ref in zip(("positions", "displacements", "components"), want):
                 arr = np.stack([getattr(s, field) for s in got])
                 assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes(), (field, k)
+
+
+def test_rollout_chunks_split_the_contexts_evenly(monkeypatch):
+    model = TrajectoryModel(tiny_config())
+    ctx, cats = scenes(np.random.default_rng(26), B=7, N=3, Tlen=4)
+    chunks = count_chunks(monkeypatch, 10)
+    model.rollout(ctx, cats, horizon=2, num_scenarios=4)          # 28 rows: 3 chunks
+    assert [(c.start, c.stop) for c in chunks] == [(0, 2), (2, 4), (4, 7)]
 
 
 def test_rollout_raises_at_the_diverging_step():
@@ -484,12 +520,46 @@ def test_rollout_raises_at_the_diverging_step():
             model.rollout(ctx, cats, horizon=4, num_scenarios=2, mode=mode)
 
 
+def test_rollout_names_the_global_context_of_a_later_chunk(monkeypatch):
+    model = TrajectoryModel(tiny_config())
+    ctx, cats = scenes(np.random.default_rng(24), B=3, N=3, Tlen=4)
+    ctx[2, 1, -1] = np.inf                      # context 2: row 1 of the chunk [1, 3)
+    chunks = count_chunks(monkeypatch, 4)
+    for mode, k in (("sample", 2), ("mean", 4)):
+        monkeypatch.setattr(model_mod, "ROLLOUT_ROWS", 4 if mode == "sample" else 2)
+        chunks.clear()
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(DataError, match="context 2, scenario 0, step 0"):
+            model.rollout(ctx, cats, horizon=4, num_scenarios=k, mode=mode)
+        assert [(c.start, c.stop) for c in chunks] == [(0, 1), (1, 3)]
+
+
 # Bound on the traced peak of one small-preset rollout of 16 contexts x 20
 # scenarios (320 rows). With the attention temporaries freed before each
 # feedforward and the GELU written over its linear's output, it peaks at
 # 3.94 MB; when they stay alive through the feedforward and the GELU takes a
 # second array, at 5.61 MB.
 ROLLOUT_PEAK_MB = 4.7
+
+
+# Bound on the traced peak of a small-preset rollout of 128 contexts x 20
+# scenarios (2,560 rows, 3 steps). Run in four chunks of 640 rows it peaks at
+# 7.8 MB; as one batch of 2,560 rows, at 27.1 MB.
+CHUNKED_ROLLOUT_PEAK_MB = 12.0
+
+
+def test_a_chunked_rollout_peaks_with_the_chunk_not_the_call():
+    model = TrajectoryModel(ModelConfig.small(seed=0))
+    ctx, _ = scenes(np.random.default_rng(25), B=128, N=5, Tlen=8)
+    cats = np.array([0, 1, 1, 2, 2], dtype=np.int64)
+    model.rollout(ctx[:1], cats, horizon=2, num_scenarios=2)
+    tracemalloc.start()
+    try:
+        model.rollout(ctx, cats, horizon=3, num_scenarios=20)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < CHUNKED_ROLLOUT_PEAK_MB, f"{peak_mb:.2f} MB"
 
 
 def test_rollout_memory_peak():

@@ -20,13 +20,17 @@ The grid, one definition for every comparison:
 - float64 loss and gradients, and a ``grad_check`` result, on the small preset;
 - history, parameters, AdamW moments and checkpoint bytes after a 2-epoch
   ``train()``;
-- sample-mode and mean-mode rollouts;
-- the CLI's synth, train, sample (both modes), eval and render (with
-  ``--pred``) outputs, and ``info`` on the container and on each checkpoint;
+- sample-mode and mean-mode rollouts, and rollouts of more rows than one
+  chunk of ``model.ROLLOUT_ROWS``: 768 sample rows, and 704 contexts in mean
+  mode;
+- the CLI's synth, train, sample (both modes, and one of 768 rows, more than
+  one chunk), eval and render (with ``--pred``) outputs, and ``info`` on the
+  container and on each checkpoint;
 - several ``synth_forking_play`` sets.
 
 Every entry whose model runs the SSM encoder has ``ssm`` in its name.
-``--tiny`` drops the full preset and shrinks every size, for tests and CI.
+``--tiny`` drops the full preset and the 704-context mean rollout and shrinks
+every other size, for tests and CI.
 """
 
 from __future__ import annotations
@@ -118,6 +122,12 @@ def grid(tiny: bool = False) -> dict[str, str]:
                                  players=4, seed=6).trajectories
     contexts = ts.agent_major()[:2 if tiny else 4, :, :8]
     cats = ts.categories.astype(np.int64)
+    # more rows than one chunk of model.ROLLOUT_ROWS: 768 sample rows, and in the
+    # full grid 704 mean rows (a mean rollout runs one row per context)
+    chunked = {"sample": (ts.agent_major()[:, :, :8], 768 // ts.count)}
+    if not tiny:
+        many = data.synth_forking_play(704, frames=12, players=4, seed=17).trajectories
+        chunked["mean"] = (many.agent_major()[:, :, :8], 2)
     with tempfile.TemporaryDirectory(prefix="identity-grid-") as tmp:
         for temporal in temporals:
             m = make_model("small", temporal, context_frames=8, future_frames=4, seed=7)
@@ -134,6 +144,11 @@ def grid(tiny: bool = False) -> dict[str, str]:
                 samples = m.rollout(contexts, cats, horizon=3 if tiny else 6,
                                     num_scenarios=2 if tiny else 3, seed=9, mode=mode)
                 out[f"rollout/small/{temporal}/{mode}"] = digest(*(
+                    x for s in samples for x in (s.positions, s.displacements, s.components)))
+            for mode, (chunked_contexts, k) in chunked.items():
+                samples = m.rollout(chunked_contexts, cats, horizon=2 if tiny else 4,
+                                    num_scenarios=k, seed=18, mode=mode)
+                out[f"rollout/chunks/{temporal}/{mode}"] = digest(*(
                     x for s in samples for x in (s.positions, s.displacements, s.components)))
         if not tiny:
             ts_full = data.synth_forking_play(2, frames=12, players=10, seed=10).trajectories
@@ -180,6 +195,13 @@ def grid(tiny: bool = False) -> dict[str, str]:
                 printed = run_cli("render", "--data", d / "s.ctrj", "--out", svg, "--index", 1,
                                   "--context", 8, "--pred", pred)
                 out[f"cli/{temporal}/render-{mode}"] = file_digest(svg, printed)
+            # every context x 96 or 48 scenarios: 768 rows, over model.ROLLOUT_ROWS
+            pred = d / f"cli-{temporal}-chunks.ctrj"
+            printed = run_cli("sample", "--model", ckpt, "--data", d / "s.ctrj", "--out", pred,
+                              "--scenarios", 96 if tiny else 48, "--horizon", 2 if tiny else 8,
+                              "--seed", 16)
+            out[f"cli/{temporal}/sample-chunks"] = file_digest(
+                pred, file_digest(f"{pred}.meta"), printed)
             out[f"cli/{temporal}/info"] = digest(run_cli("info", ckpt))
         out["cli/info"] = digest(run_cli("info", d / "s.ctrj"))
 
