@@ -525,8 +525,8 @@ def test_rollout_names_the_global_context_of_a_later_chunk(monkeypatch):
     ctx, cats = scenes(np.random.default_rng(24), B=3, N=3, Tlen=4)
     ctx[2, 1, -1] = np.inf                      # context 2: row 1 of the chunk [1, 3)
     chunks = count_chunks(monkeypatch, 4)
-    for mode, k in (("sample", 2), ("mean", 4)):
-        monkeypatch.setattr(model_mod, "ROLLOUT_ROWS", 4 if mode == "sample" else 2)
+    for mode, k, rows in (("sample", 2, 4), ("mean", 4, 2)):       # 6 and 3 rows
+        monkeypatch.setattr(model_mod, "ROLLOUT_ROWS", rows)
         chunks.clear()
         with np.errstate(invalid="ignore"), \
                 pytest.raises(DataError, match="context 2, scenario 0, step 0"):
@@ -534,46 +534,29 @@ def test_rollout_names_the_global_context_of_a_later_chunk(monkeypatch):
         assert [(c.start, c.stop) for c in chunks] == [(0, 1), (1, 3)]
 
 
-# Bound on the traced peak of one small-preset rollout of 16 contexts x 20
-# scenarios (320 rows). With the attention temporaries freed before each
-# feedforward and the GELU written over its linear's output, it peaks at
-# 3.94 MB; when they stay alive through the feedforward and the GELU takes a
-# second array, at 5.61 MB.
-ROLLOUT_PEAK_MB = 4.7
-
-
-# Bound on the traced peak of a small-preset rollout of 128 contexts x 20
-# scenarios (2,560 rows, 3 steps). Run in four chunks of 640 rows it peaks at
-# 7.8 MB; as one batch of 2,560 rows, at 27.1 MB.
-CHUNKED_ROLLOUT_PEAK_MB = 12.0
-
-
-def test_a_chunked_rollout_peaks_with_the_chunk_not_the_call():
-    model = TrajectoryModel(ModelConfig.small(seed=0))
-    ctx, _ = scenes(np.random.default_rng(25), B=128, N=5, Tlen=8)
-    cats = np.array([0, 1, 1, 2, 2], dtype=np.int64)
-    model.rollout(ctx[:1], cats, horizon=2, num_scenarios=2)
-    tracemalloc.start()
-    try:
-        model.rollout(ctx, cats, horizon=3, num_scenarios=20)
-        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-    assert peak_mb < CHUNKED_ROLLOUT_PEAK_MB, f"{peak_mb:.2f} MB"
+# Bounds on the traced peak of one small-preset rollout of C contexts x 20
+# scenarios, 3 steps, by C. At 16 contexts (320 rows, one chunk), with the
+# attention temporaries freed before each feedforward and the GELU written over
+# its linear's output, it peaks at 3.94 MB; when they stay alive through the
+# feedforward and the GELU takes a second array, at 5.61 MB. At 128 contexts
+# (2,560 rows) run in four chunks of 640 rows it peaks at 7.8 MB; as one batch
+# of 2,560 rows, at 27.1 MB.
+ROLLOUT_PEAK_MB = {16: 4.7, 128: 12.0}
 
 
 def test_rollout_memory_peak():
     model = TrajectoryModel(ModelConfig.small(seed=0))
-    ctx, _ = scenes(np.random.default_rng(25), B=16, N=5, Tlen=8)
+    ctx, _ = scenes(np.random.default_rng(25), B=max(ROLLOUT_PEAK_MB), N=5, Tlen=8)
     cats = np.array([0, 1, 1, 2, 2], dtype=np.int64)
     model.rollout(ctx[:1], cats, horizon=2, num_scenarios=2)
-    tracemalloc.start()
-    try:
-        model.rollout(ctx, cats, horizon=3, num_scenarios=20)
-        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-    assert peak_mb < ROLLOUT_PEAK_MB, f"{peak_mb:.2f} MB"
+    for contexts, bound in ROLLOUT_PEAK_MB.items():
+        tracemalloc.start()
+        try:
+            model.rollout(ctx[:contexts], cats, horizon=3, num_scenarios=20)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < bound, f"{contexts} contexts: {peak_mb:.2f} MB"
 
 
 class TestConstantVelocity:
