@@ -26,7 +26,9 @@ from .trainer import keep_freed_heap
 # a huge roster stays within that too. sample peaks at ~40 (traced, N = 5, 10 context and
 # 14 future frames), ~4 GB at this bound: the rollout's positions, displacements and
 # components, a ScenarioSample per row and the output array. Its rollout runs in chunks
-# of scenario rows, so the working set besides these does not grow with the run.
+# of scenario rows, one at a time or two at a time on two threads, with ~640 rows in
+# flight either way, so the working set besides these does not grow with the run
+# (~44 bytes per agent-step at 256 contexts x 20 scenarios on two threads, ~40 at 1,024).
 MAX_AGENT_STEPS = 100_000_000
 
 

@@ -181,9 +181,10 @@ def sample_displacements(
         )
     u = np.empty(lead)
     eps = np.empty(lead + np.shape(means)[-2:])
+    rest = lead[1:] or None                  # a row's uniforms; one float for 1-D logits
     for r, g in enumerate(rngs):
-        g.random(out=u[r: r + 1])
-        g.standard_normal(out=eps[r: r + 1])
+        u[r] = g.random(rest)
+        g.standard_normal(out=eps[r])
     m = components_from_uniforms(logits, u)
     return displacements_from_normals(means, chol_params, m, eps), m
 

@@ -14,8 +14,11 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 import struct
+import threading
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,12 +159,41 @@ class ModelConfig:
         return cls(**base)
 
 
-# Scenario rows per chunk of the rollout's horizon loop. Chunks split a call's
-# contexts evenly, so no chunk holds much fewer than half this many rows unless
-# one context has more scenarios. At 640 a small-preset `sample` of 64 contexts
-# x 20 scenarios runs in two chunks at the single batch's speed; at 320 it is
-# ~10% slower, and chunks of 20-60 rows changed the last bits of some scenarios.
+# Scenario rows in flight in the rollout's horizon loop. Chunks split a call's
+# contexts evenly; run one at a time, a chunk holds about this many rows, and run
+# W at a time on W threads, about ROLLOUT_ROWS / W each. So no chunk holds much
+# fewer than half its share unless one context has more scenarios. At 640 a
+# small-preset `sample` of 64 contexts x 20 scenarios runs in two serial chunks at
+# the single batch's speed, or in four of 320 two at a time; serial chunks of 320
+# are 7-10% slower, and chunks of 20-60 rows changed the last bits of some
+# scenarios (80 or more kept every bit).
 ROLLOUT_ROWS = 640
+# The most threads that run horizon-loop chunks at once. numpy's ufuncs and BLAS
+# release the GIL while they compute, so two chunks overlap; the sampler's Python
+# loop and the op dispatch between them do not.
+ROLLOUT_THREADS = 2
+# The variables the common BLAS builds read their thread count from at start-up,
+# OpenBLAS's first. With none of them set, BLAS starts a thread per CPU.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS")
+
+
+def _rollout_threads() -> int:
+    """``ROLLOUT_THREADS``, or fewer, so that each runs its BLAS calls on CPUs of its own.
+
+    That is the CPUs the process may use divided by BLAS's threads, as the
+    first of ``BLAS_THREAD_VARS`` that is set gives them. BLAS's threads spin
+    while they wait for work: on 2 vCPUs a small-preset rollout of 64 contexts
+    x 20 scenarios on two threads over a two-thread OpenBLAS took 1.8x as long
+    as on one, and OpenBLAS's second thread gave the one-thread rollout nothing.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:                 # not on every platform
+        cpus = os.cpu_count() or 1
+    counts = (os.environ.get(var, "").strip() for var in BLAS_THREAD_VARS)
+    blas = next((int(v) for v in counts if v.isdigit() and int(v) > 0), cpus)
+    return max(1, min(ROLLOUT_THREADS, cpus // blas))
 
 
 @dataclass
@@ -346,15 +378,23 @@ class TrajectoryModel(Module):
         The scenarios of a context share its prefix and its first step, so the
         encoder runs over the prefix and the head over step 0 once per context,
         for all C contexts of the call at once. The steps after that run in
-        chunks of whole contexts, about ``ROLLOUT_ROWS`` scenario rows each, so
-        the working set stops growing with C * k: each chunk repeats only its
-        own contexts' encoder state and step 0's mixture parameters per
-        scenario, builds its own scenarios' generators and writes its rows of
-        the output. A call of at most ``ROLLOUT_ROWS`` rows is one chunk. A
-        chunk never changes a scenario's bits: a step's ops treat each scene
-        row on its own, and a chunk keeps enough rows that BLAS takes the
-        kernels it takes for the whole batch (tests compare chunked and
-        single-batch calls byte for byte).
+        chunks of whole contexts, with about ``ROLLOUT_ROWS`` scenario rows in
+        flight, so the working set stops growing with C * k: each chunk
+        repeats only its own contexts' encoder state and step 0's mixture
+        parameters per scenario, builds its own scenarios' generators and
+        writes its rows of the output. A call of at most ``ROLLOUT_ROWS`` rows
+        is one chunk. A call of more runs its chunks on W = min(
+        ``ROLLOUT_THREADS`` = 2, the CPUs the process may use per BLAS thread)
+        threads (``_rollout_threads``), in chunks of about ``ROLLOUT_ROWS / W`` rows
+        taken in order, with one ``no_grad`` held by the caller around them;
+        with W = 1 (one CPU, or BLAS on every CPU, its default) the chunks
+        run one after another, of about ``ROLLOUT_ROWS`` rows. A chunk that raises stops the chunks after it at
+        their next step, and the call raises what the serial loop would: the
+        error of the first failing chunk in order. A chunk never changes a
+        scenario's bits: a step's ops treat each scene row on its own, and a
+        chunk keeps enough rows that BLAS takes the kernels it takes for the
+        whole batch (tests compare chunked, threaded and single-batch calls
+        byte for byte).
         ``incremental=False`` swaps ``temporal.step`` for ``_reencode``, which
         re-encodes all frames so far: the reference that only tests and
         perfbench's rollout consistency check use. The encoder step and the
@@ -397,7 +437,17 @@ class TrajectoryModel(Module):
         out_disp = np.empty((C * runs, horizon, N, 2), dtype=np.float32)
         out_comp = np.empty((C * runs, horizon), dtype=np.int64)
         chunks = min(C, -(-C * runs // ROLLOUT_ROWS))
-        for i in range(chunks):
+        workers = min(_rollout_threads(), chunks)
+        if workers > 1:                       # W chunks in flight of ~ROLLOUT_ROWS / W rows
+            chunks = min(C, -(-C * runs * workers // ROLLOUT_ROWS))
+        # chunks after this index stop at their next step: an earlier one failed
+        # (its error is the one the serial loop raises), or the caller was interrupted
+        first_failed = chunks
+        failed_lock = threading.Lock()
+
+        def run_chunk(i: int) -> None:
+            if i > first_failed:
+                return
             lo, hi = C * i // chunks, C * (i + 1) // chunks               # this chunk's contexts
             rows = slice(lo * runs, hi * runs)
             B = (hi - lo) * runs
@@ -411,6 +461,8 @@ class TrajectoryModel(Module):
             f_t = np.repeat(feats[lo:hi, :, P - 1], runs, axis=0)        # [B, N, FRAME_DIM]
             for u in range(horizon):
                 if u > 0:
+                    if i > first_failed:
+                        return
                     lat_t = step(f_t.reshape(B * N, FRAME_DIM), chunk_state)
                     lg, mn, ch = self._step_params(lat_t, f_t, cat)
                 if mode == "mean":
@@ -431,6 +483,36 @@ class TrajectoryModel(Module):
                 out_comp[rows, u] = comp
                 # the velocity is new_cur - cur, which can differ from dx in its last bit
                 f_t = np.concatenate([new_cur, new_cur - cur], axis=-1)
+
+        def stop_after(i: int) -> None:
+            nonlocal first_failed
+            with failed_lock:
+                first_failed = min(first_failed, i)
+
+        def run_threaded_chunk(i: int) -> None:
+            try:
+                run_chunk(i)
+            except BaseException:
+                stop_after(i)
+                raise
+
+        # one no_grad for every worker: nested ones on two threads could restore
+        # each other's flag to True mid-step
+        with T.no_grad():
+            if workers == 1:
+                for i in range(chunks):
+                    run_chunk(i)
+            else:
+                pool = ThreadPoolExecutor(workers, thread_name_prefix="rollout")
+                try:
+                    futures = [pool.submit(run_threaded_chunk, i) for i in range(chunks)]
+                    for f in futures:         # in order: the first failing chunk raises
+                        f.result()
+                except BaseException:
+                    stop_after(-1)
+                    raise
+                finally:
+                    pool.shutdown(cancel_futures=True)
 
         if runs != k:
             out_pos, out_disp, out_comp = (np.repeat(a, k, axis=0) for a in

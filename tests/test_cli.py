@@ -298,17 +298,32 @@ print(json.dumps({"faults": faults, "kept": cli.keep_freed_heap(),
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
-def test_repeated_sample_passes_reuse_freed_heap(tmp_path):
-    # glibc's default thresholds refault ~12k pages on the second pass here
+def sample_passes(tmp_path, contexts: int) -> dict:
+    """FAULT_PROBE's report for ``sample`` of contexts x 20 scenarios, 8 steps."""
     held, ckpt = str(tmp_path / "held.ctrj"), str(tmp_path / "model.ckpt")
-    data.write_trajectories(held, data.synth_forking_play(24, frames=12, players=2).trajectories)
+    data.write_trajectories(
+        held, data.synth_forking_play(contexts, frames=12, players=2).trajectories)
     save_checkpoint(ckpt, TrajectoryModel(ModelConfig.small(
         num_agents=3, num_components=2, context_frames=4, future_frames=8)))
     proc = run_python("-c", FAULT_PROBE, "sample", "--model", ckpt, "--data", held,
                       "--out", str(tmp_path / "pred.ctrj"), "--scenarios", "20")
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_repeated_sample_passes_reuse_freed_heap(tmp_path):
+    # glibc's default thresholds refault ~12k pages on the second pass here
+    report = sample_passes(tmp_path, 24)
+    assert report["kept"] and report["runs"] == 1
+    assert report["faults"][1] < 2000, report["faults"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_threaded_sample_passes_reuse_freed_heap(tmp_path):
+    # 48 contexts x 20 scenarios run their chunks on two threads where two CPUs
+    # are free; both threads allocate from the one arena (~100 faults here)
+    report = sample_passes(tmp_path, 48)
     assert report["kept"] and report["runs"] == 1
     assert report["faults"][1] < 2000, report["faults"]
 

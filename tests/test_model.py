@@ -3,7 +3,11 @@
 import dataclasses
 import json
 import math
+import signal
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -451,59 +455,100 @@ def reference_rollout(model, contexts, categories, horizon, num_scenarios, seed,
     return out_pos, out_disp, out_comp
 
 
-def count_chunks(monkeypatch, rows: int) -> list:
-    """Set ``ROLLOUT_ROWS`` to rows; returns a list that gains each rollout chunk's contexts.
+def count_chunks(monkeypatch, rows: int, workers: int) -> list:
+    """Set ``ROLLOUT_ROWS`` to rows and the rollout's threads to workers; returns a
+    list that gains each rollout chunk's contexts as (start, stop).
 
     Each chunk repeats its slice of the encoder state, through nested calls
-    that all see the same slice; consecutive chunks' slices differ.
+    that all see the same slice, and no two chunks share a slice; chunks on
+    two threads record in either order, so compare the list sorted.
     """
     chunks = []
+    lock = threading.Lock()
     repeat = model_mod._repeat_per_context
 
     def spy(state, contexts, k, chunk):
-        if not chunks or chunks[-1] != chunk:
-            chunks.append(chunk)
+        with lock:
+            if (chunk.start, chunk.stop) not in chunks:
+                chunks.append((chunk.start, chunk.stop))
         return repeat(state, contexts, k, chunk)
 
     monkeypatch.setattr(model_mod, "ROLLOUT_ROWS", rows)
+    monkeypatch.setattr(model_mod, "_rollout_threads", lambda: workers)
     monkeypatch.setattr(model_mod, "_repeat_per_context", spy)
     return chunks
 
 
+@pytest.mark.parametrize("cpus, env, threads", [
+    (2, {}, 1),                                          # BLAS on both CPUs, its default
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+    (2, {"OMP_NUM_THREADS": "1"}, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),   # OpenBLAS's own first
+    (2, {"OPENBLAS_NUM_THREADS": "", "MKL_NUM_THREADS": "1"}, 2),    # an empty one is unset
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    (8, {"OPENBLAS_NUM_THREADS": "1"}, 2),               # at most ROLLOUT_THREADS
+    (8, {"OPENBLAS_NUM_THREADS": "4"}, 2),
+    (8, {"OPENBLAS_NUM_THREADS": "6"}, 1),
+])
+def test_rollout_threads_leave_each_blas_thread_a_cpu(cpus, env, threads, monkeypatch):
+    for var in model_mod.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(model_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert model_mod._rollout_threads() == threads
+
+
+def expected_chunks(contexts: int, rows_per_context: int, rows: int, workers: int) -> int:
+    """Serial chunks of ~rows rows; with more than one, ~rows/workers rows each."""
+    serial = min(contexts, -(-contexts * rows_per_context // rows))
+    if serial == 1 or workers == 1:
+        return serial
+    return min(contexts, -(-contexts * rows_per_context * workers // rows))
+
+
 # 2 rows: 3 contexts x 1 row split 1 + 2, x 4 rows one context per chunk;
-# 7 rows: 3 x 1 in one chunk, 3 x 4 split 1 + 2
-@pytest.mark.parametrize("rows", [model_mod.ROLLOUT_ROWS, 2, 7])
+# 7 rows: 3 x 1 in one chunk, 3 x 4 split 1 + 2. On two threads every split
+# of more than one chunk takes one context per chunk; a call of one chunk
+# never starts a thread, so ROLLOUT_ROWS runs on one.
+@pytest.mark.parametrize("rows, workers", [(model_mod.ROLLOUT_ROWS, 1), (2, 1), (7, 1),
+                                           (2, 2), (7, 2)])
 @pytest.mark.parametrize("mode", ["sample", "mean"])
 @pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "recompute"])
 @pytest.mark.parametrize("kind", ["pointnet", "ssm"])
-def test_rollout_matches_per_scene_reference(kind, incremental, mode, rows, monkeypatch):
+def test_rollout_matches_per_scene_reference(kind, incremental, mode, rows, workers,
+                                             monkeypatch):
     # the prefix and step 0 run once per context and are repeated per scenario,
-    # and the later steps run in chunks of contexts; every output byte must equal
-    # the loop that ran them all per scene row, in one batch
+    # and the later steps run in chunks of contexts, on one or two threads; every
+    # output byte must equal the loop that ran them all per scene row, in one batch
     model = state_dependent(TrajectoryModel(tiny_config(temporal=kind)))
     rng = np.random.default_rng(23)
     ctx, cats = scenes(rng, B=3, N=3, Tlen=4)
     per_context = rng.integers(0, 3, size=(3, 3))
-    chunks = count_chunks(monkeypatch, rows)
+    chunks = count_chunks(monkeypatch, rows, workers)
     for categories in (cats, per_context):
         for k in (1, 4):
             chunks.clear()
             got = model.rollout(ctx, categories, horizon=5, num_scenarios=k, seed=8,
                                 mode=mode, incremental=incremental)
             runs = k if mode == "sample" else 1
-            assert len(chunks) == min(3, -(-3 * runs // rows))
+            assert len(chunks) == expected_chunks(3, runs, rows, workers)
             want = reference_rollout(model, ctx, categories, 5, k, 8, mode, incremental)
             for field, ref in zip(("positions", "displacements", "components"), want):
                 arr = np.stack([getattr(s, field) for s in got])
                 assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes(), (field, k)
 
 
-def test_rollout_chunks_split_the_contexts_evenly(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rollout_chunks_split_the_contexts_evenly(workers, monkeypatch):
+    # 28 rows: three serial chunks of ~10 rows, or on two threads three of
+    # ~20 / 2, so the splits are the same
     model = TrajectoryModel(tiny_config())
     ctx, cats = scenes(np.random.default_rng(26), B=7, N=3, Tlen=4)
-    chunks = count_chunks(monkeypatch, 10)
-    model.rollout(ctx, cats, horizon=2, num_scenarios=4)          # 28 rows: 3 chunks
-    assert [(c.start, c.stop) for c in chunks] == [(0, 2), (2, 4), (4, 7)]
+    chunks = count_chunks(monkeypatch, 10 * workers, workers)
+    model.rollout(ctx, cats, horizon=2, num_scenarios=4)
+    assert sorted(chunks) == [(0, 2), (2, 4), (4, 7)]
 
 
 def test_rollout_raises_at_the_diverging_step():
@@ -520,31 +565,186 @@ def test_rollout_raises_at_the_diverging_step():
             model.rollout(ctx, cats, horizon=4, num_scenarios=2, mode=mode)
 
 
-def test_rollout_names_the_global_context_of_a_later_chunk(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rollout_names_the_global_context_of_a_later_chunk(workers, monkeypatch):
     model = TrajectoryModel(tiny_config())
     ctx, cats = scenes(np.random.default_rng(24), B=3, N=3, Tlen=4)
-    ctx[2, 1, -1] = np.inf                      # context 2: row 1 of the chunk [1, 3)
-    chunks = count_chunks(monkeypatch, 4)
+    ctx[2, 1, -1] = np.inf                      # context 2: row 1 of the serial chunk [1, 3)
+    chunks = count_chunks(monkeypatch, 4, workers)
+    splits = [(0, 1), (1, 3)] if workers == 1 else [(0, 1), (1, 2), (2, 3)]
     for mode, k, rows in (("sample", 2, 4), ("mean", 4, 2)):       # 6 and 3 rows
         monkeypatch.setattr(model_mod, "ROLLOUT_ROWS", rows)
         chunks.clear()
         with np.errstate(invalid="ignore"), \
                 pytest.raises(DataError, match="context 2, scenario 0, step 0"):
             model.rollout(ctx, cats, horizon=4, num_scenarios=k, mode=mode)
-        assert [(c.start, c.stop) for c in chunks] == [(0, 1), (1, 3)]
+        assert sorted(chunks) == splits
+
+
+def draws_per_chunk(monkeypatch, context: int, step: int, action) -> dict:
+    """Call ``action`` in ``mdn.sample_displacements`` when the chunk that starts at
+    ``context`` draws for ``step``; returns a dict that counts each chunk's draws
+    (steps sampled), keyed by its first context.
+
+    A chunk's generators are keyed by the global (context, scenario) pair, so
+    its first generator's spawn key names the chunk's first context.
+    """
+    draws, lock = {}, threading.Lock()
+    sample = mdn.sample_displacements
+
+    def spy(rngs, lg, mn, ch):
+        first = rngs[0].bit_generator.seed_seq.spawn_key[0]
+        with lock:
+            u = draws[first] = draws.get(first, 0) + 1
+        dx, comp = sample(rngs, lg, mn, ch)
+        if first == context and u - 1 == step:
+            action(dx)
+        return dx, comp
+
+    monkeypatch.setattr(mdn, "sample_displacements", spy)
+    return draws
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_chunk_stops_the_later_chunks(workers, monkeypatch):
+    # eight chunks of one context each. Context 1 diverges at step 0; context 0,
+    # in the first chunk, at step 3, and on two threads only after context 1's
+    # error is raised. The serial loop raises context 0's error, so the threaded
+    # one must too, and the chunks after context 1 must never draw
+    model = TrajectoryModel(tiny_config())
+    ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
+    ctx[1, 0, -1] = np.inf
+    count_chunks(monkeypatch, 2 * workers, workers)
+    raised = threading.Event()
+
+    class Raised(DataError):
+        def __init__(self, *args):
+            super().__init__(*args)
+            raised.set()
+
+    def diverge(dx):
+        if workers == 2:
+            assert raised.wait(timeout=20), "context 1's chunk did not fail"
+            time.sleep(0.2)                    # time for the other thread to take more chunks
+        dx[0, 0, 0] = np.nan
+
+    monkeypatch.setattr(model_mod, "DataError", Raised)
+    draws = draws_per_chunk(monkeypatch, 0, 3, diverge)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(DataError, match="context 0, scenario 0, step 3"):
+        model.rollout(ctx, cats, horizon=8, num_scenarios=2)
+    assert draws == ({0: 4} if workers == 1 else {0: 4, 1: 1}), draws
+    assert not [t for t in threading.enumerate() if t.name.startswith("rollout")]
+
+
+def test_an_interrupt_stops_the_rollout_threads(monkeypatch):
+    # Ctrl-C reaches the calling thread while it waits on the chunks: the
+    # running chunks stop at their next step. The signal goes out once every
+    # chunk is submitted, so both threads have started, and the interrupted
+    # chunk goes on once the caller shuts the pool down.
+    model = TrajectoryModel(tiny_config())
+    ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
+    count_chunks(monkeypatch, 4, 2)
+    main = threading.main_thread().ident
+    submitted, shutting_down = threading.Event(), threading.Event()
+
+    class Pool(model_mod.ThreadPoolExecutor):
+        submits = 0
+
+        def submit(self, *args):
+            future = super().submit(*args)
+            Pool.submits += 1
+            if Pool.submits == 8:
+                submitted.set()
+            return future
+
+        def shutdown(self, *args, **kwargs):
+            shutting_down.set()
+            super().shutdown(*args, **kwargs)
+
+    def interrupt(dx):
+        assert submitted.wait(timeout=20), "the chunks were not all submitted"
+        signal.pthread_kill(main, signal.SIGINT)
+        assert shutting_down.wait(timeout=20), "the caller did not shut the pool down"
+
+    monkeypatch.setattr(model_mod, "ThreadPoolExecutor", Pool)
+    draws = draws_per_chunk(monkeypatch, 1, 2, interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        model.rollout(ctx, cats, horizon=8, num_scenarios=2)
+    assert draws[1] == 3, draws                # steps 0-2, then it stopped
+    assert not [t for t in threading.enumerate() if t.name.startswith("rollout")]
+    assert T._grad_enabled
+
+
+def worker_grad_flags(monkeypatch, model) -> list:
+    """A list that gains ``T._grad_enabled`` at each head step a rollout thread runs."""
+    flags, step = [], model._step_params
+
+    def spy(*args):
+        if threading.current_thread().name.startswith("rollout"):
+            flags.append(T._grad_enabled)
+        return step(*args)
+
+    monkeypatch.setattr(model, "_step_params", spy)
+    return flags
+
+
+def test_threaded_rollout_leaves_the_grad_flag(monkeypatch):
+    model = TrajectoryModel(tiny_config())
+    ctx, cats = scenes(np.random.default_rng(28), B=6, N=3, Tlen=4)
+    bad_ctx = ctx.copy()
+    bad_ctx[4, 0, -1] = np.inf
+    chunks = count_chunks(monkeypatch, 4, 2)
+    flags = worker_grad_flags(monkeypatch, model)
+    assert T._grad_enabled
+    model.rollout(ctx, cats, horizon=3, num_scenarios=2)
+    assert len(chunks) == 6 and T._grad_enabled
+    with np.errstate(invalid="ignore"), pytest.raises(DataError, match="context 4"):
+        model.rollout(bad_ctx, cats, horizon=3, num_scenarios=2)
+    assert T._grad_enabled
+    with T.no_grad():
+        model.rollout(ctx, cats, horizon=3, num_scenarios=2)
+        assert not T._grad_enabled
+    assert T._grad_enabled
+    assert flags and not any(flags)            # no worker step ran with the flag on
+
+
+def test_rollout_threads_under_frequent_switches(monkeypatch):
+    # four threads on at most two cores, switching every microsecond: every
+    # byte equals the serial call's, and no worker saw the grad flag on
+    model = state_dependent(TrajectoryModel(tiny_config(temporal="ssm")))
+    ctx, cats = scenes(np.random.default_rng(29), B=12, N=3, Tlen=4)
+    count_chunks(monkeypatch, 6, 1)
+    serial = model.rollout(ctx, cats, horizon=6, num_scenarios=3, seed=2)
+    monkeypatch.setattr(model_mod, "_rollout_threads", lambda: 4)
+    flags = worker_grad_flags(monkeypatch, model)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = model.rollout(ctx, cats, horizon=6, num_scenarios=3, seed=2)
+    finally:
+        sys.setswitchinterval(interval)
+    for field in ("positions", "displacements", "components"):
+        assert (np.stack([getattr(s, field) for s in threaded]).tobytes()
+                == np.stack([getattr(s, field) for s in serial]).tobytes()), field
+    assert flags and not any(flags) and T._grad_enabled
 
 
 # Bounds on the traced peak of one small-preset rollout of C contexts x 20
-# scenarios, 3 steps, by C. At 16 contexts (320 rows, one chunk), with the
-# attention temporaries freed before each feedforward and the GELU written over
-# its linear's output, it peaks at 3.94 MB; when they stay alive through the
-# feedforward and the GELU takes a second array, at 5.61 MB. At 128 contexts
-# (2,560 rows) run in four chunks of 640 rows it peaks at 7.8 MB; as one batch
-# of 2,560 rows, at 27.1 MB.
-ROLLOUT_PEAK_MB = {16: 4.7, 128: 12.0}
+# scenarios, 3 steps, by C, with two rollout threads. At 16 contexts (320 rows,
+# one chunk), with the attention temporaries freed before each feedforward and
+# the GELU written over its linear's output, it peaks at 3.94 MB; when they stay
+# alive through the feedforward and the GELU takes a second array, at 5.61 MB.
+# At 64 contexts (1,280 rows) run in four chunks of 320 rows two at a time it
+# peaks at 7.8-8.2 MB; in two serial chunks of 640, at 7.3; in two chunks of 640
+# at once, at 14.1. At 128 contexts (2,560 rows) in eight chunks of 320 two at a
+# time, at 8.4-8.8 MB; in four serial chunks of 640, at 7.8; as one batch of
+# 2,560 rows, at 27.1 MB.
+ROLLOUT_PEAK_MB = {16: 4.7, 64: 9.5, 128: 12.0}
 
 
-def test_rollout_memory_peak():
+def test_rollout_memory_peak(monkeypatch):
+    monkeypatch.setattr(model_mod, "_rollout_threads", lambda: 2)
     model = TrajectoryModel(ModelConfig.small(seed=0))
     ctx, _ = scenes(np.random.default_rng(25), B=max(ROLLOUT_PEAK_MB), N=5, Tlen=8)
     cats = np.array([0, 1, 1, 2, 2], dtype=np.int64)

@@ -15,6 +15,7 @@ import pytest
 
 import causaltraj
 from causaltraj import tensor as T
+from causaltraj import trainer as trainer_mod
 from causaltraj.errors import ConfigError
 from causaltraj.model import ModelConfig, TrajectoryModel, save_checkpoint
 from causaltraj.data import epoch_batches, synth_forking_play
@@ -512,3 +513,26 @@ def test_training_epochs_reuse_freed_heap():
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["kept"]
     assert max(report["faults"][1:]) < 1000, report["faults"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+@pytest.mark.parametrize("refused", [None, -3, -1, -8])
+def test_the_allocator_setting_needs_all_three_values(refused, monkeypatch):
+    # mmap threshold, trim threshold, one arena, in that order; a refused mmap
+    # threshold leaves the other two alone, and any refusal reads False
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return int(param != refused)
+
+    class Libc:
+        pass
+
+    libc = Libc()
+    libc.mallopt = mallopt
+    monkeypatch.setattr(trainer_mod.ctypes, "CDLL", lambda name: libc)
+    kept = trainer_mod.keep_freed_heap.__wrapped__()
+    assert kept is (refused is None)
+    assert calls == ([(-3, 32 << 20)] if refused == -3
+                     else [(-3, 32 << 20), (-1, 256 << 20), (-8, 1)])

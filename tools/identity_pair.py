@@ -22,7 +22,7 @@ The grid, one definition for every comparison:
   ``train()``;
 - sample-mode and mean-mode rollouts, and rollouts of more rows than one
   chunk of ``model.ROLLOUT_ROWS``: 768 sample rows, and 704 contexts in mean
-  mode;
+  mode (on a host with two CPUs free these run their chunks on two threads);
 - the CLI's synth, train, sample (both modes, and one of 768 rows, more than
   one chunk), eval and render (with ``--pred``) outputs, and ``info`` on the
   container and on each checkpoint;
