@@ -273,10 +273,11 @@ def test_eval(paths):
     assert meters["horizon"] == 4
 
 
-def run_python(*argv, stdout=subprocess.PIPE, timeout=120):
-    """Run a fresh interpreter that imports this checkout's package."""
+def run_python(*argv, stdout=subprocess.PIPE, timeout=120, env=None):
+    """Run a fresh interpreter that imports this checkout's package; ``env`` adds
+    to this process's environment."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
                           text=True, env=env, timeout=timeout)
@@ -298,7 +299,7 @@ print(json.dumps({"faults": faults, "kept": cli.keep_freed_heap(),
 """
 
 
-def sample_passes(tmp_path, contexts: int) -> dict:
+def sample_passes(tmp_path, contexts: int, env=None) -> dict:
     """FAULT_PROBE's report for ``sample`` of contexts x 20 scenarios, 8 steps."""
     held, ckpt = str(tmp_path / "held.ctrj"), str(tmp_path / "model.ckpt")
     data.write_trajectories(
@@ -306,7 +307,7 @@ def sample_passes(tmp_path, contexts: int) -> dict:
     save_checkpoint(ckpt, TrajectoryModel(ModelConfig.small(
         num_agents=3, num_components=2, context_frames=4, future_frames=8)))
     proc = run_python("-c", FAULT_PROBE, "sample", "--model", ckpt, "--data", held,
-                      "--out", str(tmp_path / "pred.ctrj"), "--scenarios", "20")
+                      "--out", str(tmp_path / "pred.ctrj"), "--scenarios", "20", env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -321,9 +322,10 @@ def test_repeated_sample_passes_reuse_freed_heap(tmp_path):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
 def test_threaded_sample_passes_reuse_freed_heap(tmp_path):
-    # 48 contexts x 20 scenarios run their chunks on two threads where two CPUs
-    # are free; both threads allocate from the one arena (~100 faults here)
-    report = sample_passes(tmp_path, 48)
+    # 48 contexts x 20 scenarios, with BLAS on one thread, run their chunks on
+    # two threads where two CPUs are free; both allocate from the one arena
+    # (~100 faults here)
+    report = sample_passes(tmp_path, 48, env={"OPENBLAS_NUM_THREADS": "1"})
     assert report["kept"] and report["runs"] == 1
     assert report["faults"][1] < 2000, report["faults"]
 
