@@ -10,16 +10,20 @@ per step (shared by all agents, so joint modes stay coherent).
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
+import importlib
 import json
 import math
 import numbers
 import os
 import struct
-import threading
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
+from threading import Condition
 
 import numpy as np
 
@@ -172,28 +176,75 @@ ROLLOUT_ROWS = 640
 # release the GIL while they compute, so two chunks overlap; the sampler's Python
 # loop and the op dispatch between them do not.
 ROLLOUT_THREADS = 2
-# The variables the common BLAS builds read their thread count from at start-up,
-# OpenBLAS's first. With none of them set, BLAS starts a thread per CPU.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "VECLIB_MAXIMUM_THREADS")
+# The functions through which OpenBLAS (numpy's wheels carry it with a prefix and
+# a suffix on its symbols) and MKL report how many threads a BLAS call runs on.
+BLAS_THREAD_QUERIES = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads",
+                       "MKL_Get_Max_Threads")
+# A cgroup's CPU quota: v2's "<quota> <period>" ("max" for none), then v1's two files.
+CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
+                   ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
+
+
+def _usable_cpus() -> int:
+    """The CPUs the process may run on, at most its cgroup's quota in whole CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:                 # not on every platform
+        cpus = os.cpu_count() or 1
+    for files in CPU_QUOTA_FILES:
+        try:
+            quota, period = " ".join(Path(f).read_text() for f in files).split()[:2]
+        except (OSError, ValueError):      # no such cgroup, or a short file
+            continue
+        if quota.isdigit() and period.isdigit() and int(period) > 0:    # not "max" or -1
+            cpus = min(cpus, max(1, int(quota) // int(period)))
+        break
+    return cpus
+
+
+@functools.cache
+def _blas_thread_query():
+    """numpy's BLAS's thread-count function (``BLAS_THREAD_QUERIES``), or None.
+
+    dlsym on the handle of numpy's umath extension searches the libraries that
+    extension loaded, so this finds the BLAS numpy calls, not another copy
+    (scipy's wheels carry their own OpenBLAS).
+    """
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(name).__file__)
+            break
+        except (ImportError, OSError):
+            continue
+    else:
+        return None
+    for symbol in BLAS_THREAD_QUERIES:
+        query = getattr(lib, symbol, None)
+        if query is not None:
+            query.argtypes, query.restype = [], ctypes.c_int
+            return query
+    return None
+
+
+def _blas_threads(cpus: int) -> int:
+    """The threads numpy's BLAS runs a call on now, as it reports them; ``cpus``
+    (BLAS's usual default) when it has no ``BLAS_THREAD_QUERIES`` function."""
+    query = _blas_thread_query()
+    return cpus if query is None else max(1, query())
 
 
 def _rollout_threads() -> int:
     """``ROLLOUT_THREADS``, or fewer, so that each runs its BLAS calls on CPUs of its own.
 
-    That is the CPUs the process may use divided by BLAS's threads, as the
-    first of ``BLAS_THREAD_VARS`` that is set gives them. BLAS's threads spin
-    while they wait for work: on 2 vCPUs a small-preset rollout of 64 contexts
-    x 20 scenarios on two threads over a two-thread OpenBLAS took 1.8x as long
-    as on one, and OpenBLAS's second thread gave the one-thread rollout nothing.
+    That is the usable CPUs (``_usable_cpus``) divided by the threads BLAS
+    runs a call on (``_blas_threads``). BLAS's threads spin while they wait
+    for work: on 2 vCPUs a small-preset rollout of 64 contexts x 20 scenarios
+    on two threads over a two-thread OpenBLAS took 1.8x as long as on one,
+    and OpenBLAS's second thread gave the one-thread rollout nothing.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:                 # not on every platform
-        cpus = os.cpu_count() or 1
-    counts = (os.environ.get(var, "").strip() for var in BLAS_THREAD_VARS)
-    blas = next((int(v) for v in counts if v.isdigit() and int(v) > 0), cpus)
-    return max(1, min(ROLLOUT_THREADS, cpus // blas))
+    cpus = _usable_cpus()
+    return max(1, min(ROLLOUT_THREADS, cpus // _blas_threads(cpus)))
 
 
 @dataclass
@@ -384,17 +435,18 @@ class TrajectoryModel(Module):
         parameters per scenario, builds its own scenarios' generators and
         writes its rows of the output. A call of at most ``ROLLOUT_ROWS`` rows
         is one chunk. A call of more runs its chunks on W = min(
-        ``ROLLOUT_THREADS`` = 2, the CPUs the process may use per BLAS thread)
-        threads (``_rollout_threads``), in chunks of about ``ROLLOUT_ROWS / W`` rows
-        taken in order, with one ``no_grad`` held by the caller around them;
-        with W = 1 (one CPU, or BLAS on every CPU, its default) the chunks
-        run one after another, of about ``ROLLOUT_ROWS`` rows. A chunk that raises stops the chunks after it at
-        their next step, and the call raises what the serial loop would: the
-        error of the first failing chunk in order. A chunk never changes a
-        scenario's bits: a step's ops treat each scene row on its own, and a
-        chunk keeps enough rows that BLAS takes the kernels it takes for the
-        whole batch (tests compare chunked, threaded and single-batch calls
-        byte for byte).
+        ``ROLLOUT_THREADS`` = 2, usable CPUs per thread numpy's BLAS reports)
+        threads (``_rollout_threads``), in chunks of about ``ROLLOUT_ROWS / W``
+        rows taken in order, with one ``no_grad`` held by the caller around
+        them; with W = 1 (one CPU, or BLAS on every CPU, its usual default)
+        the chunks run one after another, of about ``ROLLOUT_ROWS`` rows. A
+        chunk that raises stops the chunks after it at their next step, and
+        the call raises what the serial loop would: the error of the first
+        failing chunk in order, once no chunk is inside a step. A chunk never
+        changes a scenario's bits: a step's ops treat each scene row on its
+        own, and a chunk keeps enough rows that BLAS takes the kernels it
+        takes for the whole batch (tests compare chunked, threaded and
+        single-batch calls byte for byte).
         ``incremental=False`` swaps ``temporal.step`` for ``_reencode``, which
         re-encodes all frames so far: the reference that only tests and
         perfbench's rollout consistency check use. The encoder step and the
@@ -443,11 +495,10 @@ class TrajectoryModel(Module):
         # chunks after this index stop at their next step: an earlier one failed
         # (its error is the one the serial loop raises), or the caller was interrupted
         first_failed = chunks
-        failed_lock = threading.Lock()
+        running = 0                            # threaded chunks past their start check
+        changed = Condition()
 
         def run_chunk(i: int) -> None:
-            if i > first_failed:
-                return
             lo, hi = C * i // chunks, C * (i + 1) // chunks               # this chunk's contexts
             rows = slice(lo * runs, hi * runs)
             B = (hi - lo) * runs
@@ -486,15 +537,24 @@ class TrajectoryModel(Module):
 
         def stop_after(i: int) -> None:
             nonlocal first_failed
-            with failed_lock:
+            with changed:
                 first_failed = min(first_failed, i)
 
         def run_threaded_chunk(i: int) -> None:
+            nonlocal running
+            with changed:
+                if i > first_failed:
+                    return
+                running += 1
             try:
                 run_chunk(i)
             except BaseException:
                 stop_after(i)
                 raise
+            finally:
+                with changed:
+                    running -= 1
+                    changed.notify_all()
 
         # one no_grad for every worker: nested ones on two threads could restore
         # each other's flag to True mid-step
@@ -509,7 +569,12 @@ class TrajectoryModel(Module):
                     for f in futures:         # in order: the first failing chunk raises
                         f.result()
                 except BaseException:
+                    # let the running chunks end their step before no_grad ends; a
+                    # chunk that starts later, or a worker the pool does not know
+                    # of (an interrupt inside submit), returns before any step
                     stop_after(-1)
+                    with changed:
+                        changed.wait_for(lambda: running == 0)
                     raise
                 finally:
                     pool.shutdown(cancel_futures=True)
