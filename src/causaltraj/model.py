@@ -20,10 +20,9 @@ import numbers
 import os
 import struct
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from threading import Condition
+from threading import Lock, Thread
 
 import numpy as np
 
@@ -249,12 +248,14 @@ def _rollout_threads() -> int:
 
 @dataclass
 class ScenarioSample:
-    """One sampled future for one context; the context itself stays with the caller."""
+    """One sampled future for one context; the context itself stays with the caller.
+
+    In ``mode="mean"`` the samples of one context share their arrays.
+    """
 
     context_index: int
     scenario_index: int
     positions: np.ndarray        # [F, N, 2] float32
-    displacements: np.ndarray    # [F, N, 2] float32
     components: np.ndarray       # [F] int64
 
 
@@ -433,27 +434,31 @@ class TrajectoryModel(Module):
         flight, so the working set stops growing with C * k: each chunk
         repeats only its own contexts' encoder state and step 0's mixture
         parameters per scenario, builds its own scenarios' generators and
-        writes its rows of the output. A call of at most ``ROLLOUT_ROWS`` rows
-        is one chunk. A call of more runs its chunks on W = min(
-        ``ROLLOUT_THREADS`` = 2, usable CPUs per thread numpy's BLAS reports)
-        threads (``_rollout_threads``), in chunks of about ``ROLLOUT_ROWS / W``
-        rows taken in order, with one ``no_grad`` held by the caller around
-        them; with W = 1 (one CPU, or BLAS on every CPU, its usual default)
-        the chunks run one after another, of about ``ROLLOUT_ROWS`` rows. A
-        chunk that raises stops the chunks after it at their next step, and
-        the call raises what the serial loop would: the error of the first
-        failing chunk in order, once no chunk is inside a step. A chunk never
-        changes a scenario's bits: a step's ops treat each scene row on its
-        own, and a chunk keeps enough rows that BLAS takes the kernels it
-        takes for the whole batch (tests compare chunked, threaded and
-        single-batch calls byte for byte).
+        writes its rows of the output. The calling thread and W - 1 helper
+        threads take chunks in order until none is left, W = min(
+        ``ROLLOUT_THREADS`` = 2, usable CPUs per thread numpy's BLAS reports
+        (``_rollout_threads``), the chunks of ``ROLLOUT_ROWS`` rows the call
+        would need), in chunks of about ``ROLLOUT_ROWS / W`` rows, under one
+        ``no_grad`` the caller holds. So a call of at most ``ROLLOUT_ROWS``
+        rows is one chunk on the caller alone, and with W = 1 (one CPU, or
+        BLAS on every CPU, its usual default) the caller runs every chunk. A
+        chunk that raises stops the chunks after it at their next step; an
+        interrupt stops them all. The call raises once its helpers have
+        ended: the interrupt if there was one, else the error of the first
+        failing chunk in order, as if the chunks ran one after another. A
+        chunk never changes a scenario's bits: a step's ops treat each scene
+        row on its own, and a chunk keeps enough rows that BLAS takes the
+        kernels it takes for the whole batch (tests compare chunked, threaded
+        and single-batch calls byte for byte).
         ``incremental=False`` swaps ``temporal.step`` for ``_reencode``, which
         re-encodes all frames so far: the reference that only tests and
         perfbench's rollout consistency check use. The encoder step and the
         head read each frame as one ``frame_features`` array
         f_t [B, N, FRAME_DIM]. In ``mode="mean"`` the scenarios of a context
         are equal, so the whole rollout runs once per context (a chunk holds
-        about ``ROLLOUT_ROWS`` contexts) and its outputs are repeated. Raises
+        about ``ROLLOUT_ROWS`` contexts), and the k samples of a context share
+        that one row: their ``positions`` and ``components`` are the same
+        arrays, so writing into one changes all k. Raises
         ``DataError`` at the first step that yields a
         non-finite position, naming the context, scenario and step.
         """
@@ -486,17 +491,13 @@ class TrajectoryModel(Module):
         step0 = self._step_params(lat_t, feats[:, :, P - 1], ctx_cat)
 
         out_pos = np.empty((C * runs, horizon, N, 2), dtype=np.float32)
-        out_disp = np.empty((C * runs, horizon, N, 2), dtype=np.float32)
         out_comp = np.empty((C * runs, horizon), dtype=np.int64)
-        chunks = min(C, -(-C * runs // ROLLOUT_ROWS))
-        workers = min(_rollout_threads(), chunks)
-        if workers > 1:                       # W chunks in flight of ~ROLLOUT_ROWS / W rows
-            chunks = min(C, -(-C * runs * workers // ROLLOUT_ROWS))
-        # chunks after this index stop at their next step: an earlier one failed
-        # (its error is the one the serial loop raises), or the caller was interrupted
-        first_failed = chunks
-        running = 0                            # threaded chunks past their start check
-        changed = Condition()
+        # W threads, each with ~ROLLOUT_ROWS / W rows in flight, in chunks taken in order
+        workers = min(_rollout_threads(), C, -(-C * runs // ROLLOUT_ROWS))
+        chunks = min(C, -(-C * runs * workers // ROLLOUT_ROWS))
+        # the next chunk to take; the chunks after first_failed stop at their next step
+        next_chunk, first_failed, errors = 0, chunks, {}
+        lock = Lock()
 
         def run_chunk(i: int) -> None:
             lo, hi = C * i // chunks, C * (i + 1) // chunks               # this chunk's contexts
@@ -530,65 +531,57 @@ class TrajectoryModel(Module):
                         f"scenario {si}, step {u}"
                     )
                 out_pos[rows, u] = new_cur
-                out_disp[rows, u] = dx
                 out_comp[rows, u] = comp
                 # the velocity is new_cur - cur, which can differ from dx in its last bit
                 f_t = np.concatenate([new_cur, new_cur - cur], axis=-1)
 
-        def stop_after(i: int) -> None:
+        def stop(i: int, error: BaseException) -> None:
+            """Keep chunk i's error and stop the chunks after it; an interrupt (not an
+            ``Exception``) stops them all as chunk -1, so its error is the one raised."""
             nonlocal first_failed
-            with changed:
+            i = i if isinstance(error, Exception) else -1
+            with lock:
+                errors[i] = error
                 first_failed = min(first_failed, i)
 
-        def run_threaded_chunk(i: int) -> None:
-            nonlocal running
-            with changed:
-                if i > first_failed:
-                    return
-                running += 1
-            try:
-                run_chunk(i)
-            except BaseException:
-                stop_after(i)
-                raise
-            finally:
-                with changed:
-                    running -= 1
-                    changed.notify_all()
-
-        # one no_grad for every worker: nested ones on two threads could restore
-        # each other's flag to True mid-step
-        with T.no_grad():
-            if workers == 1:
-                for i in range(chunks):
-                    run_chunk(i)
-            else:
-                pool = ThreadPoolExecutor(workers, thread_name_prefix="rollout")
+        def take_chunks() -> None:
+            nonlocal next_chunk
+            while True:
+                with lock:
+                    i, next_chunk = next_chunk, next_chunk + 1
+                    if i >= first_failed:      # none left, an earlier one failed, or interrupted
+                        return
                 try:
-                    futures = [pool.submit(run_threaded_chunk, i) for i in range(chunks)]
-                    for f in futures:         # in order: the first failing chunk raises
-                        f.result()
-                except BaseException:
-                    # let the running chunks end their step before no_grad ends; a
-                    # chunk that starts later, or a worker the pool does not know
-                    # of (an interrupt inside submit), returns before any step
-                    stop_after(-1)
-                    with changed:
-                        changed.wait_for(lambda: running == 0)
-                    raise
-                finally:
-                    pool.shutdown(cancel_futures=True)
+                    run_chunk(i)
+                except BaseException as e:
+                    stop(i, e)
 
-        if runs != k:
-            out_pos, out_disp, out_comp = (np.repeat(a, k, axis=0) for a in
-                                           (out_pos, out_disp, out_comp))
+        helpers = [Thread(target=take_chunks, name=f"rollout-{j}") for j in range(1, workers)]
+        # one no_grad for every thread: nested ones on two threads could restore each
+        # other's flag to True mid-step
+        with T.no_grad():
+            try:
+                for t in helpers:
+                    t.start()
+                take_chunks()
+                for t in helpers:
+                    t.join()
+            except BaseException as e:         # interrupted outside a chunk, or a start failed
+                stop(-1, e)
+                # a helper that is not alive yet takes no chunk: it sees the stop first
+                for t in helpers:
+                    if t.is_alive():
+                        t.join()
+        if errors:
+            raise errors[min(errors)]
+
+        share = k // runs                      # scenarios per output row
         return [
             ScenarioSample(
                 context_index=b // k,
                 scenario_index=b % k,
-                positions=out_pos[b],
-                displacements=out_disp[b],
-                components=out_comp[b],
+                positions=out_pos[b // share],
+                components=out_comp[b // share],
             )
             for b in range(C * k)
         ]

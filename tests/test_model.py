@@ -1,5 +1,6 @@
 """Full model: shapes, loss framing, rollout semantics, checkpoints."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -267,11 +268,10 @@ class TestRollout:
         for i, s in enumerate(out):
             assert (s.context_index, s.scenario_index) == divmod(i, 3)
             assert s.positions.shape == (5, 3, 2)
-            assert s.displacements.shape == (5, 3, 2)
             assert s.components.shape == (5,)
             # the sample holds the future only; its context stays with the caller
             assert [f.name for f in dataclasses.fields(s)] == [
-                "context_index", "scenario_index", "positions", "displacements", "components"
+                "context_index", "scenario_index", "positions", "components"
             ]
 
     def test_deterministic_per_seed(self, pointnet):
@@ -293,14 +293,17 @@ class TestRollout:
         for c in range(2):
             assert np.array_equal(one[c].positions, four[4 * c].positions)
 
-    def test_recursive_position_consistency(self, pointnet):
+    def test_recursive_position_consistency(self, pointnet, monkeypatch):
+        # each step moves the positions before it by the displacement drawn
         ctx, cats = self.contexts(np.random.default_rng(10))
+        drawn, sample = [], mdn.sample_displacements
+        monkeypatch.setattr(mdn, "sample_displacements",
+                            lambda *args: drawn.append(sample(*args)) or drawn[-1])
         (s,) = pointnet.rollout(ctx[:1], cats, horizon=6, seed=2)
-        assert np.array_equal(s.positions[0], ctx[0, :, -1] + s.displacements[0])
+        assert len(drawn) == 6
+        assert np.array_equal(s.positions[0], ctx[0, :, -1] + drawn[0][0][0])
         for u in range(1, 6):
-            assert np.array_equal(
-                s.positions[u], s.positions[u - 1] + s.displacements[u]
-            )
+            assert np.array_equal(s.positions[u], s.positions[u - 1] + drawn[u][0][0])
 
     @pytest.mark.parametrize("kind", ["pointnet", "ssm"])
     def test_incremental_matches_recompute(self, kind, rollout_models):
@@ -530,11 +533,10 @@ def test_usable_cpus_keep_to_the_cgroup_quota(files, cpus, tmp_path, monkeypatch
 
 
 def expected_chunks(contexts: int, rows_per_context: int, rows: int, workers: int) -> int:
-    """Serial chunks of ~rows rows; with more than one, ~rows/workers rows each."""
-    serial = min(contexts, -(-contexts * rows_per_context // rows))
-    if serial == 1 or workers == 1:
-        return serial
-    return min(contexts, -(-contexts * rows_per_context * workers // rows))
+    """Chunks of ~rows / W rows on W threads, W at most the chunks of ~rows rows."""
+    total = contexts * rows_per_context
+    workers = min(workers, contexts, -(-total // rows))
+    return min(contexts, -(-total * workers // rows))
 
 
 # 2 rows: 3 contexts x 1 row split 1 + 2, x 4 rows one context per chunk;
@@ -564,7 +566,7 @@ def test_rollout_matches_per_scene_reference(kind, incremental, mode, rows, work
             runs = k if mode == "sample" else 1
             assert len(chunks) == expected_chunks(3, runs, rows, workers)
             want = reference_rollout(model, ctx, categories, 5, k, 8, mode, incremental)
-            for field, ref in zip(("positions", "displacements", "components"), want):
+            for field, ref in (("positions", want[0]), ("components", want[2])):
                 arr = np.stack([getattr(s, field) for s in got])
                 assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes(), (field, k)
 
@@ -666,90 +668,126 @@ def test_a_failing_chunk_stops_the_later_chunks(workers, monkeypatch):
     assert not [t for t in threading.enumerate() if t.name.startswith("rollout")]
 
 
+@contextlib.contextmanager
+def sigint_sets(seen: threading.Event):
+    """Handle SIGINT as Python does, by raising ``KeyboardInterrupt`` in the main
+    thread, but set ``seen`` first, so that another thread can wait for it."""
+    def handler(signum, frame):
+        seen.set()
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGINT, handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+
 def test_an_interrupt_stops_the_rollout_threads(monkeypatch):
-    # Ctrl-C reaches the calling thread while it waits on the chunks: the
-    # running chunks stop at their next step. The signal goes out once every
-    # chunk is submitted, so both threads have started, and the interrupted
-    # chunk goes on once the caller waits for the running chunks to stop.
+    # Ctrl-C reaches the caller while a helper is mid-chunk: the helper ends its
+    # step and takes no other, and the call raises once the helper has ended. The
+    # helper goes on once the caller joins it after the interrupt, when the
+    # chunks have been stopped.
     model = TrajectoryModel(tiny_config())
     ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
     count_chunks(monkeypatch, 4, 2)
     main = threading.main_thread().ident
-    submitted, stopping = threading.Event(), threading.Event()
+    seen, joined, helper_draws = threading.Event(), threading.Event(), []
+    sample = mdn.sample_displacements
 
-    class Pool(model_mod.ThreadPoolExecutor):
-        submits = 0
+    class Helper(model_mod.Thread):
+        def join(self, *args, **kwargs):
+            if seen.is_set():
+                joined.set()
+            return super().join(*args, **kwargs)
 
-        def submit(self, *args):
-            future = super().submit(*args)
-            Pool.submits += 1
-            if Pool.submits == 8:
-                submitted.set()
-            return future
+    def spy(*args):
+        if threading.current_thread().name.startswith("rollout"):
+            helper_draws.append(1)
+            if len(helper_draws) == 3:
+                signal.pthread_kill(main, signal.SIGINT)
+                assert joined.wait(timeout=20), "the caller did not stop the chunks"
+        return sample(*args)
 
-    class Changed(threading.Condition):
-        def wait_for(self, *args, **kwargs):
-            stopping.set()
-            return super().wait_for(*args, **kwargs)
-
-    def interrupt(dx):
-        assert submitted.wait(timeout=20), "the chunks were not all submitted"
-        signal.pthread_kill(main, signal.SIGINT)
-        assert stopping.wait(timeout=20), "the caller did not stop the chunks"
-
-    monkeypatch.setattr(model_mod, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(model_mod, "Condition", Changed)
-    draws = draws_per_chunk(monkeypatch, 1, 2, interrupt)
-    with pytest.raises(KeyboardInterrupt):
+    monkeypatch.setattr(model_mod, "Thread", Helper)
+    monkeypatch.setattr(mdn, "sample_displacements", spy)
+    with sigint_sets(seen), pytest.raises(KeyboardInterrupt):
         model.rollout(ctx, cats, horizon=8, num_scenarios=2)
-    assert draws[1] == 3, draws                # steps 0-2, then it stopped
+    assert len(helper_draws) == 3              # steps 0-2 of its first chunk, then it stopped
     assert not [t for t in threading.enumerate() if t.name.startswith("rollout")]
     assert T._grad_enabled
 
 
-def test_an_interrupt_in_submit_waits_for_the_running_chunks(monkeypatch):
-    # An interrupt inside submit can leave a started worker out of the pool's
-    # thread set, so shutdown does not join it (cleared here to show that).
-    # The call still raises only once no chunk is inside a step, so no step
-    # runs after the caller's no_grad has ended.
+def test_an_interrupt_in_start_waits_for_the_helper(monkeypatch):
+    # An interrupt can land in Thread.start once the helper runs. The caller
+    # still waits for it, so no step runs after the call has raised, and the
+    # helper stops after the step it is in.
     model = TrajectoryModel(tiny_config())
     ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
     count_chunks(monkeypatch, 4, 2)
-    started, inside, flags = threading.Event(), [], []
+    stepping, flags = threading.Event(), []
     step = model._step_params
 
     def slow_step(*args):
         if not threading.current_thread().name.startswith("rollout"):
-            return step(*args)                 # step 0, in the caller
-        inside.append(1)
-        started.set()
-        time.sleep(0.05)
-        flags.append(T._grad_enabled)
-        try:
             return step(*args)
-        finally:
-            inside.pop()
+        stepping.set()
+        time.sleep(0.05)
+        flag = T._grad_enabled
+        params = step(*args)
+        flags.append(flag)
+        return params
 
-    class Pool(model_mod.ThreadPoolExecutor):
-        def submit(self, *args):
-            super().submit(*args)
-            assert started.wait(timeout=20), "the first chunk did not start"
+    class Helper(model_mod.Thread):
+        def start(self):
+            super().start()
+            assert stepping.wait(timeout=20), "the helper did not step"
             raise KeyboardInterrupt
 
-        def shutdown(self, *args, **kwargs):
-            self._threads.clear()
-            super().shutdown(*args, **kwargs)
-
     monkeypatch.setattr(model, "_step_params", slow_step)
-    monkeypatch.setattr(model_mod, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(model_mod, "Thread", Helper)
     with pytest.raises(KeyboardInterrupt):
         model.rollout(ctx, cats, horizon=8, num_scenarios=2)
-    assert not inside, inside
-    for t in threading.enumerate():
-        if t.name.startswith("rollout"):
-            t.join(timeout=20)
-    assert flags and not any(flags) and T._grad_enabled
-    assert len(flags) == 1, flags              # the chunk stopped after its step
+    steps = len(flags)
+    time.sleep(0.2)
+    assert steps == len(flags) == 1, flags     # its step ended before the call raised
+    assert not any(flags) and T._grad_enabled
+    assert not [t for t in threading.enumerate() if t.name.startswith("rollout")]
+
+
+def test_an_interrupt_wins_over_an_earlier_failure(monkeypatch):
+    # Context 0's chunk fails at step 2 once context 1's chunk runs on the other
+    # thread; then Ctrl-C reaches the caller. The call raises the interrupt, not
+    # chunk 0's DataError, whichever thread runs which chunk.
+    model = TrajectoryModel(tiny_config())
+    ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
+    count_chunks(monkeypatch, 4, 2)
+    main = threading.main_thread().ident
+    second, raised, seen = threading.Event(), threading.Event(), threading.Event()
+
+    class Raised(DataError):
+        def __init__(self, *args):
+            super().__init__(*args)
+            raised.set()
+
+    def diverge(dx):
+        assert second.wait(timeout=20), "context 1's chunk did not start"
+        dx[0, 0, 0] = np.nan
+
+    def interrupt(dx):
+        assert raised.wait(timeout=20), "context 0's chunk did not fail"
+        signal.pthread_kill(main, signal.SIGINT)
+        assert seen.wait(timeout=20), "the caller did not take the interrupt"
+
+    monkeypatch.setattr(model_mod, "DataError", Raised)
+    draws_per_chunk(monkeypatch, 1, 0, lambda dx: second.set())
+    draws_per_chunk(monkeypatch, 0, 2, diverge)
+    draws_per_chunk(monkeypatch, 1, 1, interrupt)
+    with sigint_sets(seen), np.errstate(invalid="ignore"), pytest.raises(KeyboardInterrupt):
+        model.rollout(ctx, cats, horizon=8, num_scenarios=2)
+    assert raised.is_set()
+    assert not [t for t in threading.enumerate() if t.name.startswith("rollout")]
+    assert T._grad_enabled
 
 
 def worker_grad_flags(monkeypatch, model) -> list:
@@ -800,7 +838,7 @@ def test_rollout_threads_under_frequent_switches(monkeypatch):
         threaded = model.rollout(ctx, cats, horizon=6, num_scenarios=3, seed=2)
     finally:
         sys.setswitchinterval(interval)
-    for field in ("positions", "displacements", "components"):
+    for field in ("positions", "components"):
         assert (np.stack([getattr(s, field) for s in threaded]).tobytes()
                 == np.stack([getattr(s, field) for s in serial]).tobytes()), field
     assert flags and not any(flags) and T._grad_enabled
@@ -812,9 +850,9 @@ def test_rollout_threads_under_frequent_switches(monkeypatch):
 # the GELU written over its linear's output, it peaks at 3.94 MB; when they stay
 # alive through the feedforward and the GELU takes a second array, at 5.61 MB.
 # At 64 contexts (1,280 rows) run in four chunks of 320 rows two at a time it
-# peaks at 7.8-8.2 MB; in two serial chunks of 640, at 7.3; in two chunks of 640
+# peaks at 7.8-8.2 MB; in two serial chunks of 640, at 7.2; in two chunks of 640
 # at once, at 14.1. At 128 contexts (2,560 rows) in eight chunks of 320 two at a
-# time, at 8.4-8.8 MB; in four serial chunks of 640, at 7.8; as one batch of
+# time, at 8.2-8.8 MB; in four serial chunks of 640, at 7.6; as one batch of
 # 2,560 rows, at 27.1 MB.
 ROLLOUT_PEAK_MB = {1: {16: 4.7, 128: 12.0}, 2: {16: 4.7, 64: 9.5, 128: 12.0}}
 

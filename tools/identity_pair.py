@@ -20,9 +20,10 @@ The grid, one definition for every comparison:
 - float64 loss and gradients, and a ``grad_check`` result, on the small preset;
 - history, parameters, AdamW moments and checkpoint bytes after a 2-epoch
   ``train()``;
-- sample-mode and mean-mode rollouts, and rollouts of more rows than one
-  chunk of ``model.ROLLOUT_ROWS``: 768 sample rows, and 704 contexts in mean
-  mode (on a host with two CPUs free these run their chunks on two threads);
+- the positions and components of sample-mode and mean-mode rollouts, and
+  of rollouts of more rows than one chunk of ``model.ROLLOUT_ROWS``: 768
+  sample rows, and 704 contexts in mean mode (on a host with two CPUs free
+  these run their chunks on two threads);
 - the CLI's synth, train, sample (both modes, and one of 768 rows, more than
   one chunk), eval and render (with ``--pred``) outputs, and ``info`` on the
   container and on each checkpoint;
@@ -144,12 +145,12 @@ def grid(tiny: bool = False) -> dict[str, str]:
                 samples = m.rollout(contexts, cats, horizon=3 if tiny else 6,
                                     num_scenarios=2 if tiny else 3, seed=9, mode=mode)
                 out[f"rollout/small/{temporal}/{mode}"] = digest(*(
-                    x for s in samples for x in (s.positions, s.displacements, s.components)))
+                    x for s in samples for x in (s.positions, s.components)))
             for mode, (chunked_contexts, k) in chunked.items():
                 samples = m.rollout(chunked_contexts, cats, horizon=2 if tiny else 4,
                                     num_scenarios=k, seed=18, mode=mode)
                 out[f"rollout/chunks/{temporal}/{mode}"] = digest(*(
-                    x for s in samples for x in (s.positions, s.displacements, s.components)))
+                    x for s in samples for x in (s.positions, s.components)))
         if not tiny:
             ts_full = data.synth_forking_play(2, frames=12, players=10, seed=10).trajectories
             for temporal in temporals:
@@ -159,7 +160,7 @@ def grid(tiny: bool = False) -> dict[str, str]:
                                         ts_full.categories.astype(np.int64), horizon=4,
                                         num_scenarios=2, seed=12, mode=mode)
                     out[f"rollout/full/{temporal}/{mode}"] = digest(*(
-                        x for s in samples for x in (s.positions, s.displacements, s.components)))
+                        x for s in samples for x in (s.positions, s.components)))
 
         # the CLI, in process: files it writes and what it prints, with the
         # temporary directory's path taken out
