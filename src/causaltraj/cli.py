@@ -23,13 +23,15 @@ from .trainer import keep_freed_heap
 
 # The most agent-steps one ``synth`` or ``sample`` run writes. synth peaks at ~27 bytes
 # per agent-step, ~3 GB at this bound; it builds one frame at a time, so one scene over
-# a huge roster stays within that too. sample peaks at ~32 (traced, N = 5, 10 context and
-# 14 future frames), ~3.2 GB at this bound: the rollout's positions and components, a
-# ScenarioSample per row and the output array, which also holds the context frames. Its
-# rollout runs in chunks of scenario rows, one at a time or two at a time on two threads,
-# with ~640 rows in flight either way, so the working set besides these does not grow
-# with the run (~46 bytes per agent-step at 256 contexts x 20 scenarios on two threads,
-# ~32 at 1,024; in mean mode, where the k samples of a context share one row, ~29 and ~22).
+# a huge roster stays within that too. sample peaks at ~30 (traced with the caller
+# running every chunk, N = 5, 10 context and 14 future frames), ~3 GB at this bound:
+# the rollout's positions and components, a ScenarioSample per row and the output
+# array, which also holds the context frames. Its rollout runs in chunks of scenario
+# rows, in the caller or in two forked workers, with ~640 rows in flight either way, so
+# the working set besides these does not grow with the run (~36 bytes per agent-step at
+# 256 contexts x 20 scenarios, ~30 at 1,024; in mean mode, where the k samples of a
+# context share one row, ~24 and ~21). With workers the trace sees the caller only
+# (~24 and ~20): the chunks run in the workers, and the outputs are a shared mapping.
 MAX_AGENT_STEPS = 100_000_000
 
 

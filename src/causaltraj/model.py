@@ -16,13 +16,17 @@ import functools
 import importlib
 import json
 import math
+import mmap
 import numbers
 import os
+import pickle
+import signal
 import struct
+import sys
+import threading
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from threading import Lock, Thread
 
 import numpy as np
 
@@ -30,7 +34,8 @@ from . import mdn
 from . import tensor as T
 from .data import atomic_write, open_binary
 from .encoders import SSM_BLOCKS, SSM_CONV_WIDTH, SSM_EXPAND, PointNetEncoder, SSMEncoder
-from .errors import ConfigError, DataError, ShapeError, TrajectoryFormatError
+from .errors import (CausalTrajError, ConfigError, DataError, ShapeError,
+                     TrajectoryFormatError)
 from .nn import Dense, EmbeddingTable, MLP, Module
 from .relation import FRAME_DIM, RelationEncoder, frame_features
 from .tensor import Tensor
@@ -164,17 +169,17 @@ class ModelConfig:
 
 # Scenario rows in flight in the rollout's horizon loop. Chunks split a call's
 # contexts evenly; run one at a time, a chunk holds about this many rows, and run
-# W at a time on W threads, about ROLLOUT_ROWS / W each. So no chunk holds much
-# fewer than half its share unless one context has more scenarios. At 640 a
+# W at a time in W worker processes, about ROLLOUT_ROWS / W each. So no chunk holds
+# much fewer than half its share unless one context has more scenarios. At 640 a
 # small-preset `sample` of 64 contexts x 20 scenarios runs in two serial chunks at
-# the single batch's speed, or in four of 320 two at a time; serial chunks of 320
-# are 7-10% slower, and chunks of 20-60 rows changed the last bits of some
-# scenarios (80 or more kept every bit).
+# the single batch's speed, or in four of 320, two in each of two workers; serial
+# chunks of 320 are 7-10% slower, and chunks of 20-60 rows changed the last bits of
+# some scenarios (80 or more kept every bit).
 ROLLOUT_ROWS = 640
-# The most threads that run horizon-loop chunks at once. numpy's ufuncs and BLAS
-# release the GIL while they compute, so two chunks overlap; the sampler's Python
-# loop and the op dispatch between them do not.
-ROLLOUT_THREADS = 2
+# The most worker processes that run horizon-loop chunks at once. They are forked
+# processes, not threads: each numpy call of a step takes ~10 us, so two threads
+# spent most of a step handing the GIL to each other.
+ROLLOUT_WORKERS = 2
 # The functions through which OpenBLAS (numpy's wheels carry it with a prefix and
 # a suffix on its symbols) and MKL report how many threads a BLAS call runs on.
 BLAS_THREAD_QUERIES = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
@@ -233,8 +238,8 @@ def _blas_threads(cpus: int) -> int:
     return cpus if query is None else max(1, query())
 
 
-def _rollout_threads() -> int:
-    """``ROLLOUT_THREADS``, or fewer, so that each runs its BLAS calls on CPUs of its own.
+def _rollout_workers() -> int:
+    """``ROLLOUT_WORKERS``, or fewer, so that each runs its BLAS calls on CPUs of its own.
 
     That is the usable CPUs (``_usable_cpus``) divided by the threads BLAS
     runs a call on (``_blas_threads``). BLAS's threads spin while they wait
@@ -243,7 +248,138 @@ def _rollout_threads() -> int:
     and OpenBLAS's second thread gave the one-thread rollout nothing.
     """
     cpus = _usable_cpus()
-    return max(1, min(ROLLOUT_THREADS, cpus // _blas_threads(cpus)))
+    return max(1, min(ROLLOUT_WORKERS, cpus // _blas_threads(cpus)))
+
+
+def _rollout_plan(contexts: int, runs: int, workers: int, rows: int) -> list:
+    """The horizon loop's chunks: one list per worker of its chunks' context bounds
+    (lo, hi), in order.
+
+    ``runs`` scenario rows per context. W = min(workers, contexts, the chunks
+    of ``rows`` rows the call needs); the chunks, of about rows / W rows each,
+    split the contexts evenly, and worker j takes chunks [chunks * j / W,
+    chunks * (j + 1) / W). So a call of at most ``rows`` rows is one chunk in
+    one worker.
+    """
+    total = contexts * runs
+    workers = min(workers, contexts, -(-total // rows))
+    chunks = min(contexts, -(-total * workers // rows))
+    bounds = [(contexts * i // chunks, contexts * (i + 1) // chunks) for i in range(chunks)]
+    return [bounds[chunks * j // workers: chunks * (j + 1) // workers] for j in range(workers)]
+
+
+def _stop_all(stop: np.ndarray, errors: dict, error: BaseException) -> None:
+    """Stop every chunk at its next step, and keep ``error``, raised in the caller
+    outside a chunk, as the one the call raises (key -1, before any chunk's)."""
+    stop[:] = -1
+    errors.setdefault(-1, error)
+
+
+def _waiting(call, stop: np.ndarray, errors: dict):
+    """``call()``, called again after each exception a signal handler raises in it
+    (Ctrl-C while the caller waits), which stops every chunk (``_stop_all``)."""
+    while True:
+        try:
+            return call()
+        except BaseException as e:
+            _stop_all(stop, errors, e)
+
+
+def _read_to_end(fd: int, parts: list) -> bytes:
+    """Read ``fd`` to its end into ``parts``, which keeps what was read across calls."""
+    while part := os.read(fd, 1 << 16):
+        parts.append(part)
+    return b"".join(parts)
+
+
+def _reap(pid: int) -> None:
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:      # reaped already, as where SIGCHLD is ignored
+        pass
+
+
+def _worker_message(failed) -> bytes:
+    """What a worker sends the caller: None, or (first context of the failing chunk,
+    "Type: message", the pickled error or None if it does not pickle)."""
+    if failed is None:
+        return pickle.dumps(None)
+    key, error = failed
+    try:
+        payload = pickle.dumps(error)
+    except Exception:
+        payload = None
+    return pickle.dumps((key, f"{type(error).__name__}: {error}", payload))
+
+
+def _worker_failure(message: bytes, first: int):
+    """A worker's (key, error) from its message, or None; ``first``, the first context
+    of its first chunk, keys a worker that ended without sending one."""
+    if not message:
+        return first, CausalTrajError("a rollout worker ended without a result")
+    failed = pickle.loads(message)
+    if failed is None:
+        return None
+    key, description, payload = failed
+    try:
+        return key, pickle.loads(payload)
+    except Exception:              # no payload, or one that does not unpickle
+        return key, CausalTrajError(f"a rollout worker raised {description}")
+
+
+def _run_in_workers(run, plan: list, stop: np.ndarray) -> dict:
+    """Run ``run(j)`` for every worker j of ``plan`` in a forked process of its own, and
+    wait for them all; returns {key: error} of every ``run(j)`` that returned one.
+
+    Each worker sends its result through a pipe and ends through ``os._exit``,
+    so it never returns into the caller's stack. Signals are blocked across the
+    fork, so none reaches either side before it has its bookkeeping. A worker
+    whose fork fails runs in the caller, once the others are forked. The
+    caller reaps every worker on every path; a Ctrl-C (or any other raise in
+    the caller) meanwhile stops every chunk and is kept as key -1.
+    """
+    children, errors = [], {}       # (first context, pid, read end) per forked worker
+    try:
+        in_caller = []
+        for j in range(len(plan)):
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            try:
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    in_caller.append(j)
+                    continue
+                if pid == 0:
+                    try:
+                        os.close(r)
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        message = _worker_message(run(j))
+                        with open(w, "wb") as pipe:
+                            pipe.write(message)
+                    finally:
+                        os._exit(0)
+                os.close(w)
+                children.append((plan[j][0][0], pid, r))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for j in in_caller:
+            failed = run(j)
+            if failed is not None:
+                errors.setdefault(*failed)
+    except BaseException as e:
+        _stop_all(stop, errors, e)
+    for first, pid, r in children:
+        parts = []
+        message = _waiting(lambda: _read_to_end(r, parts), stop, errors)
+        os.close(r)
+        _waiting(lambda: _reap(pid), stop, errors)
+        failed = _worker_failure(message, first)
+        if failed is not None:
+            errors.setdefault(*failed)
+    return errors
 
 
 @dataclass
@@ -434,22 +570,28 @@ class TrajectoryModel(Module):
         flight, so the working set stops growing with C * k: each chunk
         repeats only its own contexts' encoder state and step 0's mixture
         parameters per scenario, builds its own scenarios' generators and
-        writes its rows of the output. The calling thread and W - 1 helper
-        threads take chunks in order until none is left, W = min(
-        ``ROLLOUT_THREADS`` = 2, usable CPUs per thread numpy's BLAS reports
-        (``_rollout_threads``), the chunks of ``ROLLOUT_ROWS`` rows the call
-        would need), in chunks of about ``ROLLOUT_ROWS / W`` rows, under one
-        ``no_grad`` the caller holds. So a call of at most ``ROLLOUT_ROWS``
-        rows is one chunk on the caller alone, and with W = 1 (one CPU, or
-        BLAS on every CPU, its usual default) the caller runs every chunk. A
-        chunk that raises stops the chunks after it at their next step; an
-        interrupt stops them all. The call raises once its helpers have
-        ended: the interrupt if there was one, else the error of the first
-        failing chunk in order, as if the chunks ran one after another. A
-        chunk never changes a scenario's bits: a step's ops treat each scene
-        row on its own, and a chunk keeps enough rows that BLAS takes the
-        kernels it takes for the whole batch (tests compare chunked, threaded
-        and single-batch calls byte for byte).
+        writes its rows of the output. W worker processes run the chunks, W =
+        min(``ROLLOUT_WORKERS`` = 2, usable CPUs per thread numpy's BLAS reports
+        (``_rollout_workers``), the chunks of ``ROLLOUT_ROWS`` rows the call
+        would need), in chunks of about ``ROLLOUT_ROWS / W`` rows, worker j the
+        j-th W-th of them in order (``_rollout_plan``). The workers are forked
+        after step 0 and write their rows into one shared anonymous mapping
+        that holds the outputs; the caller only waits, under one ``no_grad``
+        the workers inherit. They are forked only on Linux and only while the
+        process runs one Python thread (a fork from a multi-threaded process
+        can deadlock in the child); otherwise, or with W = 1 (one CPU, or BLAS
+        on every CPU, its usual default), the caller runs every chunk itself,
+        in chunks of about ``ROLLOUT_ROWS`` rows. So a call of at most
+        ``ROLLOUT_ROWS`` rows never forks. A chunk that raises stops the chunks
+        after it at their next step; an interrupt stops them all. The call
+        raises once every worker has ended and been reaped: the interrupt if
+        there was one, else the error of the first failing chunk in order, as
+        if the chunks ran one after another. A worker's error comes back
+        pickled; one that does not pickle comes back as a ``CausalTrajError``
+        that names its type and message. A chunk never changes a scenario's
+        bits: a step's ops treat each scene row on its own, and a chunk keeps
+        enough rows that BLAS takes the kernels it takes for the whole batch
+        (tests compare chunked, forked and single-batch calls byte for byte).
         ``incremental=False`` swaps ``temporal.step`` for ``_reencode``, which
         re-encodes all frames so far: the reference that only tests and
         perfbench's rollout consistency check use. The encoder step and the
@@ -490,17 +632,24 @@ class TrajectoryModel(Module):
             lat_t = step(feats[:, :, t].reshape(C * N, FRAME_DIM), state)
         step0 = self._step_params(lat_t, feats[:, :, P - 1], ctx_cat)
 
-        out_pos = np.empty((C * runs, horizon, N, 2), dtype=np.float32)
-        out_comp = np.empty((C * runs, horizon), dtype=np.int64)
-        # W threads, each with ~ROLLOUT_ROWS / W rows in flight, in chunks taken in order
-        workers = min(_rollout_threads(), C, -(-C * runs // ROLLOUT_ROWS))
-        chunks = min(C, -(-C * runs * workers // ROLLOUT_ROWS))
-        # the next chunk to take; the chunks after first_failed stop at their next step
-        next_chunk, first_failed, errors = 0, chunks, {}
-        lock = Lock()
+        # forked workers only on Linux, and only from a process of one Python thread: a
+        # fork from a multi-threaded process can deadlock in the child
+        may_fork = sys.platform == "linux" and threading.active_count() == 1
+        plan = _rollout_plan(C, runs, _rollout_workers() if may_fork else 1, ROLLOUT_ROWS)
+        workers = len(plan)
+        # the outputs and one stop slot per worker: the first context of the first chunk
+        # that failed in it, or -1 after an interrupt; the chunks after the lowest slot
+        # stop at their next step. With workers, in one mapping they all share
+        comp_bytes = C * runs * horizon * 8
+        pos_at = comp_bytes + workers * 8
+        size = pos_at + C * runs * horizon * N * 2 * 4
+        buf = mmap.mmap(-1, size) if workers > 1 else np.empty(size, dtype=np.uint8)
+        out_comp = np.ndarray((C * runs, horizon), np.int64, buf)
+        stop = np.ndarray(workers, np.int64, buf, offset=comp_bytes)
+        out_pos = np.ndarray((C * runs, horizon, N, 2), np.float32, buf, offset=pos_at)
+        stop[:] = C
 
-        def run_chunk(i: int) -> None:
-            lo, hi = C * i // chunks, C * (i + 1) // chunks               # this chunk's contexts
+        def run_chunk(lo: int, hi: int) -> None:
             rows = slice(lo * runs, hi * runs)
             B = (hi - lo) * runs
             rngs = [
@@ -513,7 +662,7 @@ class TrajectoryModel(Module):
             f_t = np.repeat(feats[lo:hi, :, P - 1], runs, axis=0)        # [B, N, FRAME_DIM]
             for u in range(horizon):
                 if u > 0:
-                    if i > first_failed:
+                    if lo > stop.min():
                         return
                     lat_t = step(f_t.reshape(B * N, FRAME_DIM), chunk_state)
                     lg, mn, ch = self._step_params(lat_t, f_t, cat)
@@ -535,43 +684,28 @@ class TrajectoryModel(Module):
                 # the velocity is new_cur - cur, which can differ from dx in its last bit
                 f_t = np.concatenate([new_cur, new_cur - cur], axis=-1)
 
-        def stop(i: int, error: BaseException) -> None:
-            """Keep chunk i's error and stop the chunks after it; an interrupt (not an
-            ``Exception``) stops them all as chunk -1, so its error is the one raised."""
-            nonlocal first_failed
-            i = i if isinstance(error, Exception) else -1
-            with lock:
-                errors[i] = error
-                first_failed = min(first_failed, i)
-
-        def take_chunks() -> None:
-            nonlocal next_chunk
-            while True:
-                with lock:
-                    i, next_chunk = next_chunk, next_chunk + 1
-                    if i >= first_failed:      # none left, an earlier one failed, or interrupted
-                        return
-                try:
-                    run_chunk(i)
-                except BaseException as e:
-                    stop(i, e)
-
-        helpers = [Thread(target=take_chunks, name=f"rollout-{j}") for j in range(1, workers)]
-        # one no_grad for every thread: nested ones on two threads could restore each
-        # other's flag to True mid-step
-        with T.no_grad():
+        def run_chunks(j: int):
+            """Run worker j's chunks in order; on a raise, set its stop slot and return
+            (the slot, the error). An interrupt (not an ``Exception``) stops every
+            chunk as -1, so its error is the one raised."""
+            lo = -1
             try:
-                for t in helpers:
-                    t.start()
-                take_chunks()
-                for t in helpers:
-                    t.join()
-            except BaseException as e:         # interrupted outside a chunk, or a start failed
-                stop(-1, e)
-                # a helper that is not alive yet takes no chunk: it sees the stop first
-                for t in helpers:
-                    if t.is_alive():
-                        t.join()
+                for lo, hi in plan[j]:
+                    if lo > stop.min():
+                        break
+                    run_chunk(lo, hi)
+            except BaseException as e:
+                stop[j] = lo if isinstance(e, Exception) else -1
+                return int(stop[j]), e
+            return None
+
+        # workers inherit the caller's no_grad; the caller waits under it
+        with T.no_grad():
+            if workers == 1:
+                failed = run_chunks(0)
+                errors = {} if failed is None else dict([failed])
+            else:
+                errors = _run_in_workers(run_chunks, plan, stop)
         if errors:
             raise errors[min(errors)]
 

@@ -52,10 +52,8 @@ ADAM_BLOCK = 1 << 16
 # glibc's mallopt parameters (malloc.h) and the values ``keep_freed_heap`` sets.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 _MMAP_THRESHOLD = 32 << 20    # glibc's largest on 64-bit; larger values are refused
 _TRIM_THRESHOLD = 256 << 20
-_ARENA_MAX = 1
 
 
 @dataclass
@@ -73,7 +71,7 @@ class TrainConfig:
 
 @functools.cache
 def keep_freed_heap() -> bool:
-    """Have glibc keep freed memory for reuse, in one arena; once per process.
+    """Have glibc keep freed memory for reuse; once per process.
 
     A rollout step frees and reallocates arrays of a few hundred KB to a few
     MB, and a training step frees each intermediate result that no backward
@@ -83,15 +81,11 @@ def keep_freed_heap() -> bool:
     20-scenario sample pass). Raising the mmap threshold to 32 MB and the trim
     threshold to 256 MB keeps freed memory in the heap. Both are set: any
     mallopt call freezes the adaptive mmap threshold at its 128 KB start, so
-    the trim threshold alone makes more faults, not fewer. The third setting
-    caps glibc at one arena: a rollout's second thread would otherwise get an
-    arena of its own, which keeps its freed arrays apart from the main heap
-    (~5 MB more peak RSS in a 64-context x 20-scenario sample pass). Its
-    allocations are a few per op, so sharing the one lock costs little.
-    ``train`` and the CLI's ``entrypoint`` apply it; a library caller of
-    ``rollout`` keeps its allocator.
+    the trim threshold alone makes more faults, not fewer. A forked rollout
+    worker inherits both. ``train`` and the CLI's ``entrypoint`` apply it; a
+    library caller of ``rollout`` keeps its allocator.
 
-    Returns True when glibc took all three values; off glibc it does nothing.
+    Returns True when glibc took both values; off glibc it does nothing.
     """
     if platform.libc_ver()[0] != "glibc":
         return False
@@ -101,11 +95,10 @@ def keep_freed_heap() -> bool:
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    # mmap first: if glibc refuses it, the other two are left alone too
+    # mmap first: if glibc refuses it, the trim threshold is left alone too
     if not mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
         return False
-    took = [mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD), mallopt(_M_ARENA_MAX, _ARENA_MAX)]
-    return all(took)
+    return bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
 
 
 def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:

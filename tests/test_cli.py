@@ -6,10 +6,12 @@ import json
 import os
 import pathlib
 import platform
+import signal
 import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -328,6 +330,66 @@ def test_threaded_sample_passes_reuse_freed_heap(tmp_path):
     report = sample_passes(tmp_path, 48, env={"OPENBLAS_NUM_THREADS": "1"})
     assert report["kept"] and report["runs"] == 1
     assert report["faults"][1] < 2000, report["faults"]
+
+
+def worker_pids(pid: int) -> list:
+    """The children of process ``pid`` (its rollout workers), from /proc."""
+    tasks = pathlib.Path(f"/proc/{pid}/task")
+    try:
+        return [int(c) for f in tasks.glob("*/children") for c in f.read_text().split()]
+    except OSError:                            # the process has ended
+        return []
+
+
+@pytest.mark.skipif(sys.platform != "linux" or not pathlib.Path("/proc/self/task").is_dir(),
+                    reason="the rollout forks its workers on Linux only")
+def test_an_interrupted_sample_leaves_no_file_and_no_process(tmp_path):
+    # Ctrl-C reaches the whole process group (the caller and its two rollout
+    # workers) while the workers run. sample ends non-zero, writes nothing and
+    # leaves no process behind
+    env = {"OPENBLAS_NUM_THREADS": "1"}
+    probe = run_python("-c", "from causaltraj import model; print(model._rollout_workers())",
+                       env=env)
+    if probe.stdout.split() != ["2"]:
+        pytest.skip("the rollout runs in the caller here: fewer than two CPUs for it")
+    if not pathlib.Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists():
+        pytest.skip("the kernel lists no children under /proc")
+    held, ckpt, out = tmp_path / "held.ctrj", tmp_path / "model.ckpt", tmp_path / "pred.ctrj"
+    data.write_trajectories(
+        held, data.synth_forking_play(64, frames=40, players=2).trajectories)
+    save_checkpoint(ckpt, TrajectoryModel(ModelConfig.small(
+        num_agents=3, num_components=2, context_frames=8, future_frames=32)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "causaltraj.cli", "sample", "--model", str(ckpt),
+         "--data", str(held), "--out", str(out), "--scenarios", "20"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not worker_pids(proc.pid):
+            assert proc.poll() is None, "sample ended before its workers were seen"
+            assert time.monotonic() < deadline, "no rollout worker was forked"
+            time.sleep(0.002)
+        os.killpg(proc.pid, signal.SIGINT)
+        proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        proc.stderr.close()
+    assert proc.returncode != 0
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+    deadline = time.monotonic() + 10
+    while True:                                # no process is left in the group
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a process is left in the group"
+        time.sleep(0.01)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] == "glibc", reason="checks the non-glibc path")

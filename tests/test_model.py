@@ -19,7 +19,8 @@ import pytest
 from causaltraj import mdn
 from causaltraj import model as model_mod
 from causaltraj import tensor as T
-from causaltraj.errors import ConfigError, DataError, ShapeError, TrajectoryFormatError
+from causaltraj.errors import (CausalTrajError, ConfigError, DataError, ShapeError,
+                               TrajectoryFormatError)
 from causaltraj.model import (
     CHECKPOINT_MAGIC,
     ModelConfig,
@@ -460,42 +461,92 @@ def reference_rollout(model, contexts, categories, horizon, num_scenarios, seed,
     return out_pos, out_disp, out_comp
 
 
-def count_chunks(monkeypatch, rows: int, workers: int) -> list:
-    """Set ``ROLLOUT_ROWS`` to rows and the rollout's threads to workers; returns a
-    list that gains each rollout chunk's contexts as (start, stop).
+class WorkerLog:
+    """A list that the caller and forked rollout workers append to alike: each item
+    is one JSON line appended to a file, so a worker's items reach the caller."""
 
-    Each chunk repeats its slice of the encoder state, through nested calls
-    that all see the same slice, and no two chunks share a slice; chunks on
-    two threads record in either order, so compare the list sorted.
+    def __init__(self, path):
+        self.path = path
+        path.write_text("")
+
+    def append(self, item) -> None:
+        with open(self.path, "a") as f:
+            f.write(json.dumps(item) + "\n")
+
+    def items(self) -> list:
+        return [tuple(x) if isinstance(x, list) else x
+                for x in map(json.loads, self.path.read_text().splitlines())]
+
+    def clear(self) -> None:
+        self.path.write_text("")
+
+
+def wait_for(path, timeout: float = 20.0) -> bool:
+    """Wait until ``path`` exists (another process's signal); False on timeout."""
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def assert_reaped(log) -> None:
+    """Every worker the rollout forked since ``count_chunks`` has ended and been
+    reaped. (Other tests' helpers, such as multiprocessing's resource tracker,
+    can outlive them, so this does not ask for no child at all.)"""
+    for pid in log.forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def count_chunks(monkeypatch, tmp_path, rows: int, workers: int) -> WorkerLog:
+    """Set ``ROLLOUT_ROWS`` to rows and the rollout's workers to workers; returns a
+    log that gains (pid, start, stop) each time a chunk repeats its contexts'
+    encoder state, in the process that runs the chunk.
+
+    A chunk repeats its slice through nested calls that all see the same
+    slice, so compare ``chunks_run`` of the log. ``log.forked`` gains the pid
+    of each worker forked.
     """
-    chunks = []
-    lock = threading.Lock()
-    repeat = model_mod._repeat_per_context
+    log = WorkerLog(tmp_path / "chunks.jsonl")
+    log.forked = []
+    repeat, fork = model_mod._repeat_per_context, os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            log.forked.append(pid)
+        return pid
 
     def spy(state, contexts, k, chunk):
-        with lock:
-            if (chunk.start, chunk.stop) not in chunks:
-                chunks.append((chunk.start, chunk.stop))
+        log.append((os.getpid(), chunk.start, chunk.stop))
         return repeat(state, contexts, k, chunk)
 
     monkeypatch.setattr(model_mod, "ROLLOUT_ROWS", rows)
-    monkeypatch.setattr(model_mod, "_rollout_threads", lambda: workers)
+    monkeypatch.setattr(model_mod, "_rollout_workers", lambda: workers)
     monkeypatch.setattr(model_mod, "_repeat_per_context", spy)
-    return chunks
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return log
 
 
-@pytest.mark.parametrize("cpus, blas, threads", [
+def chunks_run(log: WorkerLog) -> list:
+    """The (start, stop) context bounds of the chunks a ``count_chunks`` log saw."""
+    return sorted({(lo, hi) for _, lo, hi in log.items()})
+
+
+@pytest.mark.parametrize("cpus, blas, workers", [
     (2, 2, 1),                                 # BLAS on both CPUs, OpenBLAS's default
     (2, 1, 2),
     (1, 1, 1),
-    (8, 1, 2),                                 # at most ROLLOUT_THREADS
+    (8, 1, 2),                                 # at most ROLLOUT_WORKERS
     (8, 4, 2),
     (8, 6, 1),
 ])
-def test_rollout_threads_leave_each_blas_thread_a_cpu(cpus, blas, threads, monkeypatch):
+def test_rollout_workers_leave_each_blas_thread_a_cpu(cpus, blas, workers, monkeypatch):
     monkeypatch.setattr(model_mod, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(model_mod, "_blas_threads", lambda cpus: blas)
-    assert model_mod._rollout_threads() == threads
+    assert model_mod._rollout_workers() == workers
 
 
 def test_blas_threads_are_what_numpys_blas_reports(monkeypatch):
@@ -532,54 +583,61 @@ def test_usable_cpus_keep_to_the_cgroup_quota(files, cpus, tmp_path, monkeypatch
     assert model_mod._usable_cpus() == cpus
 
 
-def expected_chunks(contexts: int, rows_per_context: int, rows: int, workers: int) -> int:
-    """Chunks of ~rows / W rows on W threads, W at most the chunks of ~rows rows."""
-    total = contexts * rows_per_context
-    workers = min(workers, contexts, -(-total // rows))
-    return min(contexts, -(-total * workers // rows))
+@pytest.mark.parametrize("contexts, runs, workers, rows, plan", [
+    (3, 1, 1, 640, [[(0, 3)]]),                            # one chunk
+    (3, 1, 1, 2, [[(0, 1), (1, 3)]]),                      # 3 rows in chunks of ~2
+    (3, 4, 1, 2, [[(0, 1), (1, 2), (2, 3)]]),              # at most one chunk per context
+    (3, 1, 1, 7, [[(0, 3)]]),
+    (3, 4, 1, 7, [[(0, 1), (1, 3)]]),
+    (3, 1, 2, 7, [[(0, 3)]]),                              # one chunk is never split
+    (3, 1, 2, 2, [[(0, 1)], [(1, 2), (2, 3)]]),            # chunks of ~1 row, two workers
+    (3, 4, 2, 7, [[(0, 1)], [(1, 2), (2, 3)]]),
+    (7, 4, 1, 10, [[(0, 2), (2, 4), (4, 7)]]),             # 28 rows in chunks of ~10
+    (7, 4, 2, 20, [[(0, 2)], [(2, 4), (4, 7)]]),           # or of ~20 / 2: the same split
+    (64, 20, 1, 640, [[(0, 32), (32, 64)]]),               # sample_small's shape
+    (64, 20, 2, 640, [[(0, 16), (16, 32)], [(32, 48), (48, 64)]]),
+    (64, 20, 4, 640, [[(0, 16), (16, 32)], [(32, 48), (48, 64)]]),     # 2 chunks of 640
+    (704, 1, 2, 640, [[(0, 234)], [(234, 469), (469, 704)]]),
+    (8, 2, 4, 4, [[(0, 1), (1, 2)], [(2, 3), (3, 4)], [(4, 5), (5, 6)], [(6, 7), (7, 8)]]),
+])
+def test_rollout_plan_splits_the_contexts_evenly(contexts, runs, workers, rows, plan):
+    assert model_mod._rollout_plan(contexts, runs, workers, rows) == plan
 
 
 # 2 rows: 3 contexts x 1 row split 1 + 2, x 4 rows one context per chunk;
-# 7 rows: 3 x 1 in one chunk, 3 x 4 split 1 + 2. On two threads every split
+# 7 rows: 3 x 1 in one chunk, 3 x 4 split 1 + 2. With two workers every split
 # of more than one chunk takes one context per chunk; a call of one chunk
-# never starts a thread, so ROLLOUT_ROWS runs on one.
+# never forks, so ROLLOUT_ROWS runs in the caller.
 @pytest.mark.parametrize("rows, workers", [(model_mod.ROLLOUT_ROWS, 1), (2, 1), (7, 1),
                                            (2, 2), (7, 2)])
 @pytest.mark.parametrize("mode", ["sample", "mean"])
 @pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "recompute"])
 @pytest.mark.parametrize("kind", ["pointnet", "ssm"])
 def test_rollout_matches_per_scene_reference(kind, incremental, mode, rows, workers,
-                                             monkeypatch):
+                                             monkeypatch, tmp_path):
     # the prefix and step 0 run once per context and are repeated per scenario,
-    # and the later steps run in chunks of contexts, on one or two threads; every
-    # output byte must equal the loop that ran them all per scene row, in one batch
+    # and the later steps run in chunks of contexts, in the caller or in two
+    # workers; every output byte must equal the loop that ran them all per
+    # scene row, in one batch
     model = state_dependent(TrajectoryModel(tiny_config(temporal=kind)))
     rng = np.random.default_rng(23)
     ctx, cats = scenes(rng, B=3, N=3, Tlen=4)
     per_context = rng.integers(0, 3, size=(3, 3))
-    chunks = count_chunks(monkeypatch, rows, workers)
+    log = count_chunks(monkeypatch, tmp_path, rows, workers)
     for categories in (cats, per_context):
         for k in (1, 4):
-            chunks.clear()
+            log.clear()
             got = model.rollout(ctx, categories, horizon=5, num_scenarios=k, seed=8,
                                 mode=mode, incremental=incremental)
             runs = k if mode == "sample" else 1
-            assert len(chunks) == expected_chunks(3, runs, rows, workers)
+            plan = model_mod._rollout_plan(3, runs, workers, rows)
+            assert chunks_run(log) == [chunk for chunks in plan for chunk in chunks]
+            assert len({pid for pid, _, _ in log.items()}) == len(plan)
+            assert_reaped(log)
             want = reference_rollout(model, ctx, categories, 5, k, 8, mode, incremental)
             for field, ref in (("positions", want[0]), ("components", want[2])):
                 arr = np.stack([getattr(s, field) for s in got])
                 assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes(), (field, k)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_rollout_chunks_split_the_contexts_evenly(workers, monkeypatch):
-    # 28 rows: three serial chunks of ~10 rows, or on two threads three of
-    # ~20 / 2, so the splits are the same
-    model = TrajectoryModel(tiny_config())
-    ctx, cats = scenes(np.random.default_rng(26), B=7, N=3, Tlen=4)
-    chunks = count_chunks(monkeypatch, 10 * workers, workers)
-    model.rollout(ctx, cats, horizon=2, num_scenarios=4)
-    assert sorted(chunks) == [(0, 2), (2, 4), (4, 7)]
 
 
 def test_rollout_raises_at_the_diverging_step():
@@ -597,83 +655,92 @@ def test_rollout_raises_at_the_diverging_step():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_rollout_names_the_global_context_of_a_later_chunk(workers, monkeypatch):
+def test_rollout_names_the_global_context_of_a_later_chunk(workers, monkeypatch, tmp_path):
+    # context 2 is row 1 of the serial chunk [1, 3), and with two workers the
+    # only context of the second worker's last chunk: its DataError comes back
+    # from the worker, naming the context of the whole call
     model = TrajectoryModel(tiny_config())
     ctx, cats = scenes(np.random.default_rng(24), B=3, N=3, Tlen=4)
-    ctx[2, 1, -1] = np.inf                      # context 2: row 1 of the serial chunk [1, 3)
-    chunks = count_chunks(monkeypatch, 4, workers)
+    ctx[2, 1, -1] = np.inf
+    log = count_chunks(monkeypatch, tmp_path, 4, workers)
     splits = [(0, 1), (1, 3)] if workers == 1 else [(0, 1), (1, 2), (2, 3)]
     for mode, k, rows in (("sample", 2, 4), ("mean", 4, 2)):       # 6 and 3 rows
         monkeypatch.setattr(model_mod, "ROLLOUT_ROWS", rows)
-        chunks.clear()
+        log.clear()
         with np.errstate(invalid="ignore"), \
                 pytest.raises(DataError, match="context 2, scenario 0, step 0"):
             model.rollout(ctx, cats, horizon=4, num_scenarios=k, mode=mode)
-        assert sorted(chunks) == splits
+        assert chunks_run(log) == splits
+        assert_reaped(log)
 
 
-def draws_per_chunk(monkeypatch, context: int, step: int, action) -> dict:
+def draws_per_chunk(monkeypatch, log: WorkerLog, context: int, step: int, action) -> None:
     """Call ``action`` in ``mdn.sample_displacements`` when the chunk that starts at
-    ``context`` draws for ``step``; returns a dict that counts each chunk's draws
-    (steps sampled), keyed by its first context.
+    ``context`` draws for ``step``; ``log`` gains the chunk's first context at
+    each of its draws (steps sampled).
 
     A chunk's generators are keyed by the global (context, scenario) pair, so
-    its first generator's spawn key names the chunk's first context.
+    its first generator's spawn key names the chunk's first context. A chunk
+    runs in one process, which counts its draws.
     """
-    draws, lock = {}, threading.Lock()
+    counts = {}
     sample = mdn.sample_displacements
 
     def spy(rngs, lg, mn, ch):
-        first = rngs[0].bit_generator.seed_seq.spawn_key[0]
-        with lock:
-            u = draws[first] = draws.get(first, 0) + 1
+        first = int(rngs[0].bit_generator.seed_seq.spawn_key[0])
+        u = counts[first] = counts.get(first, 0) + 1
+        log.append(first)
         dx, comp = sample(rngs, lg, mn, ch)
         if first == context and u - 1 == step:
             action(dx)
         return dx, comp
 
     monkeypatch.setattr(mdn, "sample_displacements", spy)
-    return draws
+
+
+def draws(log: WorkerLog) -> dict:
+    """Draws per chunk, keyed by its first context, from a ``draws_per_chunk`` log."""
+    counts = {}
+    for first in log.items():
+        counts[first] = counts.get(first, 0) + 1
+    return counts
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_failing_chunk_stops_the_later_chunks(workers, monkeypatch):
-    # eight chunks of one context each. Context 1 diverges at step 0; context 0,
-    # in the first chunk, at step 3, and on two threads only after context 1's
-    # error is raised. The serial loop raises context 0's error, so the threaded
-    # one must too, and the chunks after context 1 must never draw
+def test_a_failing_chunk_stops_the_later_chunks(workers, monkeypatch, tmp_path):
+    # eight chunks of one context each; with two workers, contexts 0-3 in the
+    # first and 4-7 in the second. Context 4 diverges at step 0; context 1 at
+    # step 3, and with two workers only after context 4's error is out. The
+    # serial loop raises context 1's error, so the workers must too; no chunk
+    # after a failing one in its worker draws
     model = TrajectoryModel(tiny_config())
     ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
-    ctx[1, 0, -1] = np.inf
-    count_chunks(monkeypatch, 2 * workers, workers)
-    raised = threading.Event()
-
-    class Raised(DataError):
-        def __init__(self, *args):
-            super().__init__(*args)
-            raised.set()
+    ctx[4, 0, -1] = np.inf
+    chunks = count_chunks(monkeypatch, tmp_path, 2 * workers, workers)
+    log, failed = WorkerLog(tmp_path / "draws.jsonl"), tmp_path / "failed"
 
     def diverge(dx):
         if workers == 2:
-            assert raised.wait(timeout=20), "context 1's chunk did not fail"
-            time.sleep(0.2)                    # time for the other thread to take more chunks
+            assert wait_for(failed), "context 4's chunk did not fail"
+            time.sleep(0.2)                    # time for its error to reach the caller
         dx[0, 0, 0] = np.nan
 
-    monkeypatch.setattr(model_mod, "DataError", Raised)
-    draws = draws_per_chunk(monkeypatch, 0, 3, diverge)
+    draws_per_chunk(monkeypatch, log, 4, 0, lambda dx: failed.touch())
+    draws_per_chunk(monkeypatch, WorkerLog(tmp_path / "unused.jsonl"), 1, 3, diverge)
     with np.errstate(invalid="ignore"), \
-            pytest.raises(DataError, match="context 0, scenario 0, step 3"):
+            pytest.raises(DataError, match="context 1, scenario 0, step 3"):
         model.rollout(ctx, cats, horizon=8, num_scenarios=2)
-    assert draws == ({0: 4} if workers == 1 else {0: 4, 1: 1}), draws
-    assert not [t for t in threading.enumerate() if t.name.startswith("rollout")]
+    assert draws(log) == ({0: 8, 1: 4} if workers == 1 else {0: 8, 1: 4, 4: 1})
+    assert len(chunks.forked) == (0 if workers == 1 else 2)
+    assert_reaped(chunks)
 
 
 @contextlib.contextmanager
-def sigint_sets(seen: threading.Event):
-    """Handle SIGINT as Python does, by raising ``KeyboardInterrupt`` in the main
-    thread, but set ``seen`` first, so that another thread can wait for it."""
+def sigint_marks(seen):
+    """Handle SIGINT as Python does, by raising ``KeyboardInterrupt``, but create
+    the file ``seen`` first, so that a worker can wait for it."""
     def handler(signum, frame):
-        seen.set()
+        seen.touch()
         raise KeyboardInterrupt
 
     previous = signal.signal(signal.SIGINT, handler)
@@ -683,136 +750,196 @@ def sigint_sets(seen: threading.Event):
         signal.signal(signal.SIGINT, previous)
 
 
-def test_an_interrupt_stops_the_rollout_threads(monkeypatch):
-    # Ctrl-C reaches the caller while a helper is mid-chunk: the helper ends its
-    # step and takes no other, and the call raises once the helper has ended. The
-    # helper goes on once the caller joins it after the interrupt, when the
-    # chunks have been stopped.
+def test_an_interrupt_stops_the_workers(monkeypatch, tmp_path):
+    # the second worker sends Ctrl-C to the caller at its third step and goes on
+    # once the caller has taken it: it ends that step and takes no other. The
+    # call raises once both workers are reaped, and leaves the grad flag on
     model = TrajectoryModel(tiny_config())
     ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
-    count_chunks(monkeypatch, 4, 2)
-    main = threading.main_thread().ident
-    seen, joined, helper_draws = threading.Event(), threading.Event(), []
-    sample = mdn.sample_displacements
+    chunks = count_chunks(monkeypatch, tmp_path, 4, 2)
+    log, seen = WorkerLog(tmp_path / "draws.jsonl"), tmp_path / "seen"
 
-    class Helper(model_mod.Thread):
-        def join(self, *args, **kwargs):
-            if seen.is_set():
-                joined.set()
-            return super().join(*args, **kwargs)
+    def interrupt(dx):
+        os.kill(os.getppid(), signal.SIGINT)
+        assert wait_for(seen), "the caller did not take the interrupt"
+        time.sleep(0.2)                        # time for the caller to stop the chunks
 
-    def spy(*args):
-        if threading.current_thread().name.startswith("rollout"):
-            helper_draws.append(1)
-            if len(helper_draws) == 3:
-                signal.pthread_kill(main, signal.SIGINT)
-                assert joined.wait(timeout=20), "the caller did not stop the chunks"
-        return sample(*args)
-
-    monkeypatch.setattr(model_mod, "Thread", Helper)
-    monkeypatch.setattr(mdn, "sample_displacements", spy)
-    with sigint_sets(seen), pytest.raises(KeyboardInterrupt):
+    draws_per_chunk(monkeypatch, log, 4, 2, interrupt)
+    with sigint_marks(seen), pytest.raises(KeyboardInterrupt):
         model.rollout(ctx, cats, horizon=8, num_scenarios=2)
-    assert len(helper_draws) == 3              # steps 0-2 of its first chunk, then it stopped
-    assert not [t for t in threading.enumerate() if t.name.startswith("rollout")]
+    counts = draws(log)
+    assert counts[4] == 3 and not {5, 6, 7} & set(counts), counts
+    assert_reaped(chunks)
     assert T._grad_enabled
 
 
-def test_an_interrupt_in_start_waits_for_the_helper(monkeypatch):
-    # An interrupt can land in Thread.start once the helper runs. The caller
-    # still waits for it, so no step runs after the call has raised, and the
-    # helper stops after the step it is in.
+def test_an_interrupt_wins_over_an_earlier_failure(monkeypatch, tmp_path):
+    # context 0's chunk, in the first worker, fails at step 2 while context 4's,
+    # in the second, is in its step 1; then the second worker sends Ctrl-C to
+    # the caller. The call raises the interrupt, not context 0's DataError
     model = TrajectoryModel(tiny_config())
     ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
-    count_chunks(monkeypatch, 4, 2)
-    stepping, flags = threading.Event(), []
-    step = model._step_params
-
-    def slow_step(*args):
-        if not threading.current_thread().name.startswith("rollout"):
-            return step(*args)
-        stepping.set()
-        time.sleep(0.05)
-        flag = T._grad_enabled
-        params = step(*args)
-        flags.append(flag)
-        return params
-
-    class Helper(model_mod.Thread):
-        def start(self):
-            super().start()
-            assert stepping.wait(timeout=20), "the helper did not step"
-            raise KeyboardInterrupt
-
-    monkeypatch.setattr(model, "_step_params", slow_step)
-    monkeypatch.setattr(model_mod, "Thread", Helper)
-    with pytest.raises(KeyboardInterrupt):
-        model.rollout(ctx, cats, horizon=8, num_scenarios=2)
-    steps = len(flags)
-    time.sleep(0.2)
-    assert steps == len(flags) == 1, flags     # its step ended before the call raised
-    assert not any(flags) and T._grad_enabled
-    assert not [t for t in threading.enumerate() if t.name.startswith("rollout")]
-
-
-def test_an_interrupt_wins_over_an_earlier_failure(monkeypatch):
-    # Context 0's chunk fails at step 2 once context 1's chunk runs on the other
-    # thread; then Ctrl-C reaches the caller. The call raises the interrupt, not
-    # chunk 0's DataError, whichever thread runs which chunk.
-    model = TrajectoryModel(tiny_config())
-    ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
-    count_chunks(monkeypatch, 4, 2)
-    main = threading.main_thread().ident
-    second, raised, seen = threading.Event(), threading.Event(), threading.Event()
-
-    class Raised(DataError):
-        def __init__(self, *args):
-            super().__init__(*args)
-            raised.set()
+    chunks = count_chunks(monkeypatch, tmp_path, 4, 2)
+    second, failed, seen = tmp_path / "second", tmp_path / "failed", tmp_path / "seen"
+    unused = WorkerLog(tmp_path / "draws.jsonl")
 
     def diverge(dx):
-        assert second.wait(timeout=20), "context 1's chunk did not start"
+        assert wait_for(second), "context 4's chunk did not reach step 1"
+        failed.touch()
         dx[0, 0, 0] = np.nan
 
     def interrupt(dx):
-        assert raised.wait(timeout=20), "context 0's chunk did not fail"
-        signal.pthread_kill(main, signal.SIGINT)
-        assert seen.wait(timeout=20), "the caller did not take the interrupt"
+        second.touch()
+        assert wait_for(failed), "context 0's chunk did not fail"
+        time.sleep(0.2)                        # time for its error to reach the caller
+        os.kill(os.getppid(), signal.SIGINT)
+        assert wait_for(seen), "the caller did not take the interrupt"
 
-    monkeypatch.setattr(model_mod, "DataError", Raised)
-    draws_per_chunk(monkeypatch, 1, 0, lambda dx: second.set())
-    draws_per_chunk(monkeypatch, 0, 2, diverge)
-    draws_per_chunk(monkeypatch, 1, 1, interrupt)
-    with sigint_sets(seen), np.errstate(invalid="ignore"), pytest.raises(KeyboardInterrupt):
+    draws_per_chunk(monkeypatch, unused, 0, 2, diverge)
+    draws_per_chunk(monkeypatch, unused, 4, 1, interrupt)
+    with sigint_marks(seen), np.errstate(invalid="ignore"), pytest.raises(KeyboardInterrupt):
         model.rollout(ctx, cats, horizon=8, num_scenarios=2)
-    assert raised.is_set()
-    assert not [t for t in threading.enumerate() if t.name.startswith("rollout")]
+    assert failed.exists()
+    assert_reaped(chunks)
     assert T._grad_enabled
 
 
-def worker_grad_flags(monkeypatch, model) -> list:
-    """A list that gains ``T._grad_enabled`` at each head step a rollout thread runs."""
-    flags, step = [], model._step_params
+class TwoArgs(Exception):
+    """Pickles, but does not unpickle: pickle rebuilds it from its one message."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def unpicklable():
+    class Local(Exception):                    # a local class does not pickle
+        pass
+    return Local("the lock is held")
+
+
+@pytest.mark.parametrize("make, raised, message", [
+    (lambda: SystemExit(3), SystemExit, None),
+    (lambda: TwoArgs("x", "y"), CausalTrajError, "TwoArgs: x and y"),
+    (unpicklable, CausalTrajError, "Local: the lock is held"),
+    (lambda: ShapeError("bad shape"), ShapeError, "bad shape"),
+])
+def test_a_workers_error_comes_back_to_the_caller(make, raised, message, monkeypatch,
+                                                   tmp_path):
+    # the second worker raises at its first draw. It ends through os._exit, so
+    # it never runs the test code after the call, not even for SystemExit; an
+    # error that does not come back whole is a CausalTrajError naming it
+    model = TrajectoryModel(tiny_config())
+    ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
+    chunks = count_chunks(monkeypatch, tmp_path, 4, 2)
+    caller, after = os.getpid(), WorkerLog(tmp_path / "after.jsonl")
+
+    def fail(dx):
+        raise make()
+
+    draws_per_chunk(monkeypatch, WorkerLog(tmp_path / "draws.jsonl"), 4, 0, fail)
+    with pytest.raises(raised, match=message) as info:
+        model.rollout(ctx, cats, horizon=4, num_scenarios=2)
+    after.append(os.getpid())
+    time.sleep(0.1)
+    assert after.items() == [caller]
+    if raised is SystemExit:
+        assert info.value.code == 3
+    assert_reaped(chunks)
+
+
+def test_a_worker_that_ends_without_a_result_fails_the_call(monkeypatch, tmp_path):
+    # a worker killed mid-chunk sends nothing: its rows were never written
+    model = TrajectoryModel(tiny_config())
+    ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
+    chunks = count_chunks(monkeypatch, tmp_path, 4, 2)
+    caller = os.getpid()
+
+    def die(dx):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    draws_per_chunk(monkeypatch, WorkerLog(tmp_path / "draws.jsonl"), 4, 1, die)
+    with pytest.raises(CausalTrajError, match="ended without a result"):
+        model.rollout(ctx, cats, horizon=4, num_scenarios=2)
+    assert_reaped(chunks)
+
+
+def test_a_second_thread_keeps_the_rollout_in_the_caller(monkeypatch, tmp_path):
+    # a fork from a process with another thread alive can deadlock in the child:
+    # the caller runs every chunk, in chunks of ~ROLLOUT_ROWS rows, with the same bytes
+    model = TrajectoryModel(tiny_config())
+    ctx, cats = scenes(np.random.default_rng(29), B=12, N=3, Tlen=4)
+    serial = model.rollout(ctx, cats, horizon=4, num_scenarios=3, seed=2)
+    log = count_chunks(monkeypatch, tmp_path, 12, 2)
+    forks = []
+    monkeypatch.setattr(model_mod.os, "fork", lambda: forks.append(1) or pytest.fail("forked"))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        got = model.rollout(ctx, cats, horizon=4, num_scenarios=3, seed=2)
+    finally:
+        release.set()
+        other.join()
+    assert not forks
+    assert chunks_run(log) == [(0, 4), (4, 8), (8, 12)]          # 36 rows in chunks of ~12
+    assert {pid for pid, _, _ in log.items()} == {os.getpid()}
+    for field in ("positions", "components"):
+        assert (np.stack([getattr(s, field) for s in got]).tobytes()
+                == np.stack([getattr(s, field) for s in serial]).tobytes()), field
+
+
+@pytest.mark.parametrize("failing", [{0}, {0, 1}])
+def test_a_failing_fork_runs_that_workers_chunks_in_the_caller(failing, monkeypatch, tmp_path):
+    model = TrajectoryModel(tiny_config())
+    ctx, cats = scenes(np.random.default_rng(29), B=12, N=3, Tlen=4)
+    serial = model.rollout(ctx, cats, horizon=4, num_scenarios=3, seed=2)
+    log = count_chunks(monkeypatch, tmp_path, 12, 2)
+    fork, calls = os.fork, []
+
+    def flaky_fork():
+        calls.append(1)
+        if len(calls) - 1 in failing:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(model_mod.os, "fork", flaky_fork)
+    got = model.rollout(ctx, cats, horizon=4, num_scenarios=3, seed=2)
+    assert len(calls) == 2
+    plan = model_mod._rollout_plan(12, 3, 2, 12)
+    ran_in = {(lo, hi): pid for pid, lo, hi in log.items()}
+    for j, chunks in enumerate(plan):
+        for chunk in chunks:
+            assert (ran_in[chunk] == os.getpid()) == (j in failing), (j, chunk)
+    assert_reaped(log)
+    for field in ("positions", "components"):
+        assert (np.stack([getattr(s, field) for s in got]).tobytes()
+                == np.stack([getattr(s, field) for s in serial]).tobytes()), field
+
+
+def worker_grad_flags(monkeypatch, model, tmp_path) -> WorkerLog:
+    """A log that gains ``T._grad_enabled`` at each head step a forked worker runs."""
+    log, caller, step = WorkerLog(tmp_path / "flags.jsonl"), os.getpid(), model._step_params
 
     def spy(*args):
-        if threading.current_thread().name.startswith("rollout"):
-            flags.append(T._grad_enabled)
+        if os.getpid() != caller:
+            log.append(T._grad_enabled)
         return step(*args)
 
     monkeypatch.setattr(model, "_step_params", spy)
-    return flags
+    return log
 
 
-def test_threaded_rollout_leaves_the_grad_flag(monkeypatch):
+def test_forked_rollout_leaves_the_grad_flag(monkeypatch, tmp_path):
     model = TrajectoryModel(tiny_config())
     ctx, cats = scenes(np.random.default_rng(28), B=6, N=3, Tlen=4)
     bad_ctx = ctx.copy()
     bad_ctx[4, 0, -1] = np.inf
-    chunks = count_chunks(monkeypatch, 4, 2)
-    flags = worker_grad_flags(monkeypatch, model)
+    log = count_chunks(monkeypatch, tmp_path, 4, 2)
+    flags = worker_grad_flags(monkeypatch, model, tmp_path)
     assert T._grad_enabled
     model.rollout(ctx, cats, horizon=3, num_scenarios=2)
-    assert len(chunks) == 6 and T._grad_enabled
+    assert len(chunks_run(log)) == 6 and T._grad_enabled
     with np.errstate(invalid="ignore"), pytest.raises(DataError, match="context 4"):
         model.rollout(bad_ctx, cats, horizon=3, num_scenarios=2)
     assert T._grad_enabled
@@ -820,46 +947,54 @@ def test_threaded_rollout_leaves_the_grad_flag(monkeypatch):
         model.rollout(ctx, cats, horizon=3, num_scenarios=2)
         assert not T._grad_enabled
     assert T._grad_enabled
-    assert flags and not any(flags)            # no worker step ran with the flag on
+    assert flags.items() and not any(flags.items())    # no worker step ran with the flag on
+    assert_reaped(log)
 
 
-def test_rollout_threads_under_frequent_switches(monkeypatch):
-    # four threads on at most two cores, switching every microsecond: every
-    # byte equals the serial call's, and no worker saw the grad flag on
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_rollout_workers_give_the_serial_bytes(workers, monkeypatch, tmp_path):
+    # chunks of two rows' worth of contexts, run in the caller or in two or four
+    # workers (more than the CPUs here): every byte equals the one-chunk call's
     model = state_dependent(TrajectoryModel(tiny_config(temporal="ssm")))
     ctx, cats = scenes(np.random.default_rng(29), B=12, N=3, Tlen=4)
-    count_chunks(monkeypatch, 6, 1)
-    serial = model.rollout(ctx, cats, horizon=6, num_scenarios=3, seed=2)
-    monkeypatch.setattr(model_mod, "_rollout_threads", lambda: 4)
-    flags = worker_grad_flags(monkeypatch, model)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = model.rollout(ctx, cats, horizon=6, num_scenarios=3, seed=2)
-    finally:
-        sys.setswitchinterval(interval)
-    for field in ("positions", "components"):
-        assert (np.stack([getattr(s, field) for s in threaded]).tobytes()
-                == np.stack([getattr(s, field) for s in serial]).tobytes()), field
-    assert flags and not any(flags) and T._grad_enabled
+    modes = ("sample", "mean")
+    serial = {mode: model.rollout(ctx, cats, horizon=6, num_scenarios=3, seed=2, mode=mode)
+              for mode in modes}
+    log = count_chunks(monkeypatch, tmp_path, 2, workers)
+    for mode in modes:
+        runs = 3 if mode == "sample" else 1
+        monkeypatch.setattr(model_mod, "ROLLOUT_ROWS", 2 * runs)
+        log.clear()
+        got = model.rollout(ctx, cats, horizon=6, num_scenarios=3, seed=2, mode=mode)
+        plan = model_mod._rollout_plan(12, runs, workers, 2 * runs)
+        assert len(plan) == workers
+        assert chunks_run(log) == [chunk for chunks in plan for chunk in chunks]
+        assert len({pid for pid, _, _ in log.items()}) == workers
+        assert_reaped(log)
+        for field in ("positions", "components"):
+            assert (np.stack([getattr(s, field) for s in got]).tobytes()
+                    == np.stack([getattr(s, field) for s in serial[mode]]).tobytes()), \
+                (mode, field)
 
 
 # Bounds on the traced peak of one small-preset rollout of C contexts x 20
-# scenarios, 3 steps, by rollout threads, then C. At 16 contexts (320 rows,
-# one chunk), with the attention temporaries freed before each feedforward and
-# the GELU written over its linear's output, it peaks at 3.94 MB; when they stay
-# alive through the feedforward and the GELU takes a second array, at 5.61 MB.
-# At 64 contexts (1,280 rows) run in four chunks of 320 rows two at a time it
-# peaks at 7.8-8.2 MB; in two serial chunks of 640, at 7.2; in two chunks of 640
-# at once, at 14.1. At 128 contexts (2,560 rows) in eight chunks of 320 two at a
-# time, at 8.2-8.8 MB; in four serial chunks of 640, at 7.6; as one batch of
-# 2,560 rows, at 27.1 MB.
+# scenarios, 3 steps, by rollout workers, then C. With two workers tracemalloc
+# traces the caller only: the prefix, step 0 and what the workers' rows are
+# repeated from; the workers' chunks and the outputs (a shared mapping) are not
+# in it. At 16 contexts (320 rows, one chunk, no worker), with the attention
+# temporaries freed before each feedforward and the GELU written over its
+# linear's output, it peaks at 3.94 MB; when they stay alive through the
+# feedforward and the GELU takes a second array, at 5.61 MB. At 64 contexts
+# (1,280 rows) in two serial chunks of 640 it peaks at 7.2 MB; in two chunks of
+# 640 at once, at 14.1; in two workers, the caller at 3.0. At 128 contexts
+# (2,560 rows) in four serial chunks of 640, at 7.6; as one batch of 2,560 rows,
+# at 27.1 MB; in two workers, the caller at 5.0.
 ROLLOUT_PEAK_MB = {1: {16: 4.7, 128: 12.0}, 2: {16: 4.7, 64: 9.5, 128: 12.0}}
 
 
 @pytest.mark.parametrize("workers", sorted(ROLLOUT_PEAK_MB))
 def test_rollout_memory_peak(workers, monkeypatch):
-    monkeypatch.setattr(model_mod, "_rollout_threads", lambda: workers)
+    monkeypatch.setattr(model_mod, "_rollout_workers", lambda: workers)
     model = TrajectoryModel(ModelConfig.small(seed=0))
     bounds = ROLLOUT_PEAK_MB[workers]
     ctx, _ = scenes(np.random.default_rng(25), B=max(bounds), N=5, Tlen=8)

@@ -516,10 +516,10 @@ def test_training_epochs_reuse_freed_heap():
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
-@pytest.mark.parametrize("refused", [None, -3, -1, -8])
-def test_the_allocator_setting_needs_all_three_values(refused, monkeypatch):
-    # mmap threshold, trim threshold, one arena, in that order; a refused mmap
-    # threshold leaves the other two alone, and any refusal reads False
+@pytest.mark.parametrize("refused", [None, -3, -1])
+def test_the_allocator_setting_needs_both_values(refused, monkeypatch):
+    # mmap threshold, then trim threshold; a refused mmap threshold leaves the
+    # trim threshold alone, and any refusal reads False
     calls = []
 
     def mallopt(param, value):
@@ -535,4 +535,4 @@ def test_the_allocator_setting_needs_all_three_values(refused, monkeypatch):
     kept = trainer_mod.keep_freed_heap.__wrapped__()
     assert kept is (refused is None)
     assert calls == ([(-3, 32 << 20)] if refused == -3
-                     else [(-3, 32 << 20), (-1, 256 << 20), (-8, 1)])
+                     else [(-3, 32 << 20), (-1, 256 << 20)])

@@ -23,7 +23,8 @@ The grid, one definition for every comparison:
 - the positions and components of sample-mode and mean-mode rollouts, and
   of rollouts of more rows than one chunk of ``model.ROLLOUT_ROWS``: 768
   sample rows, and 704 contexts in mean mode (on a host with two CPUs free
-  these run their chunks on two threads);
+  these run their chunks in two forked worker processes, under
+  ``taskset -c 0`` in the caller alone);
 - the CLI's synth, train, sample (both modes, and one of 768 rows, more than
   one chunk), eval and render (with ``--pred``) outputs, and ``info`` on the
   container and on each checkpoint;
