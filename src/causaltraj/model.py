@@ -258,8 +258,8 @@ def _rollout_plan(contexts: int, runs: int, workers: int, rows: int) -> list:
     ``runs`` scenario rows per context. W = min(workers, contexts, the chunks
     of ``rows`` rows the call needs); the chunks, of about rows / W rows each,
     split the contexts evenly, and worker j takes chunks [chunks * j / W,
-    chunks * (j + 1) / W). So a call of at most ``rows`` rows is one chunk in
-    one worker.
+    chunks * (j + 1) / W). So a call of at most ``rows`` rows is one chunk,
+    with W = 1.
     """
     total = contexts * runs
     workers = min(workers, contexts, -(-total // rows))
