@@ -674,10 +674,10 @@ def test_rollout_names_the_global_context_of_a_later_chunk(workers, monkeypatch,
         assert_reaped(log)
 
 
-def draws_per_chunk(monkeypatch, log: WorkerLog, context: int, step: int, action) -> None:
+def draws_per_chunk(monkeypatch, context: int, step: int, action, log=None) -> None:
     """Call ``action`` in ``mdn.sample_displacements`` when the chunk that starts at
-    ``context`` draws for ``step``; ``log`` gains the chunk's first context at
-    each of its draws (steps sampled).
+    ``context`` draws for ``step``; ``log``, if given, gains the chunk's first
+    context at each of its draws (steps sampled).
 
     A chunk's generators are keyed by the global (context, scenario) pair, so
     its first generator's spawn key names the chunk's first context. A chunk
@@ -689,7 +689,8 @@ def draws_per_chunk(monkeypatch, log: WorkerLog, context: int, step: int, action
     def spy(rngs, lg, mn, ch):
         first = int(rngs[0].bit_generator.seed_seq.spawn_key[0])
         u = counts[first] = counts.get(first, 0) + 1
-        log.append(first)
+        if log is not None:
+            log.append(first)
         dx, comp = sample(rngs, lg, mn, ch)
         if first == context and u - 1 == step:
             action(dx)
@@ -725,8 +726,8 @@ def test_a_failing_chunk_stops_the_later_chunks(workers, monkeypatch, tmp_path):
             time.sleep(0.2)                    # time for its error to reach the caller
         dx[0, 0, 0] = np.nan
 
-    draws_per_chunk(monkeypatch, log, 4, 0, lambda dx: failed.touch())
-    draws_per_chunk(monkeypatch, WorkerLog(tmp_path / "unused.jsonl"), 1, 3, diverge)
+    draws_per_chunk(monkeypatch, 4, 0, lambda dx: failed.touch(), log)
+    draws_per_chunk(monkeypatch, 1, 3, diverge)
     with np.errstate(invalid="ignore"), \
             pytest.raises(DataError, match="context 1, scenario 0, step 3"):
         model.rollout(ctx, cats, horizon=8, num_scenarios=2)
@@ -764,7 +765,7 @@ def test_an_interrupt_stops_the_workers(monkeypatch, tmp_path):
         assert wait_for(seen), "the caller did not take the interrupt"
         time.sleep(0.2)                        # time for the caller to stop the chunks
 
-    draws_per_chunk(monkeypatch, log, 4, 2, interrupt)
+    draws_per_chunk(monkeypatch, 4, 2, interrupt, log)
     with sigint_marks(seen), pytest.raises(KeyboardInterrupt):
         model.rollout(ctx, cats, horizon=8, num_scenarios=2)
     counts = draws(log)
@@ -781,7 +782,6 @@ def test_an_interrupt_wins_over_an_earlier_failure(monkeypatch, tmp_path):
     ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
     chunks = count_chunks(monkeypatch, tmp_path, 4, 2)
     second, failed, seen = tmp_path / "second", tmp_path / "failed", tmp_path / "seen"
-    unused = WorkerLog(tmp_path / "draws.jsonl")
 
     def diverge(dx):
         assert wait_for(second), "context 4's chunk did not reach step 1"
@@ -795,8 +795,8 @@ def test_an_interrupt_wins_over_an_earlier_failure(monkeypatch, tmp_path):
         os.kill(os.getppid(), signal.SIGINT)
         assert wait_for(seen), "the caller did not take the interrupt"
 
-    draws_per_chunk(monkeypatch, unused, 0, 2, diverge)
-    draws_per_chunk(monkeypatch, unused, 4, 1, interrupt)
+    draws_per_chunk(monkeypatch, 0, 2, diverge)
+    draws_per_chunk(monkeypatch, 4, 1, interrupt)
     with sigint_marks(seen), np.errstate(invalid="ignore"), pytest.raises(KeyboardInterrupt):
         model.rollout(ctx, cats, horizon=8, num_scenarios=2)
     assert failed.exists()
@@ -836,7 +836,7 @@ def test_a_workers_error_comes_back_to_the_caller(make, raised, message, monkeyp
     def fail(dx):
         raise make()
 
-    draws_per_chunk(monkeypatch, WorkerLog(tmp_path / "draws.jsonl"), 4, 0, fail)
+    draws_per_chunk(monkeypatch, 4, 0, fail)
     with pytest.raises(raised, match=message) as info:
         model.rollout(ctx, cats, horizon=4, num_scenarios=2)
     after.append(os.getpid())
@@ -858,7 +858,7 @@ def test_a_worker_that_ends_without_a_result_fails_the_call(monkeypatch, tmp_pat
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    draws_per_chunk(monkeypatch, WorkerLog(tmp_path / "draws.jsonl"), 4, 1, die)
+    draws_per_chunk(monkeypatch, 4, 1, die)
     with pytest.raises(CausalTrajError, match="ended without a result"):
         model.rollout(ctx, cats, horizon=4, num_scenarios=2)
     assert_reaped(chunks)
