@@ -47,7 +47,7 @@ class TrajectorySet:
         cats = np.asarray(self.categories, dtype=np.uint8)
         if cats.shape != (pos.shape[2],):
             raise DataError(f"categories {cats.shape} do not match agent count {pos.shape[2]}")
-        if cats.max(initial=0) > CATEGORY_TEAM_B:
+        if cats.max(initial=0) >= len(CATEGORY_NAMES):
             raise DataError("category bytes must be 0 (ball), 1 (team_a), or 2 (team_b)")
         # min and max carry any NaN or inf through, without a temporary of pos's size
         if not (np.isfinite(pos.min(initial=0.0)) and np.isfinite(pos.max(initial=0.0))):

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import mdn
 from . import tensor as T
-from .data import atomic_write, open_binary
+from .data import CATEGORY_NAMES, atomic_write, open_binary
 from .encoders import SSM_BLOCKS, SSM_CONV_WIDTH, SSM_EXPAND, PointNetEncoder, SSMEncoder
 from .errors import (CausalTrajError, ConfigError, DataError, ShapeError,
                      TrajectoryFormatError)
@@ -40,7 +40,7 @@ from .nn import Dense, EmbeddingTable, MLP, Module
 from .relation import FRAME_DIM, RelationEncoder, frame_features
 from .tensor import Tensor
 
-NUM_CATEGORIES = 3  # ball, team_a, team_b
+NUM_CATEGORIES = len(CATEGORY_NAMES)
 
 CHECKPOINT_MAGIC = b"CTCKPT1"
 MAX_NDIM = 64  # numpy's limit on array dimensions
@@ -268,77 +268,45 @@ def _rollout_plan(contexts: int, runs: int, workers: int, rows: int) -> list:
     return [bounds[chunks * j // workers: chunks * (j + 1) // workers] for j in range(workers)]
 
 
-def _stop_all(stop: np.ndarray, errors: dict, error: BaseException) -> None:
-    """Stop every chunk at its next step, and keep ``error``, raised in the caller
-    outside a chunk, as the one the call raises (key -1, before any chunk's)."""
-    stop[:] = -1
-    errors.setdefault(-1, error)
-
-
-def _waiting(call, stop: np.ndarray, errors: dict):
-    """``call()``, called again after each exception a signal handler raises in it
-    (Ctrl-C while the caller waits), which stops every chunk (``_stop_all``)."""
-    while True:
-        try:
-            return call()
-        except BaseException as e:
-            _stop_all(stop, errors, e)
-
-
-def _read_to_end(fd: int, parts: list) -> bytes:
-    """Read ``fd`` to its end into ``parts``, which keeps what was read across calls."""
-    while part := os.read(fd, 1 << 16):
-        parts.append(part)
-    return b"".join(parts)
-
-
-def _reap(pid: int) -> None:
-    try:
-        os.waitpid(pid, 0)
-    except ChildProcessError:      # reaped already, as where SIGCHLD is ignored
-        pass
-
-
-def _worker_message(failed) -> bytes:
-    """What a worker sends the caller: None, or (first context of the failing chunk,
-    "Type: message", the pickled error or None if it does not pickle)."""
-    if failed is None:
+def _worker_message(error) -> bytes:
+    """What a worker sends the caller: None, or ("Type: message", the pickled error
+    or None if it does not pickle)."""
+    if error is None:
         return pickle.dumps(None)
-    key, error = failed
     try:
         payload = pickle.dumps(error)
     except Exception:
         payload = None
-    return pickle.dumps((key, f"{type(error).__name__}: {error}", payload))
+    return pickle.dumps((f"{type(error).__name__}: {error}", payload))
 
 
-def _worker_failure(message: bytes, first: int):
-    """A worker's (key, error) from its message, or None; ``first``, the first context
-    of its first chunk, keys a worker that ended without sending one."""
+def _worker_error(message: bytes):
+    """A worker's error from its message, or None if it sent None."""
     if not message:
-        return first, CausalTrajError("a rollout worker ended without a result")
+        return CausalTrajError("a rollout worker ended without a result")
     failed = pickle.loads(message)
     if failed is None:
         return None
-    key, description, payload = failed
+    description, payload = failed
     try:
-        return key, pickle.loads(payload)
+        return pickle.loads(payload)
     except Exception:              # no payload, or one that does not unpickle
-        return key, CausalTrajError(f"a rollout worker raised {description}")
+        return CausalTrajError(f"a rollout worker raised {description}")
 
 
-def _run_in_workers(run, plan: list, stop: np.ndarray) -> dict:
-    """Run ``run(j)`` for every worker j of ``plan`` in a forked process of its own, and
-    wait for them all; returns {key: error} of every ``run(j)`` that returned one.
+def _run_in_workers(run, plan: list, stop: np.ndarray):
+    """Run ``run(j)`` for every worker j of ``plan`` in a forked process of its own,
+    wait for them all, and return the error the rollout raises, or None (the
+    order is in ``TrajectoryModel.rollout``'s docstring).
 
     Each worker sends its result through a pipe and ends through ``os._exit``,
     so it never returns into the caller's stack. Signals are blocked across the
     fork, so none reaches either side before it has its bookkeeping. A worker
     whose fork fails runs in the caller, once the others are forked. The
-    caller reaps every worker on every path; a Ctrl-C (or any other raise in
-    the caller) meanwhile stops every chunk and is kept as key -1.
+    caller reaps every worker on every path, and records a worker that sent
+    nothing in its stop slot.
     """
-    children, errors = [], {}       # (first context, pid, read end) per forked worker
+    children, errors, caller = [], [None] * len(plan), None    # (j, pid, read end) per fork
     try:
         in_caller = []
         for j in range(len(plan)):
@@ -356,30 +324,46 @@ def _run_in_workers(run, plan: list, stop: np.ndarray) -> dict:
                     try:
                         os.close(r)
                         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        # the caller's trace never holds this process's allocations; found
+                        # through sys.modules, so that this module need not import tracemalloc
+                        tracing = sys.modules.get("tracemalloc")
+                        if tracing is not None and tracing.is_tracing():
+                            tracing.stop()
                         message = _worker_message(run(j))
                         with open(w, "wb") as pipe:
                             pipe.write(message)
                     finally:
                         os._exit(0)
                 os.close(w)
-                children.append((plan[j][0][0], pid, r))
+                children.append((j, pid, r))
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for j in in_caller:
-            failed = run(j)
-            if failed is not None:
-                errors.setdefault(*failed)
+            errors[j] = run(j)
     except BaseException as e:
-        _stop_all(stop, errors, e)
-    for first, pid, r in children:
-        parts = []
-        message = _waiting(lambda: _read_to_end(r, parts), stop, errors)
+        stop[:] = -1
+        caller = e
+    for j, pid, r in children:
+        parts = []                 # what was read, kept across interrupts
+        while True:
+            try:
+                while part := os.read(r, 1 << 16):
+                    parts.append(part)
+                os.waitpid(pid, 0)
+                break
+            except ChildProcessError:  # reaped already, as where SIGCHLD is ignored
+                break
+            except BaseException as e:     # Ctrl-C while the caller waits
+                stop[:] = -1
+                caller = caller or e
         os.close(r)
-        _waiting(lambda: _reap(pid), stop, errors)
-        failed = _worker_failure(message, first)
-        if failed is not None:
-            errors.setdefault(*failed)
-    return errors
+        errors[j] = _worker_error(b"".join(parts))
+        if not parts:
+            stop[j] = min(stop[j], plan[j][0][0])
+    if caller is not None:
+        return caller
+    failed = [j for j in range(len(plan)) if errors[j] is not None]
+    return errors[min(failed, key=stop.__getitem__)] if failed else None
 
 
 @dataclass
@@ -452,7 +436,7 @@ class TrajectoryModel(Module):
         if cat.shape != (batch, N):
             raise ShapeError(f"categories shape {cat.shape} incompatible with [{batch}, {N}]")
         if cat.min() < 0 or cat.max() >= NUM_CATEGORIES:
-            raise ShapeError("category indices must be in {0, 1, 2}")
+            raise ShapeError(f"category indices must be in {set(range(NUM_CATEGORIES))}")
         return cat
 
     def _head_params(self, lat: Tensor, geo: np.ndarray, cat: np.ndarray):
@@ -582,16 +566,21 @@ class TrajectoryModel(Module):
         can deadlock in the child); otherwise, or with W = 1 (one CPU, or BLAS
         on every CPU, its usual default), the caller runs every chunk itself,
         in chunks of about ``ROLLOUT_ROWS`` rows. So a call of at most
-        ``ROLLOUT_ROWS`` rows never forks. A chunk that raises stops the chunks
-        after it at their next step; an interrupt stops them all. The call
-        raises once every worker has ended and been reaped: the interrupt if
-        there was one, else the error of the first failing chunk in order, as
-        if the chunks ran one after another. A worker's error comes back
-        pickled; one that does not pickle comes back as a ``CausalTrajError``
-        that names its type and message. A chunk never changes a scenario's
-        bits: a step's ops treat each scene row on its own, and a chunk keeps
-        enough rows that BLAS takes the kernels it takes for the whole batch
-        (tests compare chunked, forked and single-batch calls byte for byte).
+        ``ROLLOUT_ROWS`` rows never forks. Each worker has a stop slot: a
+        chunk that raises sets its worker's slot to the chunk's first context,
+        and the chunks after the lowest slot stop at their next step. A raise
+        in the caller (Ctrl-C while it waits) sets every slot to -1, which
+        stops them all. The call raises once every worker has ended and been
+        reaped: the caller's raise if there was one, else the error of the
+        worker with the lowest slot, which is the first failing chunk's in
+        order, as if the chunks ran one after another. A worker that ended
+        without a result counts as failed at the first context of its first
+        chunk. A worker's error comes back pickled; one that does not pickle
+        comes back as a ``CausalTrajError`` that names its type and message.
+        A chunk never changes a scenario's bits: a step's ops treat each scene
+        row on its own, and a chunk keeps enough rows that BLAS takes the
+        kernels it takes for the whole batch (tests compare chunked, forked
+        and single-batch calls byte for byte).
         ``incremental=False`` swaps ``temporal.step`` for ``_reencode``, which
         re-encodes all frames so far: the reference that only tests and
         perfbench's rollout consistency check use. The encoder step and the
@@ -686,8 +675,8 @@ class TrajectoryModel(Module):
 
         def run_chunks(j: int):
             """Run worker j's chunks in order; on a raise, set its stop slot and return
-            (the slot, the error). An interrupt (not an ``Exception``) stops every
-            chunk as -1, so its error is the one raised."""
+            the error. An interrupt (not an ``Exception``) stops every chunk as -1,
+            so its error is the one raised."""
             lo = -1
             try:
                 for lo, hi in plan[j]:
@@ -696,18 +685,14 @@ class TrajectoryModel(Module):
                     run_chunk(lo, hi)
             except BaseException as e:
                 stop[j] = lo if isinstance(e, Exception) else -1
-                return int(stop[j]), e
+                return e
             return None
 
         # workers inherit the caller's no_grad; the caller waits under it
         with T.no_grad():
-            if workers == 1:
-                failed = run_chunks(0)
-                errors = {} if failed is None else dict([failed])
-            else:
-                errors = _run_in_workers(run_chunks, plan, stop)
-        if errors:
-            raise errors[min(errors)]
+            error = run_chunks(0) if workers == 1 else _run_in_workers(run_chunks, plan, stop)
+        if error is not None:
+            raise error
 
         share = k // runs                      # scenarios per output row
         return [

@@ -323,7 +323,7 @@ def test_repeated_sample_passes_reuse_freed_heap(tmp_path):
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
-def test_threaded_sample_passes_reuse_freed_heap(tmp_path):
+def test_forked_sample_passes_reuse_freed_heap(tmp_path):
     # 48 contexts x 20 scenarios, with BLAS on one thread, run their chunks in
     # two forked workers where two CPUs are free. Each fork write-protects the
     # caller's heap, so the caller's next pass faults once per page it writes

@@ -864,6 +864,40 @@ def test_a_worker_that_ends_without_a_result_fails_the_call(monkeypatch, tmp_pat
     assert_reaped(chunks)
 
 
+@pytest.mark.parametrize("killed, diverging, raised, message", [
+    (4, 1, DataError, "context 1, scenario 0, step 1"),
+    (0, 4, CausalTrajError, "ended without a result"),
+])
+def test_a_killed_worker_fails_at_the_first_context_of_its_first_chunk(
+        killed, diverging, raised, message, monkeypatch, tmp_path):
+    # contexts 0-3 run in the first worker, 4-7 in the second. The worker that
+    # runs context `killed` is killed at its step 1, and only then does context
+    # `diverging`, in the other worker, go non-finite at its step 1. The killed
+    # worker sent nothing, so it counts as failed at its first context: an
+    # earlier context's error wins over it, and it wins over a later one's
+    model = TrajectoryModel(tiny_config())
+    ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
+    chunks = count_chunks(monkeypatch, tmp_path, 4, 2)
+    caller, dead = os.getpid(), tmp_path / "dead"
+
+    def die(dx):
+        if os.getpid() != caller:
+            dead.touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def diverge(dx):
+        assert wait_for(dead), f"context {killed}'s worker was not killed"
+        time.sleep(0.2)                        # time for the caller to see it end
+        dx[0, 0, 0] = np.nan
+
+    draws_per_chunk(monkeypatch, killed, 1, die)
+    draws_per_chunk(monkeypatch, diverging, 1, diverge)
+    with np.errstate(invalid="ignore"), pytest.raises(raised, match=message):
+        model.rollout(ctx, cats, horizon=4, num_scenarios=2)
+    assert len(chunks.forked) == 2
+    assert_reaped(chunks)
+
+
 def test_a_second_thread_keeps_the_rollout_in_the_caller(monkeypatch, tmp_path):
     # a fork from a process with another thread alive can deadlock in the child:
     # the caller runs every chunk, in chunks of ~ROLLOUT_ROWS rows, with the same bytes
@@ -949,6 +983,26 @@ def test_forked_rollout_leaves_the_grad_flag(monkeypatch, tmp_path):
     assert T._grad_enabled
     assert flags.items() and not any(flags.items())    # no worker step ran with the flag on
     assert_reaped(log)
+
+
+def test_forked_workers_stop_the_callers_tracemalloc(monkeypatch, tmp_path):
+    # the caller's trace never holds a worker's allocations, so a worker that
+    # kept tracing would only slow itself down; the caller goes on tracing
+    model = TrajectoryModel(tiny_config())
+    ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
+    chunks = count_chunks(monkeypatch, tmp_path, 4, 2)
+    log = WorkerLog(tmp_path / "tracing.jsonl")
+    for first in (0, 4):                       # the first chunk of each worker
+        draws_per_chunk(monkeypatch, first, 0,
+                        lambda dx: log.append((os.getpid(), tracemalloc.is_tracing())))
+    tracemalloc.start()
+    try:
+        model.rollout(ctx, cats, horizon=3, num_scenarios=2)
+        assert tracemalloc.is_tracing()
+    finally:
+        tracemalloc.stop()
+    assert sorted(log.items()) == sorted((pid, False) for pid in chunks.forked)
+    assert_reaped(chunks)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
