@@ -192,10 +192,7 @@ CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
 
 def _usable_cpus() -> int:
     """The CPUs the process may run on, at most its cgroup's quota in whole CPUs."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:                 # not on every platform
-        cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0))
     for files in CPU_QUOTA_FILES:
         try:
             quota, period = " ".join(Path(f).read_text() for f in files).split()[:2]
@@ -269,29 +266,16 @@ def _rollout_plan(contexts: int, runs: int, workers: int, rows: int) -> list:
 
 
 def _worker_message(error) -> bytes:
-    """What a worker sends the caller: None, or ("Type: message", the pickled error
-    or None if it does not pickle)."""
-    if error is None:
-        return pickle.dumps(None)
+    """What a worker sends the caller: its error (None on success) pickled, or, if
+    that does not load back, a pickled ``CausalTrajError`` that names its type and
+    message."""
     try:
-        payload = pickle.dumps(error)
-    except Exception:
-        payload = None
-    return pickle.dumps((f"{type(error).__name__}: {error}", payload))
-
-
-def _worker_error(message: bytes):
-    """A worker's error from its message, or None if it sent None."""
-    if not message:
-        return CausalTrajError("a rollout worker ended without a result")
-    failed = pickle.loads(message)
-    if failed is None:
-        return None
-    description, payload = failed
-    try:
-        return pickle.loads(payload)
-    except Exception:              # no payload, or one that does not unpickle
-        return CausalTrajError(f"a rollout worker raised {description}")
+        message = pickle.dumps(error)
+        pickle.loads(message)
+        return message
+    except Exception:              # it does not pickle, or does not unpickle
+        return pickle.dumps(CausalTrajError(
+            f"a rollout worker raised {type(error).__name__}: {error}"))
 
 
 def _run_in_workers(run, plan: list, stop: np.ndarray):
@@ -299,12 +283,13 @@ def _run_in_workers(run, plan: list, stop: np.ndarray):
     wait for them all, and return the error the rollout raises, or None (the
     order is in ``TrajectoryModel.rollout``'s docstring).
 
-    Each worker sends its result through a pipe and ends through ``os._exit``,
-    so it never returns into the caller's stack. Signals are blocked across the
-    fork, so none reaches either side before it has its bookkeeping. A worker
-    whose fork fails runs in the caller, once the others are forked. The
-    caller reaps every worker on every path, and records a worker that sent
-    nothing in its stop slot.
+    Each worker sends one pickle through a pipe, its error or None
+    (``_worker_message``), and ends through ``os._exit``, so it never returns
+    into the caller's stack. Signals are blocked across the fork, so none
+    reaches either side before it has its bookkeeping. A worker whose fork
+    fails runs in the caller, once the others are forked. The caller reaps
+    every worker on every path. A message that is missing or does not unpickle
+    makes its worker a silent one, which the caller records in its stop slot.
     """
     children, errors, caller = [], [None] * len(plan), None    # (j, pid, read end) per fork
     try:
@@ -357,8 +342,10 @@ def _run_in_workers(run, plan: list, stop: np.ndarray):
                 stop[:] = -1
                 caller = caller or e
         os.close(r)
-        errors[j] = _worker_error(b"".join(parts))
-        if not parts:
+        try:
+            errors[j] = pickle.loads(b"".join(parts))
+        except Exception:          # nothing sent, or cut short: unpickling raises any type
+            errors[j] = CausalTrajError("a rollout worker ended without a result")
             stop[j] = min(stop[j], plan[j][0][0])
     if caller is not None:
         return caller
@@ -507,21 +494,20 @@ class TrajectoryModel(Module):
 
         f_t [X, N, FRAME_DIM] holds the frame's features; cat [X, N]. Returns
         arrays (logits [X, M], means [X, M, N, 2], chol_params [X, M, N, 3]).
+        Runs under the rollout's ``no_grad``, so it records no graph.
         """
         X, N, _ = f_t.shape
         lat = Tensor(lat_t.reshape(X, 1, N, self.latent_dim))
-        with T.no_grad():
-            params = self._head_params(lat, f_t[:, None], cat)
+        params = self._head_params(lat, f_t[:, None], cat)
         return tuple(p.data[:, 0] for p in params)
 
     def _reencode(self, f_t: np.ndarray, frames: list) -> np.ndarray:
         """``temporal.step`` by recompute: append f_t [L, FRAME_DIM] to frames, encode them
-        all and return the last latent [L, d]."""
+        all and return the last latent [L, d]. Runs under the rollout's ``no_grad``."""
         frames.append(f_t)
-        with T.no_grad():
-            lat = self.temporal(Tensor(np.stack(frames, axis=1)))
-        return lat.data[:, -1]
+        return self.temporal(Tensor(np.stack(frames, axis=1))).data[:, -1]
 
+    @T.no_grad()
     def rollout(
         self,
         contexts,
@@ -560,12 +546,12 @@ class TrajectoryModel(Module):
         would need), in chunks of about ``ROLLOUT_ROWS / W`` rows, worker j the
         j-th W-th of them in order (``_rollout_plan``). The workers are forked
         after step 0 and write their rows into one shared anonymous mapping
-        that holds the outputs; the caller only waits, under one ``no_grad``
-        the workers inherit. They are forked only on Linux and only while the
-        process runs one Python thread (a fork from a multi-threaded process
-        can deadlock in the child); otherwise, or with W = 1 (one CPU, or BLAS
-        on every CPU, its usual default), the caller runs every chunk itself,
-        in chunks of about ``ROLLOUT_ROWS`` rows. So a call of at most
+        that holds the outputs; the caller only waits. The whole call runs
+        under one ``no_grad``, which the workers inherit. They are forked only
+        on Linux and only while the process runs one Python thread (a fork
+        from a multi-threaded process can deadlock in the child); otherwise, or
+        with W = 1 (one CPU, or BLAS on every CPU, its usual default), the
+        caller runs every chunk itself, in chunks of about ``ROLLOUT_ROWS`` rows. So a call of at most
         ``ROLLOUT_ROWS`` rows never forks. Each worker has a stop slot: a
         chunk that raises sets its worker's slot to the chunk's first context,
         and the chunks after the lowest slot stop at their next step. A raise
@@ -575,8 +561,10 @@ class TrajectoryModel(Module):
         worker with the lowest slot, which is the first failing chunk's in
         order, as if the chunks ran one after another. A worker that ended
         without a result counts as failed at the first context of its first
-        chunk. A worker's error comes back pickled; one that does not pickle
-        comes back as a ``CausalTrajError`` that names its type and message.
+        chunk. A worker sends one pickle, its error or None; an error that
+        does not load back is sent as a ``CausalTrajError`` that names its type
+        and message, and a message that is missing or does not unpickle counts
+        as a worker that ended without a result.
         A chunk never changes a scenario's bits: a step's ops treat each scene
         row on its own, and a chunk keeps enough rows that BLAS takes the
         kernels it takes for the whole batch (tests compare chunked, forked
@@ -688,9 +676,7 @@ class TrajectoryModel(Module):
                 return e
             return None
 
-        # workers inherit the caller's no_grad; the caller waits under it
-        with T.no_grad():
-            error = run_chunks(0) if workers == 1 else _run_in_workers(run_chunks, plan, stop)
+        error = run_chunks(0) if workers == 1 else _run_in_workers(run_chunks, plan, stop)
         if error is not None:
             raise error
 

@@ -714,16 +714,12 @@ def concat(tensors: Iterable, axis: int = -1) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in ts], axis=axis)
     ax = axis if axis >= 0 else out.ndim + axis
-    sizes = [t.shape[ax] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+    splits = np.cumsum([t.shape[ax] for t in ts])[:-1]
     needs = [_records(t) for t in ts]
 
     def backward(g):
-        return tuple(
-            np.ascontiguousarray(np.take(g, range(offsets[i], offsets[i + 1]), axis=ax))
-            if need else None
-            for i, need in enumerate(needs)
-        )
+        return tuple(part.copy() if need else None
+                     for part, need in zip(np.split(g, splits, axis=ax), needs))
 
     return Tensor._result(out, tuple(ts), backward)
 

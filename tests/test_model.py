@@ -549,15 +549,22 @@ def test_rollout_workers_leave_each_blas_thread_a_cpu(cpus, blas, workers, monke
     assert model_mod._rollout_workers() == workers
 
 
+def run_at_one_blas_thread(code: str) -> str:
+    """The stdout of ``code`` run in a child Python, with this one's import path and
+    numpy's BLAS set to one thread."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_blas_threads_are_what_numpys_blas_reports(monkeypatch):
     if model_mod._blas_thread_query() is None:
         pytest.skip("numpy's BLAS reports no thread count")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     code = "from causaltraj import model; print(model._blas_threads(8))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.stdout.split() == ["1"], proc.stderr
+    assert run_at_one_blas_thread(code).split() == ["1"]
     monkeypatch.setattr(model_mod, "_blas_thread_query", lambda: None)
     assert model_mod._blas_threads(3) == 3     # a BLAS that cannot say: one per CPU
 
@@ -864,6 +871,38 @@ def test_a_worker_that_ends_without_a_result_fails_the_call(monkeypatch, tmp_pat
     assert_reaped(chunks)
 
 
+@pytest.mark.parametrize("cut, raised, message", [
+    ("every", CausalTrajError, "ended without a result"),
+    ("success", DataError, "context 1, scenario 0, step 1"),
+])
+def test_a_cut_message_counts_as_a_worker_without_a_result(cut, raised, message,
+                                                           monkeypatch, tmp_path):
+    # a message cut short does not unpickle: its worker failed at the first
+    # context of its first chunk, so context 1's error in the first worker wins
+    # over the second worker's cut success; every worker is still reaped, and
+    # every pipe closed
+    model = TrajectoryModel(tiny_config())
+    ctx, cats = scenes(np.random.default_rng(27), B=8, N=3, Tlen=4)
+    chunks = count_chunks(monkeypatch, tmp_path, 4, 2)
+    send = model_mod._worker_message
+
+    def cut_short(error):
+        message = send(error)
+        return message[:3] if cut == "every" or error is None else message
+
+    def diverge(dx):
+        dx[0, 0, 0] = np.nan
+
+    monkeypatch.setattr(model_mod, "_worker_message", cut_short)
+    draws_per_chunk(monkeypatch, 1, 1, diverge)
+    fds = os.listdir("/proc/self/fd")
+    with np.errstate(invalid="ignore"), pytest.raises(raised, match=message):
+        model.rollout(ctx, cats, horizon=4, num_scenarios=2)
+    assert len(chunks.forked) == 2
+    assert_reaped(chunks)
+    assert os.listdir("/proc/self/fd") == fds
+
+
 @pytest.mark.parametrize("killed, diverging, raised, message", [
     (4, 1, DataError, "context 1, scenario 0, step 1"),
     (0, 4, CausalTrajError, "ended without a result"),
@@ -952,15 +991,21 @@ def test_a_failing_fork_runs_that_workers_chunks_in_the_caller(failing, monkeypa
 
 
 def worker_grad_flags(monkeypatch, model, tmp_path) -> WorkerLog:
-    """A log that gains ``T._grad_enabled`` at each head step a forked worker runs."""
-    log, caller, step = WorkerLog(tmp_path / "flags.jsonl"), os.getpid(), model._step_params
+    """A log that gains (step, in the caller, ``T._grad_enabled``) at each encoder
+    step and head step the rollout runs, in the caller and in forked workers."""
+    log, caller = WorkerLog(tmp_path / "flags.jsonl"), os.getpid()
 
-    def spy(*args):
-        if os.getpid() != caller:
-            log.append(T._grad_enabled)
-        return step(*args)
+    def spy(owner, name):
+        step = getattr(owner, name)
 
-    monkeypatch.setattr(model, "_step_params", spy)
+        def logged(*args):
+            log.append((name, os.getpid() == caller, T._grad_enabled))
+            return step(*args)
+
+        monkeypatch.setattr(owner, name, logged)
+
+    spy(model, "_step_params")
+    spy(model.temporal, "step")
     return log
 
 
@@ -981,7 +1026,11 @@ def test_forked_rollout_leaves_the_grad_flag(monkeypatch, tmp_path):
         model.rollout(ctx, cats, horizon=3, num_scenarios=2)
         assert not T._grad_enabled
     assert T._grad_enabled
-    assert flags.items() and not any(flags.items())    # no worker step ran with the flag on
+    # every step, the caller's prefix and step 0 as well as the workers' steps,
+    # ran with the flag off
+    assert {(name, in_caller) for name, in_caller, _ in flags.items()} == {
+        (name, in_caller) for name in ("_step_params", "step") for in_caller in (True, False)}
+    assert not any(on for _, _, on in flags.items())
     assert_reaped(log)
 
 
@@ -1046,22 +1095,39 @@ def test_rollout_workers_give_the_serial_bytes(workers, monkeypatch, tmp_path):
 ROLLOUT_PEAK_MB = {1: {16: 4.7, 128: 12.0}, 2: {16: 4.7, 64: 9.5, 128: 12.0}}
 
 
-@pytest.mark.parametrize("workers", sorted(ROLLOUT_PEAK_MB))
-def test_rollout_memory_peak(workers, monkeypatch):
-    monkeypatch.setattr(model_mod, "_rollout_workers", lambda: workers)
+def rollout_peaks_mb(workers: int) -> dict:
+    """The traced peak in MB of each rollout of ``ROLLOUT_PEAK_MB[workers]``, keyed
+    by its contexts."""
     model = TrajectoryModel(ModelConfig.small(seed=0))
     bounds = ROLLOUT_PEAK_MB[workers]
     ctx, _ = scenes(np.random.default_rng(25), B=max(bounds), N=5, Tlen=8)
     cats = np.array([0, 1, 1, 2, 2], dtype=np.int64)
     model.rollout(ctx[:1], cats, horizon=2, num_scenarios=2)
-    for contexts, bound in bounds.items():
+    peaks = {}
+    for contexts in bounds:
         tracemalloc.start()
         try:
             model.rollout(ctx[:contexts], cats, horizon=3, num_scenarios=20)
-            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+            peaks[contexts] = tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
-        assert peak_mb < bound, f"{contexts} contexts: {peak_mb:.2f} MB"
+    return peaks
+
+
+@pytest.mark.parametrize("workers", sorted(ROLLOUT_PEAK_MB))
+def test_rollout_memory_peak(workers, monkeypatch):
+    # the rollout picks two workers only where BLAS leaves each a CPU, so that
+    # case runs in a child Python with BLAS on one thread
+    if workers == 1:
+        monkeypatch.setattr(model_mod, "_rollout_workers", lambda: workers)
+        peaks = rollout_peaks_mb(workers)
+    else:
+        code = ("import json, test_model; from causaltraj import model; "
+                f"model._rollout_workers = lambda: {workers}; "
+                f"print(json.dumps(test_model.rollout_peaks_mb({workers})))")
+        peaks = {int(c): mb for c, mb in json.loads(run_at_one_blas_thread(code)).items()}
+    for contexts, bound in ROLLOUT_PEAK_MB[workers].items():
+        assert peaks[contexts] < bound, f"{contexts} contexts: {peaks[contexts]:.2f} MB"
 
 
 class TestConstantVelocity:
