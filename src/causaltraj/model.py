@@ -281,15 +281,13 @@ def _worker_message(error) -> bytes:
 def _run_in_workers(run, plan: list, stop: np.ndarray):
     """Run ``run(j)`` for every worker j of ``plan`` in a forked process of its own,
     wait for them all, and return the error the rollout raises, or None (the
-    order is in ``TrajectoryModel.rollout``'s docstring).
+    order, and the message rule, are in ``TrajectoryModel.rollout``'s docstring).
 
-    Each worker sends one pickle through a pipe, its error or None
-    (``_worker_message``), and ends through ``os._exit``, so it never returns
-    into the caller's stack. Signals are blocked across the fork, so none
-    reaches either side before it has its bookkeeping. A worker whose fork
-    fails runs in the caller, once the others are forked. The caller reaps
-    every worker on every path. A message that is missing or does not unpickle
-    makes its worker a silent one, which the caller records in its stop slot.
+    Each worker sends its message through a pipe (``_worker_message``) and
+    ends through ``os._exit``, so it never returns into the caller's stack.
+    Signals are blocked across the fork, so none reaches either side before it
+    has its bookkeeping. A worker whose fork fails runs in the caller, once the
+    others are forked. The caller reaps every worker on every path.
     """
     children, errors, caller = [], [None] * len(plan), None    # (j, pid, read end) per fork
     try:
@@ -551,20 +549,20 @@ class TrajectoryModel(Module):
         on Linux and only while the process runs one Python thread (a fork
         from a multi-threaded process can deadlock in the child); otherwise, or
         with W = 1 (one CPU, or BLAS on every CPU, its usual default), the
-        caller runs every chunk itself, in chunks of about ``ROLLOUT_ROWS`` rows. So a call of at most
-        ``ROLLOUT_ROWS`` rows never forks. Each worker has a stop slot: a
-        chunk that raises sets its worker's slot to the chunk's first context,
-        and the chunks after the lowest slot stop at their next step. A raise
-        in the caller (Ctrl-C while it waits) sets every slot to -1, which
-        stops them all. The call raises once every worker has ended and been
-        reaped: the caller's raise if there was one, else the error of the
-        worker with the lowest slot, which is the first failing chunk's in
-        order, as if the chunks ran one after another. A worker that ended
-        without a result counts as failed at the first context of its first
-        chunk. A worker sends one pickle, its error or None; an error that
-        does not load back is sent as a ``CausalTrajError`` that names its type
-        and message, and a message that is missing or does not unpickle counts
-        as a worker that ended without a result.
+        caller runs every chunk itself, in chunks of about ``ROLLOUT_ROWS``
+        rows. So a call of at most ``ROLLOUT_ROWS`` rows never forks. Each
+        worker has a stop slot: a chunk that raises sets its worker's slot to
+        the chunk's first context, and the chunks after the lowest slot stop at
+        their next step. A raise in the caller (Ctrl-C while it waits) sets
+        every slot to -1, which stops them all. The call raises once every
+        worker has ended and been reaped: the caller's raise if there was one,
+        else the error of the worker with the lowest slot, which is the first
+        failing chunk's in order, as if the chunks ran one after another. A
+        worker sends one pickle, its error or None; an error that does not
+        load back is sent as a ``CausalTrajError`` that names its type and
+        message. A worker whose message is missing or does not unpickle ended
+        without a result, and counts as failed at the first context of its
+        first chunk.
         A chunk never changes a scenario's bits: a step's ops treat each scene
         row on its own, and a chunk keeps enough rows that BLAS takes the
         kernels it takes for the whole batch (tests compare chunked, forked

@@ -555,7 +555,7 @@ def run_at_one_blas_thread(code: str) -> str:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
